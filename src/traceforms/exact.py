@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Sequence, Tuple, Union
 
@@ -57,6 +58,18 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def primes_below(limit: int) -> tuple:
+    """All primes p < limit, by the sieve of Eratosthenes; built on the first
+    call for each limit and kept."""
+    sieve = bytearray([1]) * max(limit, 2)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return tuple(p for p in range(limit) if sieve[p])
 
 
 def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> dict:
@@ -113,9 +126,6 @@ class SquareClass:
 
     def __int__(self) -> int:
         return self.n
-
-    def is_trivial(self) -> bool:
-        return self.n == 1
 
     def sign(self) -> int:
         return 1 if self.n > 0 else -1
@@ -235,7 +245,8 @@ def hilbert_support(a: Rational, b: Rational,
     candidates.update(ca.primes(budget))
     candidates.update(cb.primes(budget))
     out = frozenset(v for v in candidates if hilbert_symbol(ca.n, cb.n, v) == 1)
-    assert len(out) % 2 == 0, "Hilbert reciprocity violated (bug)"
+    if len(out) % 2:
+        raise RuntimeError("Hilbert reciprocity violated (bug)")
     return out
 
 

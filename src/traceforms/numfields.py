@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from .exact import (
@@ -73,6 +74,11 @@ class GeneralTotallyReal:
     minpoly: tuple
     supplied_disc: Optional[int] = None
 
+    def __post_init__(self):
+        # tuples keep the descriptor hashable, as the field_invariants memo
+        # needs
+        object.__setattr__(self, "minpoly", tuple(self.minpoly))
+
     def poly(self) -> Poly:
         return Poly.make(self.minpoly)
 
@@ -88,6 +94,11 @@ class GeneralCM:
     real_minpoly: tuple
     disc_class: int
     se_assertions: tuple = ()   # ((p, bool), ...)
+
+    def __post_init__(self):
+        object.__setattr__(self, "real_minpoly", tuple(self.real_minpoly))
+        object.__setattr__(self, "se_assertions",
+                           tuple(tuple(a) for a in self.se_assertions))
 
     def poly(self) -> Poly:
         return Poly.make(self.real_minpoly)
@@ -168,11 +179,21 @@ def poly_disc_class(f: Poly) -> SquareClass:
 def field_invariants(E, budget: int = DEFAULT_FACTOR_BUDGET) -> FieldInvariants:
     """Degree, discriminant square class, CM flag.
 
+    Memoized per (descriptor, budget): descriptors and the returned
+    invariants are both frozen.  Errors are raised afresh on every call.
+
     >>> field_invariants(RealQuadratic(5)).disc_class
     SquareClass(5)
     >>> field_invariants(Cyclotomic(44)).disc_class
     SquareClass(1)
     """
+    if not isinstance(E, NumberFieldDesc):
+        raise DescriptorError(f"unknown field descriptor {E!r}")
+    return _field_invariants(E, budget)
+
+
+@lru_cache(maxsize=1024)
+def _field_invariants(E, budget: int) -> FieldInvariants:
     if isinstance(E, RealQuadratic):
         if E.d < 2:
             raise DescriptorError("real quadratic needs d >= 2")
@@ -201,7 +222,6 @@ def field_invariants(E, budget: int = DEFAULT_FACTOR_BUDGET) -> FieldInvariants:
         _require_totally_real(f)
         return FieldInvariants(2 * f.degree, squarefree_class(E.disc_class),
                                True, f.degree)
-    raise DescriptorError(f"unknown field descriptor {E!r}")
 
 
 def _require_totally_real(f: Poly) -> None:

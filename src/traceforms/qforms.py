@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 from typing import Optional, Sequence, Tuple
 
 from .exact import (
@@ -24,6 +26,7 @@ from .exact import (
     hilbert_support,
     is_prime,
     is_square_at,
+    primes_below,
     squarefree_class,
 )
 
@@ -45,6 +48,11 @@ class QuadraticForm:
 
     diagonal: tuple
 
+    def __post_init__(self):
+        # a list diagonal would make the form unhashable, and forms are
+        # cache keys of `invariants`
+        object.__setattr__(self, "diagonal", tuple(self.diagonal))
+
     @staticmethod
     def make(entries: Sequence[Rational]) -> "QuadraticForm":
         entries = tuple(Fraction(e) for e in entries)
@@ -63,12 +71,6 @@ class QuadraticForm:
 
     def direct_sum(self, other: "QuadraticForm") -> "QuadraticForm":
         return QuadraticForm(self.diagonal + other.diagonal)
-
-    def scaled(self, c: Rational) -> "QuadraticForm":
-        c = Fraction(c)
-        if c == 0:
-            raise ValueError("scaling by zero")
-        return QuadraticForm(tuple(c * e for e in self.diagonal))
 
     def evaluate(self, vector: Sequence[Rational]) -> Fraction:
         if len(vector) != self.dim:
@@ -173,8 +175,15 @@ def _swap(m, i, j):
         row[i], row[j] = row[j], row[i]
 
 
+@lru_cache(maxsize=4096)
 def invariants(f: QuadraticForm, budget: int = DEFAULT_FACTOR_BUDGET) -> FormInvariants:
-    """dimension, determinant square class, signature and Hasse place set."""
+    """dimension, determinant square class, signature and Hasse place set.
+
+    The Hasse bit at v is the sum over i < j of (a_i, a_j)_v, which by
+    bilinearity regroups as the sum over j of (a_1...a_{j-1}, a_j)_v
+    (Serre, A Course in Arithmetic, IV.2): one symbol per entry and place.
+    Memoized: forms and the returned invariants are both frozen.
+    """
     classes = tuple(squarefree_class(e, budget) for e in f.diagonal)
     det = Fraction(1)
     for e in f.diagonal:
@@ -184,16 +193,21 @@ def invariants(f: QuadraticForm, budget: int = DEFAULT_FACTOR_BUDGET) -> FormInv
     places = {2, INF}
     for c in classes:
         places.update(c.primes(budget))
-    support = set()
-    for v in places:
-        bit = 0
-        for i in range(len(classes)):
-            for j in range(i + 1, len(classes)):
-                bit ^= hilbert_symbol(classes[i].n, classes[j].n, v)
-        if bit:
-            support.add(v)
+    # squarefree representatives of the prefix products a_1...a_{j-1}; the
+    # product of two squarefree integers is squarefree once their gcd squared
+    # is divided out
+    prefixes = []
+    acc = 1
+    for c in classes[:-1]:
+        g = gcd(acc, c.n)
+        acc = acc // g * (c.n // g)
+        prefixes.append(acc)
+    pairs = tuple(zip(prefixes, (c.n for c in classes[1:])))
+    support = frozenset(
+        v for v in places
+        if sum(hilbert_symbol(a, c, v) for a, c in pairs) % 2)
     return FormInvariants(f.dim, squarefree_class(det, budget), (r, s),
-                          frozenset(support))
+                          support)
 
 
 def is_isomorphic(f: QuadraticForm, g: QuadraticForm) -> bool:
@@ -264,8 +278,7 @@ def _small_squareclass_candidates(base_primes, sign_ok, aux_limit=2000):
                 c *= p
             cores.append(c)
     cores.sort()
-    auxes = [1] + [q for q in range(2, aux_limit)
-                   if is_prime(q) and q not in base]
+    auxes = [1] + [q for q in primes_below(aux_limit) if q not in base]
     for q in auxes:
         for c in cores:
             for sgn in (1, -1):

@@ -20,6 +20,7 @@ from .exact import (
     Poly,
     SquareClass,
     hilbert_support,
+    signs_at_real_roots,
     squarefree_class,
 )
 from .numfields import (
@@ -464,8 +465,9 @@ def _split_rm(vi, E, finv, m, md, codim, complement_hint, witness):
     if d % 2 == 1:
         t_candidates = [SquareClass(want_sign)]
     elif isinstance(E, RealQuadratic):
-        t_candidates = [squarefree_class(t) for t in range(1, 60)
-                        if lambda_plus_quadratic(E.d, t)]
+        # lazy: the scan stops at the first class that admits a complement
+        t_candidates = (squarefree_class(t) for t in range(1, 60)
+                        if lambda_plus_quadratic(E.d, t))
     else:
         t_candidates = [SquareClass(1)]  # always a totally positive norm
     for t in t_candidates:
@@ -651,7 +653,8 @@ def condition_C_profile(E, entries) -> SignatureProfile:
         for g in entries:
             if not isinstance(g, Poly):
                 raise ValueError("general totally real entries are polynomials")
-            sign_rows.append(signs_at_roots_cached(f, g))
+            sign_rows.append(signs_at_real_roots(
+                f, g.rem(f) if g.degree >= f.degree else g))
         nroots = len(sign_rows[0])
         per = []
         for i in range(nroots):
@@ -669,11 +672,6 @@ def _condition_shape(per, m, require_m3: bool) -> bool:
     if require_m3 and m < 3:
         return False
     return len(twos) == 1 and len(negdef) == len(per) - 1
-
-
-def signs_at_roots_cached(f: Poly, g: Poly):
-    from .exact import signs_at_real_roots
-    return signs_at_real_roots(f, g.rem(f) if g.degree >= f.degree else g)
 
 
 # ---------------------------------------------------------------------------

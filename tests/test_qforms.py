@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from traceforms.exact import INF, SquareClass, hilbert_support, squarefree_class
+from traceforms.exact import (
+    INF, SquareClass, hilbert_support, hilbert_symbol, squarefree_class,
+)
 from traceforms.qforms import (
     FormInvariants,
     InvariantContradiction,
@@ -416,3 +418,49 @@ def test_witt_addition_consistent_with_direct_sum():
         direct = witt_reduce(f.direct_sum(g))
         added = witt_add(witt_reduce(f), witt_reduce(g))
         assert direct == added
+
+
+# ---------------------------------------------------------------------------
+# the Hasse invariant against its pairwise definition
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _product(primes):
+    out = 1
+    for p in primes:
+        out *= p
+    return out
+
+
+_factors = st.lists(st.sampled_from(SMALL_PRIMES), max_size=4).map(_product)
+_entries = st.builds(lambda sign, num, den: sign * Fraction(num, den),
+                     st.sampled_from((1, -1)), _factors, _factors)
+
+
+def _pairwise_hasse(f):
+    classes = [squarefree_class(e).n for e in f.diagonal]
+    places = {2, INF}
+    for c in classes:
+        places.update(SquareClass(c).primes())
+    support = set()
+    for v in places:
+        bit = 0
+        for i in range(len(classes)):
+            for j in range(i + 1, len(classes)):
+                bit ^= hilbert_symbol(classes[i], classes[j], v)
+        if bit:
+            support.add(v)
+    return frozenset(support)
+
+
+@given(st.lists(_entries, min_size=1, max_size=12), st.data())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_hasse_matches_pairwise_symbols(entries, data):
+    f = QuadraticForm.make(entries)
+    fi = invariants(f)
+    assert fi.hasse == _pairwise_hasse(f)
+    # the prefix sum regroups the pairwise one term by term, so the order of
+    # the diagonal must not show in the result
+    shuffled = data.draw(st.permutations(entries))
+    assert invariants(QuadraticForm.make(shuffled)) == fi
