@@ -196,13 +196,12 @@ def invariants(f: QuadraticForm, budget: int = DEFAULT_FACTOR_BUDGET) -> FormInv
     # squarefree representatives of the prefix products a_1...a_{j-1}; the
     # product of two squarefree integers is squarefree once their gcd squared
     # is divided out
-    prefixes = []
+    pairs = []
     acc = 1
-    for c in classes[:-1]:
-        g = gcd(acc, c.n)
-        acc = acc // g * (c.n // g)
-        prefixes.append(acc)
-    pairs = tuple(zip(prefixes, (c.n for c in classes[1:])))
+    for prev, c in zip(classes, classes[1:]):
+        g = gcd(acc, prev.n)
+        acc = acc // g * (prev.n // g)
+        pairs.append((acc, c.n))
     support = frozenset(
         v for v in places
         if sum(hilbert_symbol(a, c, v) for a, c in pairs) % 2)
