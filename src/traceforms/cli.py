@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .exact import INF, FactorizationBudgetError, Poly
+from .exact import FactorizationBudgetError, Poly
 from .numfields import (
     Cyclotomic,
     DescriptorError,
@@ -31,6 +31,8 @@ from .qforms import (
     invariants,
     invariants_to_json,
     is_isomorphic,
+    place_str,
+    place_to_json,
     rational_str,
     represents_zero,
     split_complement,
@@ -47,7 +49,6 @@ from .k3hk import (
     elliptic_fibration_verdict,
     famous_examples,
     hk_realizable,
-    k3_realizable,
     picard_compatible,
     report_to_json,
 )
@@ -76,16 +77,16 @@ def jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
-        return "inf" if obj == INF else obj
+        return place_to_json(obj)
     if isinstance(obj, Fraction):
         return rational_str(obj)
     if isinstance(obj, dict):
         out = {}
         for k, v in obj.items():
             if k in ("place", "obstruction_place") and v is not None:
-                out[k] = "inf" if v == INF else str(v)
+                out[k] = place_str(v)
             elif k == "primes":
-                out[k] = ["inf" if p == INF else str(p) for p in v]
+                out[k] = [place_str(p) for p in v]
             else:
                 out[k] = jsonable(v)
         return out
@@ -268,10 +269,7 @@ def tabulate_rows(mode: str, families, fields, md_bound: int):
         for field_label, desc, degree in fields:
             m = min_m
             while m * degree <= md_bound:
-                if fam == "k3":
-                    rep = k3_realizable(desc, m, mode)
-                else:
-                    rep = hk_realizable(fam, n, desc, m, mode)
+                rep = hk_realizable(fam, n, desc, m, mode)
                 rows.append({
                     "family": label,
                     "field": field_label,
@@ -353,8 +351,7 @@ def cmd_represents_zero(args) -> dict:
     if verdict.witness is not None:
         out["witness"] = [rational_str(x) for x in verdict.witness]
     if verdict.obstruction is not None:
-        out["obstruction_place"] = ("inf" if verdict.obstruction == INF
-                                    else str(verdict.obstruction))
+        out["obstruction_place"] = place_str(verdict.obstruction)
     return out
 
 
@@ -384,15 +381,6 @@ def cmd_transfer_feasible(args) -> dict:
     except ValueError as err:
         raise CriterionError(str(err)) from err
     return verdict_json(v)
-
-
-def cmd_k3(args) -> dict:
-    E = parse_field(args.field)
-    try:
-        rep = k3_realizable(E, args.m, args.mode)
-    except ValueError as err:
-        raise CriterionError(str(err)) from err
-    return jsonable(report_to_json(rep))
 
 
 def cmd_hk(args) -> dict:
@@ -508,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--mode", choices=["rm", "cm"], required=True)
-    p.set_defaults(handler=cmd_k3)
+    p.set_defaults(handler=cmd_hk, family="k3", n=None)
 
     p = sub.add_parser("hk", help="hyperkahler realizability")
     p.add_argument("--family", required=True,

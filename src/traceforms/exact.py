@@ -119,10 +119,14 @@ class SquareClass:
     n: int
 
     def __post_init__(self):
-        assert self.n != 0
+        if self.n == 0:
+            raise ValueError("zero has no square class")
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
-        return squarefree_class(self.n * other.n)
+        # two squarefree integers multiply to a squarefree one once the
+        # square of their gcd is divided out
+        g = gcd(self.n, other.n)
+        return SquareClass(self.n // g * (other.n // g))
 
     def __int__(self) -> int:
         return self.n
@@ -403,7 +407,8 @@ def _poly_div_exact(f: Poly, g: Poly) -> Poly:
         for i, gc in enumerate(g.coeffs):
             r[shift + i] -= c * gc
         r.pop()
-    assert all(c == 0 for c in r), "inexact polynomial division"
+    if any(r):
+        raise RuntimeError("inexact polynomial division (bug)")
     return Poly.make(q)
 
 
@@ -475,7 +480,8 @@ def isolate_real_roots(f: Poly) -> list:
     chain = sturm_chain(g)
     b = root_bound(g)
     lo, hi = Fraction(-b), Fraction(b)
-    assert g(lo) != 0 and g(hi) != 0
+    if g(lo) == 0 or g(hi) == 0:
+        raise RuntimeError("root bound hit a root (bug)")
     out = []
 
     def rec(a, b2):

@@ -18,14 +18,17 @@ from .exact import SquareClass
 from .numfields import (
     Cyclotomic,
     RealQuadratic,
+    desc_from_json,
     field_invariants,
     in_SE,
+    lambda_plus_quadratic,
     IN,
     OUT,
     UNKNOWN,
 )
 from .qforms import (
     QuadraticForm,
+    complement_invariants,
     form_from_invariants,
     hyperbolic_sum,
     invariants,
@@ -33,11 +36,13 @@ from .qforms import (
     represents_zero,
     form_from_json,
     invariants_to_json,
+    place_str,
     rational_str,
 )
 from .transfer import (
     TransferVerdict,
     bad_set,
+    check_mode,
     rm_transfer_feasible,
     split_transfer_feasible,
 )
@@ -125,13 +130,6 @@ class RealizabilityReport:
     verdict: TransferVerdict
 
 
-def _normalize_mode(mode: str) -> str:
-    m = mode.strip().lower()
-    if m not in ("rm", "cm"):
-        raise ValueError("mode must be 'rm' or 'cm'")
-    return m
-
-
 def hodge_group_label(E, m: int) -> str:
     """Hodge/special Mumford-Tate group of a rank-m structure over E, as a
     restriction-of-scalars label."""
@@ -172,77 +170,73 @@ def _report_from_verdict(mode, E, m, md, r, verdict,
                                tuple(notes), verdict)
 
 
+@dataclass(frozen=True)
+class _FamilyText:
+    """What a report prints differently from one family to the next."""
+    cm_bound: Optional[int] = None   # the md bound a CM report names; b2 - 1
+    rank1_cm: str = "countably many manifolds"
+    even_b2_note: bool = True        # "even field degree tightens the bound"
+    square_disc_note: bool = False   # the K3 note at md = cm_bound
+    rm_note: Optional[str] = None
+
+
+# CM fields have even degree, so for K3 the named bound 20 cuts the same
+# rows as b2 - 1 = 21
+_FAMILY_TEXT = {
+    "k3": _FamilyText(cm_bound=20,
+                      rank1_cm="countably many surfaces, each defined over "
+                               "a number field",
+                      even_b2_note=False, square_disc_note=True),
+    "og6": _FamilyText(rm_note="with b2 = 8 the bounds leave only degree 2, "
+                               "rank 3"),
+}
+
+
 def k3_realizable(E, m: int, mode: str) -> RealizabilityReport:
     """Does some projective K3 surface carry real (rm) or complex (cm)
-    multiplication by E acting with rank m on the transcendental part?
+    multiplication by E acting with rank m on the transcendental part?"""
+    return hk_realizable("k3", None, E, m, mode)
 
-    Bounds first (rank below 3 or dimension overflow are infeasible reports,
-    not errors), then the splitting engine on the K3 ambient for the
-    certificate.
+
+def hk_realizable(family: str, n: Optional[int], E, m: int,
+                  mode: str) -> RealizabilityReport:
+    """Realizability of real (rm) or complex (cm) multiplication by E with
+    rank m on the ambient of a deformation type, K3 included.
+
+    Bounds first (rank below 3 in rm, or md above b2 - 1, give infeasible
+    reports, not errors); a projective member needs at least one positive
+    algebraic class left over.  Then the splitting engine on the ambient
+    decides and certifies.
     """
-    mode = _normalize_mode(mode)
-    finv = field_invariants(E)
-    if mode == "rm" and finv.is_cm:
-        raise ValueError("rm mode needs a totally real field")
-    if mode == "cm" and not finv.is_cm:
-        raise ValueError("cm mode needs a CM field")
+    mode, finv = check_mode(mode, E)
+    amb = ambient(family, n)
     if m < 1:
         raise ValueError("rank must be positive")
+    text = _FAMILY_TEXT.get(amb.family, _FamilyText())
+    r = amb.b2
     md = m * finv.degree
-    if mode == "rm":
-        if m < 3:
-            return _bounds_report(mode, "multiplicity",
-                                  f"rank {m} over the field is below 3")
-        if md > 21:
-            return _bounds_report(mode, "dimension-bound",
-                                  f"md = {md} > 21")
-    else:
-        if md > 20:
-            return _bounds_report(mode, "dimension-bound",
-                                  f"md = {md} > 20")
-    amb = ambient("k3")
-    verdict = split_transfer_feasible(amb.rational_form, E, m, mode)
+    bound = r - 1
+    if mode == "cm" and text.cm_bound is not None:
+        bound = text.cm_bound
+    if mode == "rm" and m < 3:
+        return _bounds_report(mode, "multiplicity",
+                              f"rank {m} over the field is below 3")
+    if md > bound:
+        return _bounds_report(mode, "dimension-bound",
+                              f"md = {md} > {bound}")
     notes = []
-    if mode == "cm" and m == 1 and md == 20 and finv.disc_class == SquareClass(1):
+    if mode == "cm" and text.even_b2_note and r % 2 == 0:
+        notes.append(f"even field degree tightens the bound to md <= {r - 2}")
+    if mode == "rm" and text.rm_note is not None:
+        notes.append(text.rm_note)
+    if (mode == "cm" and m == 1 and text.square_disc_note and md == bound
+            and finv.disc_class == SquareClass(1)):
         notes.append("square discriminant at full dimension: the rank-2 "
                      "algebraic part is rationally hyperbolic, realized by "
                      "rescaled hyperbolic planes (infinitely many surfaces, "
                      "all elliptic)")
     if mode == "cm" and m == 1:
-        notes.append("rank 1 over the field: countably many surfaces, "
-                     "each defined over a number field")
-    return _report_from_verdict(mode, E, m, md, 22, verdict, notes)
-
-
-def hk_realizable(family: str, n: Optional[int], E, m: int,
-                  mode: str) -> RealizabilityReport:
-    """Same question on the higher hyperkahler deformation types.  The
-    dimension bound is md <= b2 - 1; a projective member needs at least one
-    positive algebraic class left over."""
-    mode = _normalize_mode(mode)
-    amb = ambient(family, n)
-    finv = field_invariants(E)
-    if mode == "rm" and finv.is_cm:
-        raise ValueError("rm mode needs a totally real field")
-    if mode == "cm" and not finv.is_cm:
-        raise ValueError("cm mode needs a CM field")
-    if m < 1:
-        raise ValueError("rank must be positive")
-    r = amb.b2
-    md = m * finv.degree
-    if mode == "rm" and m < 3:
-        return _bounds_report(mode, "multiplicity",
-                              f"rank {m} over the field is below 3")
-    if md > r - 1:
-        return _bounds_report(mode, "dimension-bound",
-                              f"md = {md} > {r - 1}")
-    notes = []
-    if mode == "cm" and r % 2 == 0:
-        notes.append(f"even field degree tightens the bound to md <= {r - 2}")
-    if mode == "rm" and amb.family == "og6":
-        notes.append("with b2 = 8 the bounds leave only degree 2, rank 3")
-    if mode == "cm" and m == 1:
-        notes.append("rank 1 over the field: countably many manifolds")
+        notes.append("rank 1 over the field: " + text.rank1_cm)
     verdict = split_transfer_feasible(amb.rational_form, E, m, mode)
     return _report_from_verdict(mode, E, m, md, r, verdict, notes)
 
@@ -284,11 +278,10 @@ def picard_compatible(L, E, m: int, mode: str,
     discriminant's class and L must be hyperbolic over Q_p at every asserted
     split prime of the bad set.
     """
-    mode = _normalize_mode(mode)
+    mode, finv = check_mode(mode, E)
     if not isinstance(L, QuadraticForm):
         L = QuadraticForm(tuple(Fraction(c) for c in L))
     li = invariants(L)
-    finv = field_invariants(E)
     d = finv.degree
     md = m * d
     if li.dim + md != 22:
@@ -297,23 +290,19 @@ def picard_compatible(L, E, m: int, mode: str,
         raise ValueError(f"Picard form must have signature (1, {li.dim - 1})")
 
     if mode == "rm":
-        if finv.is_cm:
-            raise ValueError("rm mode needs a totally real field")
         if m < 3:
             return TransferVerdict("infeasible", obstruction={
                 "condition": "multiplicity",
                 "detail": f"rank {m} over the field is below 3"})
         amb = ambient("k3")
         vi = invariants(amb.rational_form)
-        ci = _complement_of(vi, li)
+        ci = complement_invariants(vi, li)
         U = form_from_invariants(ci)
         verdict = rm_transfer_feasible(E, U, witness=witness)
         if d % 2 == 0 and isinstance(E, RealQuadratic):
             verdict = _attach_shortcut_warning(verdict, E, li)
         return verdict
 
-    if not finv.is_cm:
-        raise ValueError("cm mode needs a CM field")
     want = finv.disc_class if m % 2 else SquareClass(1)
     if li.disc() != want:
         return TransferVerdict("infeasible", obstruction={
@@ -340,14 +329,8 @@ def picard_compatible(L, E, m: int, mode: str,
         "picard_invariants": invariants_to_json(li)})
 
 
-def _complement_of(vi, li):
-    from .qforms import complement_invariants
-    return complement_invariants(vi, li)
-
-
 def _attach_shortcut_warning(verdict: TransferVerdict, E: RealQuadratic,
                              li) -> TransferVerdict:
-    from .numfields import lambda_plus_quadratic
     stated = lambda_plus_quadratic(E.d, (li.det * SquareClass(E.d)).n)
     derived = verdict.status == "feasible"
     if stated == derived:
@@ -432,17 +415,11 @@ def elliptic_fibration_verdict(context: dict) -> dict:
             return out
         return {"verdict": "no",
                 "reason": "algebraic part does not represent zero",
-                "obstruction_place": _place_str(iso.obstruction)}
+                "obstruction_place": place_str(iso.obstruction)}
     raise ValueError(f"unknown elliptic context {case!r}")
 
 
-def _place_str(p):
-    from .exact import INF
-    return "inf" if p == INF else str(p)
-
-
 def _field_from_context(context):
-    from .numfields import desc_from_json
     E = context["field"]
     if isinstance(E, dict):
         return desc_from_json(E)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Optional, Sequence, Tuple
 
 from .exact import (
@@ -185,28 +184,23 @@ def invariants(f: QuadraticForm, budget: int = DEFAULT_FACTOR_BUDGET) -> FormInv
     Memoized: forms and the returned invariants are both frozen.
     """
     classes = tuple(squarefree_class(e, budget) for e in f.diagonal)
-    det = Fraction(1)
-    for e in f.diagonal:
-        det *= e
     r = sum(1 for e in f.diagonal if e > 0)
     s = f.dim - r
     places = {2, INF}
     for c in classes:
         places.update(c.primes(budget))
-    # squarefree representatives of the prefix products a_1...a_{j-1}; the
-    # product of two squarefree integers is squarefree once their gcd squared
-    # is divided out
+    # the square classes of the prefix products a_1...a_{j-1}; a prefix in
+    # the trivial class contributes nothing
     pairs = []
-    acc = 1
-    for prev, c in zip(classes, classes[1:]):
-        g = gcd(acc, prev.n)
-        acc = acc // g * (prev.n // g)
-        pairs.append((acc, c.n))
+    det = SquareClass(1)
+    for c in classes:
+        if det.n != 1:
+            pairs.append((det.n, c.n))
+        det = det * c
     support = frozenset(
         v for v in places
         if sum(hilbert_symbol(a, c, v) for a, c in pairs) % 2)
-    return FormInvariants(f.dim, squarefree_class(det, budget), (r, s),
-                          support)
+    return FormInvariants(f.dim, det, (r, s), support)
 
 
 def is_isomorphic(f: QuadraticForm, g: QuadraticForm) -> bool:
@@ -506,8 +500,7 @@ def _isotropy_witness(f: QuadraticForm, height: int, budget: int):
                 vec = [Fraction(0)] * n
                 vec[i] = s / d[i]
                 vec[j] = Fraction(1)
-                assert f.evaluate(vec) == 0
-                return tuple(vec)
+                return _checked_witness(f, vec)
     # triples with two bounded coordinates, closing with a square test
     work = 0
     for i in range(n):
@@ -528,9 +521,14 @@ def _isotropy_witness(f: QuadraticForm, height: int, budget: int):
                             vec[j] = Fraction(y)
                             vec[k] = t
                             if any(vec):
-                                assert f.evaluate(vec) == 0
-                                return tuple(vec)
+                                return _checked_witness(f, vec)
     return None
+
+
+def _checked_witness(f: QuadraticForm, vec) -> tuple:
+    if f.evaluate(vec) != 0:
+        raise RuntimeError("isotropy witness does not vanish (bug)")
+    return tuple(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +615,11 @@ def rational_from(s) -> Fraction:
 
 def place_to_json(v):
     return "inf" if v == INF else v
+
+
+def place_str(v) -> str:
+    """A place as text: "inf" for the real place, the prime otherwise."""
+    return str(place_to_json(v))
 
 
 def place_from_json(v):

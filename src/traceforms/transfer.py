@@ -160,7 +160,8 @@ def transfer_hermitian_imagquad(D: int, entries: Sequence[Fraction]) -> Quadrati
 def cm_twist_class(finv: FieldInvariants) -> SquareClass:
     """The square class ((-1)^(d/2) * disc) whose m-th power is the forced
     determinant of any CM transfer.  Always positive."""
-    assert finv.is_cm
+    if not finv.is_cm:
+        raise ValueError("the CM twist class needs a CM field")
     sign = -1 if finv.half_degree % 2 else 1
     return squarefree_class(sign * finv.disc_class.n)
 
@@ -311,18 +312,37 @@ def rm_transfer_feasible(E, U: QuadraticForm,
         "reason": "norm-class-witness-needed"})
 
 
-def _norm_obstruction_place(target: SquareClass, d: int):
-    if target.n < 0:
-        return "inf"
+def _norm_obstruction_place(target: SquareClass, d: int,
+                            totally_positive: bool = True):
+    """The place named when `target` is not a norm (a totally positive one,
+    by default) from Q(sqrt d): the real place for a negative class where
+    positivity is asked, else the smallest odd prime where the symbol
+    (target, d) is nontrivial, else 2."""
+    if totally_positive and target.n < 0:
+        return INF
     supp = hilbert_support(target.n, d)
     odd = sorted(p for p in supp if p != INF and p != 2)
     if odd:
         return odd[0]
-    return 2 if 2 in supp else "inf"
+    return 2 if 2 in supp else INF
 
 
 # ---------------------------------------------------------------------------
 # splitting an ambient form as transfer + complement
+
+
+def check_mode(mode: str, E) -> tuple[str, FieldInvariants]:
+    """The multiplication mode, normalized to 'rm' or 'cm' and checked
+    against the kind of E, returned with the invariants of E."""
+    mode = mode.strip().lower()
+    if mode not in ("rm", "cm"):
+        raise ValueError("mode must be 'rm' or 'cm'")
+    finv = field_invariants(E)
+    if mode == "rm" and finv.is_cm:
+        raise ValueError("rm mode needs a totally real field")
+    if mode == "cm" and not finv.is_cm:
+        raise ValueError("cm mode needs a CM field")
+    return mode, finv
 
 
 def split_transfer_feasible(V: QuadraticForm, E, m: int, mode: str,
@@ -337,13 +357,7 @@ def split_transfer_feasible(V: QuadraticForm, E, m: int, mode: str,
     (hyperbolic complement, forced rank-1 complement) are named in the
     certificate.
     """
-    finv = field_invariants(E)
-    if mode not in ("rm", "cm"):
-        raise ValueError("mode must be 'rm' or 'cm'")
-    if mode == "rm" and finv.is_cm:
-        raise ValueError("rm mode needs a totally real field")
-    if mode == "cm" and not finv.is_cm:
-        raise ValueError("cm mode needs a CM field")
+    mode, finv = check_mode(mode, E)
     if m < 1:
         raise ValueError("rank must be positive")
     vi = invariants(V)
@@ -704,9 +718,8 @@ def construct_witness_quadratic(U: QuadraticForm, d: int, height: int = 4,
     disc_m = SquareClass(d) if m % 2 else SquareClass(1)
     target_norm = ui.det * disc_m
     if not is_norm_quadratic(d, target_norm.n):
-        supp = hilbert_support(target_norm.n, d)
-        odd = sorted(p for p in supp if p != INF and p != 2)
-        place = odd[0] if odd else (2 if 2 in supp else "inf")
+        place = _norm_obstruction_place(target_norm, d,
+                                        totally_positive=False)
         return WitnessResult("not_found", obstruction={
             "condition": "determinant-norm", "place": place})
 
@@ -731,8 +744,8 @@ def construct_witness_quadratic(U: QuadraticForm, d: int, height: int = 4,
         reason = "budget-exhausted" if budget[0] <= 0 else "search-exhausted"
         return WitnessResult("not_found", obstruction={"condition": reason})
     entries = tuple(blk.entry for blk in found)
-    w = transfer_quadratic(d, entries)
-    assert is_isomorphic(w, U), "witness failed re-verification (bug)"
+    if not is_isomorphic(transfer_quadratic(d, entries), U):
+        raise RuntimeError("witness failed re-verification (bug)")
     return WitnessResult("found", entries=entries)
 
 

@@ -1,8 +1,12 @@
 """Squarefree classes, Hilbert symbols, reciprocity, and the polynomial
 toolkit (Sturm isolation, root signs, resultant norms)."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -259,3 +263,23 @@ def test_legendre_against_euler():
             euler = pow(a, (p - 1) // 2, p)
             expected = 1 if euler == 1 else -1
             assert legendre(a, p) == expected
+
+
+def test_squareclass_product_matches_factoring():
+    reps = [1, -1, 2, -2, 3, 6, -6, 15, -35, 30, 1000003, -1000003 * 2]
+    for a in reps:
+        for b in reps:
+            assert SquareClass(a) * SquareClass(b) == squarefree_class(a * b)
+
+
+def test_squareclass_zero_rejected_under_optimize():
+    # the guard must not be an assert, which `python -O` strips
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from traceforms.exact import SquareClass; SquareClass(0)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "zero has no square class" in proc.stderr

@@ -351,3 +351,11 @@ def test_report_json_shape():
     js = report_to_json(rep)
     assert js["feasible"] is False
     assert "obstruction" in js
+
+
+def test_picard_compatible_reports_the_mode_first():
+    # a Picard form of the wrong rank for a field of the wrong kind: the
+    # mode check runs before the shape checks
+    with pytest.raises(ValueError, match="rm mode needs a totally real"):
+        picard_compatible(QuadraticForm.make([1, -1]), ImagQuadratic(1), 3,
+                          "rm")

@@ -24,6 +24,8 @@ from traceforms.qforms import (
     is_isomorphic,
     is_locally_hyperbolic,
     is_locally_isomorphic,
+    place_str,
+    place_to_json,
     represents_zero,
     split_complement,
     validate_invariants,
@@ -464,3 +466,15 @@ def test_hasse_matches_pairwise_symbols(entries, data):
     # the diagonal must not show in the result
     shuffled = data.draw(st.permutations(entries))
     assert invariants(QuadraticForm.make(shuffled)) == fi
+
+
+def test_invariants_det_from_entry_classes():
+    # each entry classifies alone; the determinant 1000003 * 1000033 is
+    # beyond trial division and must not be factored again
+    fi = invariants(QuadraticForm.make([1000003, 1000033, 1]))
+    assert fi.det == SquareClass(1000003 * 1000033)
+
+
+def test_place_rendering():
+    assert place_to_json(INF) == "inf" and place_to_json(7) == 7
+    assert place_str(INF) == "inf" and place_str(7) == "7"

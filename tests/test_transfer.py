@@ -25,7 +25,8 @@ from traceforms.qforms import (
     invariants, invariants_from_json, is_isomorphic, is_locally_hyperbolic,
 )
 from traceforms.transfer import (
-    QuadFieldElement, bad_set, cm_transfer_feasible, cm_twist_class,
+    QuadFieldElement, bad_set, check_mode, cm_transfer_feasible,
+    cm_twist_class,
     condition_C_profile, construct_witness_quadratic, predicted_invariants,
     rm_transfer_feasible, split_transfer_feasible,
     transfer_hermitian_imagquad, transfer_quadratic,
@@ -411,3 +412,24 @@ def test_predicted_invariants_validation():
     dim, det = predicted_invariants(Cyclotomic(5), 3)
     assert dim == 12
     assert det == cm_twist_class(field_invariants(Cyclotomic(5)))
+
+
+def test_check_mode():
+    assert check_mode(" RM ", RealQuadratic(2))[0] == "rm"
+    mode, finv = check_mode("cm", ImagQuadratic(1))
+    assert mode == "cm" and finv.is_cm
+    with pytest.raises(ValueError, match="mode must be 'rm' or 'cm'"):
+        check_mode("tm", RealQuadratic(2))
+    with pytest.raises(ValueError, match="rm mode needs a totally real"):
+        check_mode("rm", ImagQuadratic(1))
+    with pytest.raises(ValueError, match="cm mode needs a CM field"):
+        check_mode("cm", RealQuadratic(2))
+    with pytest.raises(ValueError, match="needs a CM field"):
+        cm_twist_class(field_invariants(RealQuadratic(2)))
+
+
+def test_witness_search_negative_norm_obstruction():
+    # -6 is not a norm from Q(sqrt 2); plain norms have no sign condition,
+    # so the obstruction is the odd prime, not the real place
+    res = construct_witness_quadratic(QuadraticForm.make([1, -3]), 2)
+    assert res.obstruction == {"condition": "determinant-norm", "place": 3}
