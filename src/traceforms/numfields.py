@@ -9,10 +9,10 @@ sign counts).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional
 
 from .exact import (
     DEFAULT_FACTOR_BUDGET,
@@ -201,7 +201,7 @@ def _field_invariants(E, budget: int) -> FieldInvariants:
         return FieldInvariants(2, SquareClass(E.d), False, None)
     if isinstance(E, ImagQuadratic):
         _check_squarefree(E.D, "D", budget)
-        return FieldInvariants(2, squarefree_class(-E.D), True, 1)
+        return FieldInvariants(2, SquareClass(-E.D), True, 1)
     if isinstance(E, Cyclotomic):
         if E.n < 3:
             raise DescriptorError("cyclotomic needs n >= 3")

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from math import isqrt
 from typing import Optional, Sequence, Tuple
 
 from .exact import (
@@ -95,7 +97,7 @@ class FormInvariants:
         """Signed determinant (-1)^(n(n-1)/2) det, the Witt-friendly variant."""
         n = self.dim
         s = -1 if (n * (n - 1) // 2) % 2 else 1
-        return squarefree_class(s * self.det.n)
+        return SquareClass(s * self.det.n)
 
 
 def hyperbolic_plane() -> QuadraticForm:
@@ -245,7 +247,7 @@ def validate_invariants(inv: FormInvariants) -> None:
         raise InvariantContradiction(
             "condition-3", "rank 1 forms have trivial Hasse invariant")
     if n == 2:
-        minus_det = squarefree_class(-det.n)
+        minus_det = SquareClass(-det.n)
         for v in hasse:
             if v == INF:
                 continue
@@ -260,8 +262,6 @@ def validate_invariants(inv: FormInvariants) -> None:
 def _small_squareclass_candidates(base_primes, sign_ok, aux_limit=2000):
     """Deterministic stream of squarefree integers built from the given
     primes plus at most one auxiliary prime, for the rank-2 search."""
-    from itertools import combinations
-
     base = sorted(set(base_primes))
     cores = [1]
     for k in range(1, len(base) + 1):
@@ -326,7 +326,7 @@ def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
 
 def _rank2_from_invariants(det: SquareClass, sig, hasse) -> QuadraticForm:
     r, s = sig
-    minus_det = squarefree_class(-det.n)
+    minus_det = SquareClass(-det.n)
 
     def sign_ok(sgn):
         if det.n > 0:
@@ -414,7 +414,7 @@ def _locally_hyperbolic_inv(fi: FormInvariants, place) -> bool:
     t = fi.dim // 2
     if place == INF:
         return fi.signature == (t, t)
-    want_det = squarefree_class((-1) ** t)
+    want_det = SquareClass((-1) ** t)
     if not is_square_at(fi.det * want_det, place):
         return False
     return fi.hasse_bit(place) == hyperbolic_bit(t, place)
@@ -439,7 +439,7 @@ def _locally_isotropic_inv(fi: FormInvariants, place) -> bool:
     if n == 1:
         return False
     if n == 2:
-        return is_square_at(squarefree_class(-fi.det.n), place)
+        return is_square_at(SquareClass(-fi.det.n), place)
     if n == 3:
         want = hilbert_symbol(-1, -fi.det.n, place)
         return fi.hasse_bit(place) == want
@@ -478,7 +478,6 @@ def _candidate_places(fi: FormInvariants):
 
 
 def _perfect_square_root(q: Fraction):
-    from math import isqrt
     if q < 0:
         return None
     a, b = q.numerator, q.denominator
@@ -550,7 +549,7 @@ class WittClassQ:
 
 
 def _peel_hyperbolic(fi: FormInvariants) -> FormInvariants:
-    det = squarefree_class(-fi.det.n)
+    det = SquareClass(-fi.det.n)
     r, s = fi.signature
     hasse = frozenset(fi.hasse ^ hilbert_support(-1, det.n))
     return FormInvariants(fi.dim - 2, det, (r - 1, s - 1), hasse)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .exact import (
@@ -20,6 +19,7 @@ from .exact import (
     Poly,
     SquareClass,
     hilbert_support,
+    is_square_at,
     signs_at_real_roots,
     squarefree_class,
 )
@@ -27,9 +27,7 @@ from .numfields import (
     IN,
     OUT,
     UNKNOWN,
-    Cyclotomic,
     FieldInvariants,
-    GeneralCM,
     GeneralTotallyReal,
     ImagQuadratic,
     RealQuadratic,
@@ -41,6 +39,7 @@ from .numfields import (
 )
 from .qforms import (
     FormInvariants,
+    InvariantContradiction,
     QuadraticForm,
     diagonalize,
     form_from_invariants,
@@ -49,7 +48,6 @@ from .qforms import (
     invariants,
     is_isomorphic,
     validate_invariants,
-    InvariantContradiction,
     _locally_hyperbolic_inv,
     form_to_json,
     invariants_to_json,
@@ -163,7 +161,7 @@ def cm_twist_class(finv: FieldInvariants) -> SquareClass:
     if not finv.is_cm:
         raise ValueError("the CM twist class needs a CM field")
     sign = -1 if finv.half_degree % 2 else 1
-    return squarefree_class(sign * finv.disc_class.n)
+    return SquareClass(sign * finv.disc_class.n)
 
 
 def predicted_invariants(E, m: int, norm_det_class: Optional[SquareClass] = None):
@@ -215,7 +213,7 @@ def cm_transfer_feasible(E, U) -> TransferVerdict:
     of the bad set, and an even signature pair.  Unknown split primes matter
     only where U is not already hyperbolic; those produce needs_witness.
 
-    U may also be a bare invariant tuple; that allows probing combinations
+    U may also be a bare invariant tuple; that allows probing invariants
     no genuine form can have (a lone odd-signature violation, say).
     """
     finv = field_invariants(E)
@@ -351,11 +349,11 @@ def split_transfer_feasible(V: QuadraticForm, E, m: int, mode: str,
     """Can the ambient form V be written as T(W) + V' with T(W) a rank-m
     transfer from E of signature (2, md-2)?
 
-    One engine serves every ambient: enumerate admissible complement Hasse
-    data, derive the forced transfer-side invariants, and check them against
-    the realization conditions for the requested mode.  Distinguished shapes
-    (hyperbolic complement, forced rank-1 complement) are named in the
-    certificate.
+    One engine serves every ambient: write down the complement Hasse data
+    that the local conditions force, derive the transfer-side invariants,
+    and check them against the realization conditions for the requested
+    mode.  Distinguished shapes (hyperbolic complement, forced rank-1
+    complement) are named in the certificate.
     """
     mode, finv = check_mode(mode, E)
     if m < 1:
@@ -377,7 +375,7 @@ def split_transfer_feasible(V: QuadraticForm, E, m: int, mode: str,
         raise ValueError("complement hints are for rank-1 complements")
 
     if mode == "rm":
-        return _split_rm(vi, E, finv, m, md, codim, complement_hint, witness)
+        return _split_rm(vi, E, finv, m, md, complement_hint, witness)
     return _split_cm(vi, E, finv, m, md, codim)
 
 
@@ -400,42 +398,56 @@ def _hasse_candidates(vi, det_u, det_c, extra_primes=()):
     return tuple(sorted(pool))
 
 
-def _enumerate_complements(vi, det_u: SquareClass, md: int, extra_primes=()):
-    """Yield (complement invariants, transfer invariants) pairs that add up
-    to V, one per admissible Hasse choice on the complement."""
+def _first_complement(vi, det_u: SquareClass, md: int, extra_primes=(),
+                      want=None):
+    """The (complement invariants, transfer invariants) pair that adds up to
+    V with the smallest complement Hasse set, ties broken lexicographically,
+    or None when no Hasse choice is admissible.
+
+    At each candidate prime the complement bit is forced by a rank-1 or
+    rank-2 local constraint on either side, or by `want` (a map from
+    candidate primes to the Hasse bit the transfer side must carry), or else
+    free; the parity of the set is then fixed with the smallest free prime.
+    """
     dim_c, det_c, sig_c = _complement_target(vi, det_u, md)
     if sig_c[0] < 0 or sig_c[1] < 0:
-        return
-    inf_bit = (sig_c[1] * (sig_c[1] - 1) // 2) % 2
-    cross = hilbert_support(det_u.n, det_c.n)
-    pool = _hasse_candidates(vi, det_u, det_c, extra_primes)
-    sig_u = (2, md - 2)
-    inf_u = ((md - 2) * (md - 3) // 2) % 2
-    for k in range(len(pool) + 1):
-        for picks in combinations(pool, k):
-            hasse_c = set(picks)
-            if inf_bit:
-                hasse_c.add(INF)
-            if len(hasse_c) % 2:
-                continue
-            ci = FormInvariants(dim_c, det_c, sig_c, frozenset(hasse_c))
-            try:
-                validate_invariants(ci)
-            except (InvariantContradiction, ValueError):
-                continue
-            hasse_u = frozenset(vi.hasse ^ ci.hasse ^ cross)
-            ui = FormInvariants(md, det_u, sig_u, hasse_u)
-            if (INF in hasse_u) != (inf_u == 1):
-                # cannot happen when signatures are consistent; guard anyway
-                continue
-            try:
-                validate_invariants(ui)
-            except (InvariantContradiction, ValueError):
-                continue
-            yield ci, ui
+        return None
+    want = want or {}
+    base = vi.hasse ^ hilbert_support(det_u.n, det_c.n)
+    minus_c, minus_u = SquareClass(-det_c.n), SquareClass(-det_u.n)
+    hasse_c, free = set(), []
+    for p in _hasse_candidates(vi, det_u, det_c, extra_primes):
+        in_base = int(p in base)
+        bits = set()
+        if dim_c == 1 or (dim_c == 2 and is_square_at(minus_c, p)):
+            bits.add(0)
+        if md == 2 and is_square_at(minus_u, p):
+            bits.add(in_base)
+        if p in want:
+            bits.add(in_base ^ want[p])
+        if len(bits) > 1:
+            return None
+        if bits == {1}:
+            hasse_c.add(p)
+        elif not bits:
+            free.append(p)
+    if (sig_c[1] * (sig_c[1] - 1) // 2) % 2:
+        hasse_c.add(INF)
+    if len(hasse_c) % 2:
+        if not free:
+            return None
+        hasse_c.add(free[0])
+    ci = FormInvariants(dim_c, det_c, sig_c, frozenset(hasse_c))
+    ui = FormInvariants(md, det_u, (2, md - 2), frozenset(base ^ ci.hasse))
+    try:
+        validate_invariants(ci)
+        validate_invariants(ui)
+    except InvariantContradiction:
+        return None
+    return ci, ui
 
 
-def _split_rm(vi, E, finv, m, md, codim, complement_hint, witness):
+def _split_rm(vi, E, finv, m, md, complement_hint, witness):
     if m < 3:
         return TransferVerdict("infeasible", obstruction={
             "condition": "multiplicity",
@@ -444,10 +456,9 @@ def _split_rm(vi, E, finv, m, md, codim, complement_hint, witness):
     disc_m = finv.disc_class if m % 2 else SquareClass(1)
     want_sign = 1 if md % 2 == 0 else -1
 
+    # t measures det(U) against disc^m
     if complement_hint is not None:
-        hint = squarefree_class(Fraction(complement_hint))
-        det_c_wanted = hint
-        # t measures det(U) against disc^m
+        det_c_wanted = squarefree_class(Fraction(complement_hint))
         t = vi.det * det_c_wanted * disc_m
         if t.sign() != want_sign:
             return TransferVerdict("infeasible", obstruction={
@@ -468,39 +479,15 @@ def _split_rm(vi, E, finv, m, md, codim, complement_hint, witness):
             else:
                 return TransferVerdict("needs_witness", obstruction={
                     "reason": "norm-class-witness-needed"})
-        det_u = disc_m * t
-        for ci, ui in _enumerate_complements(vi, det_u, md):
-            return _rm_certificate(E, finv, m, md, ci, ui, t)
-        return TransferVerdict("infeasible", obstruction={
-            "condition": "complement",
-            "detail": "no admissible complement with the hinted determinant"})
-
-    # candidate norm classes for det(U) = disc^m * t
-    if d % 2 == 1:
-        t_candidates = [SquareClass(want_sign)]
-    elif isinstance(E, RealQuadratic):
-        # lazy: the scan stops at the first class that admits a complement
-        t_candidates = (squarefree_class(t) for t in range(1, 60)
-                        if lambda_plus_quadratic(E.d, t))
     else:
-        t_candidates = [SquareClass(1)]  # always a totally positive norm
-    for t in t_candidates:
-        if t.sign() != want_sign:
-            continue
-        det_u = disc_m * t
-        for ci, ui in _enumerate_complements(vi, det_u, md):
-            return _rm_certificate(E, finv, m, md, ci, ui, t)
-    if d % 2 == 1:
-        # the odd-degree route has no determinant constraint at all; try a
-        # couple of twisted determinants before conceding
-        for raw in (2, 3, 5, 6, 7, 10):
-            t = squarefree_class(want_sign * raw)
-            det_u = disc_m * t
-            for ci, ui in _enumerate_complements(vi, det_u, md):
-                return _rm_certificate(E, finv, m, md, ci, ui, t)
-    return TransferVerdict("infeasible", obstruction={
-        "condition": "complement",
-        "detail": "no admissible complement found"})
+        # 1 is a totally positive norm, and with it a complement always
+        # exists: the rank >= 3 transfer side is constrained only by parity
+        # and the real place, which additivity settles
+        t = SquareClass(want_sign)
+    found = _first_complement(vi, disc_m * t, md)
+    if found is None:
+        raise RuntimeError("rm split without an admissible complement (bug)")
+    return _rm_certificate(E, finv, m, md, *found, t)
 
 
 def _rm_certificate(E, finv, m, md, ci, ui, t):
@@ -536,18 +523,13 @@ def _split_cm(vi, E, finv, m, md, codim):
     unknowns = tuple(p for p, st in statuses.items() if st == UNKNOWN)
 
     def solve(required):
-        want = {p: hyperbolic_bit(md // 2, p) for p in required}
-        for ci, ui in _enumerate_complements(vi, det_u, md,
-                                             extra_primes=finv.disc_class.primes()):
-            ok = all(ui.hasse_bit(p) == want[p] for p in required)
-            if ok:
-                return ci, ui
-        return None
+        return _first_complement(
+            vi, det_u, md, extra_primes=finv.disc_class.primes(),
+            want={p: hyperbolic_bit(md // 2, p) for p in required})
 
     strict_req = [p for p, st in statuses.items() if st in (IN, UNKNOWN)]
     loose_req = [p for p, st in statuses.items() if st == IN]
     found = solve(strict_req)
-    pending = False
     if found is None:
         loose = solve(loose_req)
         if loose is None:
@@ -652,7 +634,7 @@ def condition_C_profile(E, entries) -> SignatureProfile:
         for emb in range(2):
             pos = sum(1 for e in entries if e.sign_at(E.d, emb) > 0)
             per.append((pos, m - pos))
-        ok = _condition_shape(per, m, require_m3=True)
+        ok = _condition_shape(per, m)
         return SignatureProfile(tuple(per), m, ok)
     if isinstance(E, ImagQuadratic):
         vals = [Fraction(x) for x in entries]
@@ -674,16 +656,16 @@ def condition_C_profile(E, entries) -> SignatureProfile:
         for i in range(nroots):
             pos = sum(1 for row in sign_rows if row[i] > 0)
             per.append((pos, m - pos))
-        ok = _condition_shape(per, m, require_m3=True)
+        ok = _condition_shape(per, m)
         return SignatureProfile(tuple(per), m, ok)
     raise ValueError("profiles need explicit real-embedding data; "
                      "unsupported descriptor kind")
 
 
-def _condition_shape(per, m, require_m3: bool) -> bool:
+def _condition_shape(per, m) -> bool:
     twos = [p for p in per if p[0] == 2]
     negdef = [p for p in per if p[0] == 0]
-    if require_m3 and m < 3:
+    if m < 3:
         return False
     return len(twos) == 1 and len(negdef) == len(per) - 1
 

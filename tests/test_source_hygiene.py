@@ -1,0 +1,52 @@
+"""Static checks over the library source, standard library only.
+
+No `assert` statement: invariant guards must survive `python -O`, so they
+raise explicitly.  No imported name that its module never references
+(`from __future__ import annotations` is exempt).  The checks report through
+`pytest.fail`, so they also run under `python -O`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted(
+    (Path(__file__).resolve().parent.parent / "src" / "traceforms").glob("*.py"))
+
+
+def _tree(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    lines = [node.lineno for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Assert)]
+    if lines:
+        pytest.fail(f"{path.name}: assert statements at lines {lines}")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted((line, name) for name, line in imported.items()
+                    if name not in used)
+    if unused:
+        pytest.fail(f"{path.name}: unused imports "
+                    + ", ".join(f"{name} (line {line})" for line, name in unused))
+
+
+def test_sources_found():
+    names = {p.name for p in SOURCES}
+    if not {"exact.py", "qforms.py", "transfer.py"} <= names:
+        pytest.fail(f"library sources not found: {sorted(names)}")

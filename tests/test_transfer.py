@@ -9,9 +9,11 @@ norm searches).
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from traceforms.exact import (
     INF, Poly, SquareClass, hilbert_support, is_square_at, squarefree_class,
@@ -21,11 +23,13 @@ from traceforms.numfields import (
     ImagQuadratic, RealQuadratic, field_invariants, in_SE,
 )
 from traceforms.qforms import (
-    FormInvariants, QuadraticForm, hyperbolic_bit, hyperbolic_sum,
-    invariants, invariants_from_json, is_isomorphic, is_locally_hyperbolic,
+    FormInvariants, InvariantContradiction, QuadraticForm, hyperbolic_bit,
+    hyperbolic_sum, invariants, invariants_from_json, is_isomorphic,
+    is_locally_hyperbolic, validate_invariants,
 )
 from traceforms.transfer import (
-    QuadFieldElement, bad_set, check_mode, cm_transfer_feasible,
+    QuadFieldElement, _complement_target, _first_complement,
+    _hasse_candidates, bad_set, check_mode, cm_transfer_feasible,
     cm_twist_class,
     condition_C_profile, construct_witness_quadratic, predicted_invariants,
     rm_transfer_feasible, split_transfer_feasible,
@@ -433,3 +437,129 @@ def test_witness_search_negative_norm_obstruction():
     # so the obstruction is the odd prime, not the real place
     res = construct_witness_quadratic(QuadraticForm.make([1, -3]), 2)
     assert res.obstruction == {"condition": "determinant-norm", "place": 3}
+
+
+# ---------------------------------------------------------------------------
+# the closed-form complement choice against the subset walk it replaces
+
+
+def _enumerate_complements(vi, det_u: SquareClass, md: int, extra_primes=()):
+    """Yield (complement invariants, transfer invariants) pairs that add up
+    to V, one per admissible Hasse choice on the complement."""
+    dim_c, det_c, sig_c = _complement_target(vi, det_u, md)
+    if sig_c[0] < 0 or sig_c[1] < 0:
+        return
+    inf_bit = (sig_c[1] * (sig_c[1] - 1) // 2) % 2
+    cross = hilbert_support(det_u.n, det_c.n)
+    pool = _hasse_candidates(vi, det_u, det_c, extra_primes)
+    sig_u = (2, md - 2)
+    inf_u = ((md - 2) * (md - 3) // 2) % 2
+    for k in range(len(pool) + 1):
+        for picks in combinations(pool, k):
+            hasse_c = set(picks)
+            if inf_bit:
+                hasse_c.add(INF)
+            if len(hasse_c) % 2:
+                continue
+            ci = FormInvariants(dim_c, det_c, sig_c, frozenset(hasse_c))
+            try:
+                validate_invariants(ci)
+            except (InvariantContradiction, ValueError):
+                continue
+            hasse_u = frozenset(vi.hasse ^ ci.hasse ^ cross)
+            ui = FormInvariants(md, det_u, sig_u, hasse_u)
+            if (INF in hasse_u) != (inf_u == 1):
+                # cannot happen when signatures are consistent; guard anyway
+                continue
+            try:
+                validate_invariants(ui)
+            except (InvariantContradiction, ValueError):
+                continue
+            yield ci, ui
+
+
+def _walk_first(vi, det_u, md, extra_primes, want):
+    """The reference: the walk's first pair whose transfer side carries the
+    wanted Hasse bits."""
+    for ci, ui in _enumerate_complements(vi, det_u, md, extra_primes):
+        if all(ui.hasse_bit(p) == want[p] for p in want):
+            return ci, ui
+    return None
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _signed_products(max_factors):
+    return st.builds(
+        lambda sign, ps: sign * _product(ps),
+        st.sampled_from((1, -1)),
+        st.lists(st.sampled_from(SMALL_PRIMES), max_size=max_factors))
+
+
+def _product(ps):
+    out = 1
+    for p in ps:
+        out *= p
+    return out
+
+
+@st.composite
+def split_inputs(draw):
+    """(ambient invariants, det_u, md, extra primes, want) with `want` a map
+    over the candidate primes, as every caller passes it."""
+    diag = draw(st.lists(_signed_products(2), min_size=3, max_size=12))
+    vi = invariants(QuadraticForm.make(diag))
+    s = vi.signature[1]
+    det_u = squarefree_class(draw(_signed_products(3)))
+    md = draw(st.integers(2, min(vi.dim - 1, s + 2)))
+    extra = tuple(draw(st.lists(st.sampled_from(SMALL_PRIMES + (37, 41, 43)),
+                                max_size=2)))
+    det_c = _complement_target(vi, det_u, md)[1]
+    pool = _hasse_candidates(vi, det_u, det_c, extra)
+    keys = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
+    want = {p: draw(st.integers(0, 1)) for p in keys}
+    return vi, det_u, md, extra, want
+
+
+@given(split_inputs())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_first_complement_matches_the_subset_walk(args):
+    vi, det_u, md, extra, want = args
+    assert (_first_complement(vi, det_u, md, extra, want)
+            == _walk_first(vi, det_u, md, extra, want))
+
+
+@st.composite
+def rm_split_inputs(draw):
+    """Splits of the shape the rm engine asks for: a rank md >= 3 transfer
+    side of signature (2, md - 2) and determinant sign (-1)^md, inside an
+    ambient with room for it."""
+    diag = draw(st.lists(_signed_products(2), min_size=4, max_size=12))
+    vi = invariants(QuadraticForm.make(diag))
+    r, s = vi.signature
+    if r < 2 or s < 1:
+        diag = [1, 1, -1] + diag
+        vi = invariants(QuadraticForm.make(diag))
+        r, s = vi.signature
+    md = draw(st.integers(3, min(vi.dim - 1, s + 2)))
+    det_u = squarefree_class((-1) ** md * abs(draw(_signed_products(3))))
+    return vi, det_u, md
+
+
+@given(rm_split_inputs())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_rm_shaped_splits_always_have_a_complement(args):
+    vi, det_u, md = args
+    found = _first_complement(vi, det_u, md)
+    assert found is not None
+    ci, ui = found
+    assert ui.det == det_u and ui.signature == (2, md - 2)
+    assert ci.dim + ui.dim == vi.dim
+
+
+def test_validate_invariants_negates_without_factoring():
+    # -det of a squarefree class is squarefree, so the rank-2 check needs no
+    # factorization even when the class is beyond trial division
+    big = SquareClass(1000003 * 1000033)
+    validate_invariants(FormInvariants(2, big, (2, 0), frozenset()))
