@@ -25,6 +25,7 @@ from .numfields import (
     field_invariants,
 )
 from .qforms import (
+    WITNESS_BUDGET,
     QuadraticForm,
     form_from_json,
     form_to_json,
@@ -346,7 +347,7 @@ def cmd_form_split(args) -> dict:
 def cmd_represents_zero(args) -> dict:
     f = parse_form(args.form)
     verdict = represents_zero(f, height=args.height,
-                              budget=args.budget or 200_000)
+                              budget=args.budget or WITNESS_BUDGET)
     out = {"isotropic": verdict.isotropic}
     if verdict.witness is not None:
         out["witness"] = [rational_str(x) for x in verdict.witness]

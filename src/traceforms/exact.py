@@ -245,10 +245,18 @@ def hilbert_support(a: Rational, b: Rational,
     """
     ca = squarefree_class(a, budget)
     cb = squarefree_class(b, budget)
+    return support_at(ca.n, cb.n, ca.primes(budget) + cb.primes(budget))
+
+
+def support_at(a: Rational, b: Rational, places: Iterable[int]) -> frozenset:
+    """The places among {2, INF} and `places` where (a, b) is nontrivial.
+
+    Factors nothing: the caller passes every odd prime that divides the
+    square classes of a and b, so this is the whole support.
+    """
     candidates = {2, INF}
-    candidates.update(ca.primes(budget))
-    candidates.update(cb.primes(budget))
-    out = frozenset(v for v in candidates if hilbert_symbol(ca.n, cb.n, v) == 1)
+    candidates.update(places)
+    out = frozenset(v for v in candidates if hilbert_symbol(a, b, v) == 1)
     if len(out) % 2:
         raise RuntimeError("Hilbert reciprocity violated (bug)")
     return out

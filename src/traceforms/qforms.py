@@ -29,6 +29,7 @@ from .exact import (
     is_square_at,
     primes_below,
     squarefree_class,
+    support_at,
 )
 
 
@@ -261,70 +262,78 @@ def validate_invariants(inv: FormInvariants) -> None:
 
 def _small_squareclass_candidates(base_primes, sign_ok, aux_limit=2000):
     """Deterministic stream of squarefree integers built from the given
-    primes plus at most one auxiliary prime, for the rank-2 search."""
+    primes plus at most one auxiliary prime, for the rank-2 search.  Each
+    comes as (value, its primes)."""
     base = sorted(set(base_primes))
-    cores = [1]
+    cores = [(1, ())]
     for k in range(1, len(base) + 1):
         for combo in combinations(base, k):
             c = 1
             for p in combo:
                 c *= p
-            cores.append(c)
+            cores.append((c, combo))
     cores.sort()
     auxes = [1] + [q for q in primes_below(aux_limit) if q not in base]
     for q in auxes:
-        for c in cores:
+        extra = (q,) if q > 1 else ()
+        for c, combo in cores:
             for sgn in (1, -1):
                 if sign_ok(sgn):
-                    yield sgn * c * q
+                    yield sgn * c * q, combo + extra
 
 
 def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
     """Build a diagonal form realizing an admissible invariant tuple.
 
-    The construction peels unit entries <1> / <-1> and finishes with a rank-2
-    block <a, a*det> whose Hasse data is arranged through the symbol
-    (a, -det).  Deterministic: the same invariants always give the same form.
+    The construction peels unit entries <1> / <-1> down to rank 3 and
+    finishes with a rank-2 block <a, a*det> whose Hasse data is arranged
+    through the symbol (a, -det).  The determinant is factored once; every
+    later Hasse support is evaluated at its known primes.  Deterministic:
+    the same invariants always give the same form.
     """
     validate_invariants(inv)
     n, det, (r, s), hasse = inv.dim, inv.det, inv.signature, inv.hasse
-
     if n == 1:
         return QuadraticForm.make([det.n])
+    primes = det.primes()
+    head = []
+    while n > 3:
+        # <e> + W with e = +-1: det W = e det, w(W) = w + (e, det W)
+        e = 1 if r > 0 else -1
+        det = SquareClass(e * det.n)
+        r, s = (r - 1, s) if e > 0 else (r, s - 1)
+        hasse = frozenset(hasse ^ support_at(e, det.n, primes))
+        n -= 1
+        validate_invariants(FormInvariants(n, det, (r, s), hasse))
+        head.append(e)
     if n == 2:
-        return _rank2_from_invariants(det, (r, s), hasse)
+        tail = _rank2_from_invariants(det, (r, s), hasse, primes)
+        return QuadraticForm.make(head + list(tail.diagonal))
 
-    if n == 3:
-        # the unit we peel must leave an admissible rank-2 tuple, which is a
-        # real constraint here (condition-3 can bite); scan small entries.
-        for e in _small_squareclass_candidates((2, 3, 5, 7) + det.primes(),
-                                               lambda sgn: (sgn > 0 and r > 0)
-                                               or (sgn < 0 and s > 0),
-                                               aux_limit=200):
-            ec = squarefree_class(e)
-            sub_det = det * ec
-            sub_sig = (r - 1, s) if e > 0 else (r, s - 1)
-            sub_hasse = frozenset(hasse ^ hilbert_support(ec.n, sub_det.n))
-            sub = FormInvariants(2, sub_det, sub_sig, sub_hasse)
-            try:
-                validate_invariants(sub)
-            except InvariantContradiction:
-                continue
-            tail = _rank2_from_invariants(sub_det, sub_sig, sub_hasse)
-            return QuadraticForm.make([e]).direct_sum(tail)
-        raise RuntimeError("rank-3 construction search exhausted (bug)")
-
-    e = 1 if r > 0 else -1
-    ec = squarefree_class(e)
-    sub_det = det * ec
-    sub_sig = (r - 1, s) if e > 0 else (r, s - 1)
-    sub_hasse = frozenset(hasse ^ hilbert_support(ec.n, sub_det.n))
-    head = QuadraticForm.make([e])
-    tail = form_from_invariants(FormInvariants(n - 1, sub_det, sub_sig, sub_hasse))
-    return head.direct_sum(tail)
+    # the unit we peel must leave an admissible rank-2 tuple, which is a
+    # real constraint here (condition-3 can bite); scan small entries.
+    for e, e_primes in _small_squareclass_candidates(
+            (2, 3, 5, 7) + primes,
+            lambda sgn: (sgn > 0 and r > 0) or (sgn < 0 and s > 0),
+            aux_limit=200):
+        sub_det = det * SquareClass(e)
+        sub_sig = (r - 1, s) if e > 0 else (r, s - 1)
+        sub_primes = tuple(sorted(set(primes) ^ set(e_primes)))
+        sub_hasse = frozenset(hasse ^ support_at(e, sub_det.n,
+                                                 primes + e_primes))
+        try:
+            validate_invariants(FormInvariants(2, sub_det, sub_sig, sub_hasse))
+        except InvariantContradiction:
+            continue
+        tail = _rank2_from_invariants(sub_det, sub_sig, sub_hasse, sub_primes)
+        return QuadraticForm.make(head + [e] + list(tail.diagonal))
+    raise RuntimeError("rank-3 construction search exhausted (bug)")
 
 
-def _rank2_from_invariants(det: SquareClass, sig, hasse) -> QuadraticForm:
+def _rank2_from_invariants(det: SquareClass, sig, hasse,
+                           det_primes) -> QuadraticForm:
+    """<a, a*det> with Hasse set `hasse`; `det_primes` are the primes of
+    det."""
     r, s = sig
     minus_det = SquareClass(-det.n)
 
@@ -334,10 +343,10 @@ def _rank2_from_invariants(det: SquareClass, sig, hasse) -> QuadraticForm:
         return True
 
     target = frozenset(hasse)
-    base = set(det.primes()) | {2}
+    base = set(det_primes) | {2}
     base.update(v for v in target if v != INF)
-    for a in _small_squareclass_candidates(sorted(base), sign_ok):
-        if hilbert_support(a, minus_det.n) == target:
+    for a, a_primes in _small_squareclass_candidates(sorted(base), sign_ok):
+        if support_at(a, minus_det.n, a_primes + tuple(det_primes)) == target:
             return QuadraticForm.make([a, a * det.n])
     raise RuntimeError("rank-2 construction search exhausted (bug)")
 
@@ -450,8 +459,12 @@ def _locally_isotropic_inv(fi: FormInvariants, place) -> bool:
     return True
 
 
+#: steps of the witness scan in `represents_zero` unless a budget is given
+WITNESS_BUDGET = 200_000
+
+
 def represents_zero(f: QuadraticForm, height: int = 50,
-                    budget: int = 200_000) -> IsotropyVerdict:
+                    budget: int = WITNESS_BUDGET) -> IsotropyVerdict:
     """Global isotropy by the local-global principle, with a bounded search
     for an explicit witness.
 
@@ -500,28 +513,70 @@ def _isotropy_witness(f: QuadraticForm, height: int, budget: int):
                 vec[i] = s / d[i]
                 vec[j] = Fraction(1)
                 return _checked_witness(f, vec)
-    # triples with two bounded coordinates, closing with a square test
+    # triples with two bounded coordinates, closing with a square test.
+    # With d = p/q, -(d_i x^2 + d_j y^2) / d_k is a rational square exactly
+    # when a x^2 + b y^2 is an integer square, for the integers a, b below
+    # (multiply through by the square (q_i q_j p_k)^2)
+    nums = [e.numerator for e in d]
+    dens = [e.denominator for e in d]
+    ys = range(-height, height + 1)
     work = 0
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
                 if k in (i, j):
                     continue
+                c = -nums[k] * dens[i] * dens[j] * dens[k]
+                a = nums[i] * dens[j] * c
+                b = nums[j] * dens[i] * c
                 for x in range(1, height + 1):
-                    for y in range(-height, height + 1):
+                    ax2 = a * x * x
+                    for y in ys:
                         work += 1
                         if work > budget:
                             return None
+                        m = ax2 + b * y * y
+                        if m < 0 or not _SQUARES_64[m & 63]:
+                            continue
+                        if not _is_square(m):
+                            continue
                         val = d[i] * x * x + d[j] * y * y
                         t = _perfect_square_root(-val / d[k])
-                        if t is not None:
-                            vec = [Fraction(0)] * n
-                            vec[i] = Fraction(x)
-                            vec[j] = Fraction(y)
-                            vec[k] = t
-                            if any(vec):
-                                return _checked_witness(f, vec)
+                        if t is None:
+                            raise RuntimeError(
+                                "integer and rational square tests "
+                                "disagree (bug)")
+                        vec = [Fraction(0)] * n
+                        vec[i] = Fraction(x)
+                        vec[j] = Fraction(y)
+                        vec[k] = t
+                        return _checked_witness(f, vec)
     return None
+
+
+def _square_residues(modulus: int) -> bytes:
+    table = bytearray(modulus)
+    for x in range(modulus):
+        table[x * x % modulus] = 1
+    return bytes(table)
+
+
+# quadratic residues modulo 64, 63, 65 and 11 (Cohen, A Course in
+# Computational Algebraic Number Theory, Alg. 1.7.3): only about 1 in 150
+# non-squares passes all four, so isqrt runs on few non-squares
+_SQUARES_64, _SQUARES_63, _SQUARES_65, _SQUARES_11 = (
+    _square_residues(m) for m in (64, 63, 65, 11))
+
+
+def _is_square(m: int) -> bool:
+    """Is the integer m >= 0 a perfect square?  (The mod-64 filter is the
+    caller's.)"""
+    r = m % 45045  # 63 * 65 * 11
+    if not (_SQUARES_63[r % 63] and _SQUARES_65[r % 65]
+            and _SQUARES_11[r % 11]):
+        return False
+    t = isqrt(m)
+    return t * t == m
 
 
 def _checked_witness(f: QuadraticForm, vec) -> tuple:

@@ -3,15 +3,20 @@ structure, isotropy, complements, and the Witt group."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from traceforms.exact import (
-    INF, SquareClass, hilbert_support, hilbert_symbol, squarefree_class,
+    INF, FactorizationBudgetError, SquareClass, hilbert_support,
+    hilbert_symbol, primes_below, squarefree_class,
 )
 from traceforms.qforms import (
     FormInvariants,
+    _checked_witness,
+    _isotropy_witness,
     InvariantContradiction,
     QuadraticForm,
     complement_invariants,
@@ -478,3 +483,211 @@ def test_invariants_det_from_entry_classes():
 def test_place_rendering():
     assert place_to_json(INF) == "inf" and place_to_json(7) == 7
     assert place_str(INF) == "inf" and place_str(7) == "7"
+
+
+# ---------------------------------------------------------------------------
+# the witness scan against the Fraction scan it replaced
+
+
+def _ref_perfect_square_root(q: Fraction):
+    if q < 0:
+        return None
+    a, b = q.numerator, q.denominator
+    ra, rb = isqrt(a), isqrt(b)
+    if ra * ra == a and rb * rb == b:
+        return Fraction(ra, rb)
+    return None
+
+
+def _ref_isotropy_witness(f: QuadraticForm, height: int, budget: int):
+    d = f.diagonal
+    n = len(d)
+    # pairs first: e_i x^2 + e_j y^2 = 0 has the exact solution below as soon
+    # as -e_i e_j is a rational square
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = _ref_perfect_square_root(-d[i] * d[j])
+            if s is not None:
+                vec = [Fraction(0)] * n
+                vec[i] = s / d[i]
+                vec[j] = Fraction(1)
+                return _checked_witness(f, vec)
+    # triples with two bounded coordinates, closing with a square test
+    work = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if k in (i, j):
+                    continue
+                for x in range(1, height + 1):
+                    for y in range(-height, height + 1):
+                        work += 1
+                        if work > budget:
+                            return None
+                        val = d[i] * x * x + d[j] * y * y
+                        t = _ref_perfect_square_root(-val / d[k])
+                        if t is not None:
+                            vec = [Fraction(0)] * n
+                            vec[i] = Fraction(x)
+                            vec[j] = Fraction(y)
+                            vec[k] = t
+                            if any(vec):
+                                return _checked_witness(f, vec)
+    return None
+
+
+WIDE_PRIMES = (99991, 100003, 100019, 100043)
+
+_wide = st.one_of(st.just(1), st.sampled_from(WIDE_PRIMES))
+_scan_entries = st.builds(
+    lambda sign, num, wide, den: sign * Fraction(num * wide, den),
+    st.sampled_from((1, -1)), st.integers(1, 60), _wide,
+    st.sampled_from((1, 2, 3, 4, 5, 7, 9)))
+
+
+@st.composite
+def _scan_forms(draw):
+    entries = draw(st.lists(_scan_entries, min_size=3, max_size=6))
+    if draw(st.booleans()):
+        # plant a zero d_i x^2 + d_j y^2 + d_k z^2 = 0, so that the scan
+        # also meets triples that hit
+        i, j, k = draw(st.permutations(range(len(entries))))[:3]
+        x, y, z = draw(st.tuples(*[st.integers(1, 15)] * 3))
+        val = entries[i] * x * x + entries[j] * y * y
+        if val:
+            entries[k] = -val / (z * z)
+    return entries
+
+
+@given(_scan_forms(), st.integers(1, 15), st.integers(1, 5000))
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_witness_scan_matches_fraction_scan(entries, height, budget):
+    f = QuadraticForm.make(entries)
+    assert (_isotropy_witness(f, height, budget)
+            == _ref_isotropy_witness(f, height, budget))
+
+
+def test_witness_scan_budget_cuts_inside_a_triple():
+    # <1, 1, -3> has no pair hit; x^2 + y^2 = 3 z^2 has no rational point,
+    # so every step misses, and the scan stops at the budget mid-triple
+    f = QuadraticForm.make([1, 1, -3])
+    for budget in (1, 7, 40, 500):
+        assert _isotropy_witness(f, 5, budget) is None
+    # <1, 2, -3>: the first triple is (i, j, k) = (0, 1, 2), and y runs
+    # from -5, so (1, -1, 1) is its fifth step
+    f = QuadraticForm.make([1, 2, -3])
+    assert _isotropy_witness(f, 5, 4) is None
+    assert _isotropy_witness(f, 5, 5) == (1, -1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the construction against the recursive one it replaced
+
+
+def _ref_small_squareclass_candidates(base_primes, sign_ok, aux_limit=2000):
+    """Deterministic stream of squarefree integers built from the given
+    primes plus at most one auxiliary prime, for the rank-2 search."""
+    base = sorted(set(base_primes))
+    cores = [1]
+    for k in range(1, len(base) + 1):
+        for combo in combinations(base, k):
+            c = 1
+            for p in combo:
+                c *= p
+            cores.append(c)
+    cores.sort()
+    auxes = [1] + [q for q in primes_below(aux_limit) if q not in base]
+    for q in auxes:
+        for c in cores:
+            for sgn in (1, -1):
+                if sign_ok(sgn):
+                    yield sgn * c * q
+
+
+def _ref_form_from_invariants(inv: FormInvariants) -> QuadraticForm:
+    validate_invariants(inv)
+    n, det, (r, s), hasse = inv.dim, inv.det, inv.signature, inv.hasse
+
+    if n == 1:
+        return QuadraticForm.make([det.n])
+    if n == 2:
+        return _ref_rank2_from_invariants(det, (r, s), hasse)
+
+    if n == 3:
+        # the unit we peel must leave an admissible rank-2 tuple, which is a
+        # real constraint here (condition-3 can bite); scan small entries.
+        for e in _ref_small_squareclass_candidates(
+                (2, 3, 5, 7) + det.primes(),
+                lambda sgn: (sgn > 0 and r > 0) or (sgn < 0 and s > 0),
+                aux_limit=200):
+            ec = squarefree_class(e)
+            sub_det = det * ec
+            sub_sig = (r - 1, s) if e > 0 else (r, s - 1)
+            sub_hasse = frozenset(hasse ^ hilbert_support(ec.n, sub_det.n))
+            sub = FormInvariants(2, sub_det, sub_sig, sub_hasse)
+            try:
+                validate_invariants(sub)
+            except InvariantContradiction:
+                continue
+            tail = _ref_rank2_from_invariants(sub_det, sub_sig, sub_hasse)
+            return QuadraticForm.make([e]).direct_sum(tail)
+        raise RuntimeError("rank-3 construction search exhausted (bug)")
+
+    e = 1 if r > 0 else -1
+    ec = squarefree_class(e)
+    sub_det = det * ec
+    sub_sig = (r - 1, s) if e > 0 else (r, s - 1)
+    sub_hasse = frozenset(hasse ^ hilbert_support(ec.n, sub_det.n))
+    head = QuadraticForm.make([e])
+    tail = _ref_form_from_invariants(
+        FormInvariants(n - 1, sub_det, sub_sig, sub_hasse))
+    return head.direct_sum(tail)
+
+
+def _ref_rank2_from_invariants(det: SquareClass, sig, hasse) -> QuadraticForm:
+    r, s = sig
+    minus_det = SquareClass(-det.n)
+
+    def sign_ok(sgn):
+        if det.n > 0:
+            return (sgn > 0) == (r == 2)
+        return True
+
+    target = frozenset(hasse)
+    base = set(det.primes()) | {2}
+    base.update(v for v in target if v != INF)
+    for a in _ref_small_squareclass_candidates(sorted(base), sign_ok):
+        if hilbert_support(a, minus_det.n) == target:
+            return QuadraticForm.make([a, a * det.n])
+    raise RuntimeError("rank-2 construction search exhausted (bug)")
+
+
+_signed_factors = st.builds(lambda sign, core: sign * core,
+                            st.sampled_from((1, -1)), _factors)
+
+
+@given(st.lists(_signed_factors, min_size=1, max_size=10), st.integers(0, 9),
+       _wide)
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_construction_matches_recursive_construction(entries, at, wide):
+    # one prime near 1e5 at most: the recursive construction factors -det by
+    # trial division for every rank-2 candidate, and two such primes make
+    # that take minutes
+    entries[at % len(entries)] *= wide
+    fi = invariants(QuadraticForm.make(entries))
+    g = form_from_invariants(fi)
+    assert g.diagonal == _ref_form_from_invariants(fi).diagonal
+    assert invariants(g) == fi
+
+
+def test_construction_factors_the_determinant_once_from_rank_2():
+    # 1000003 * 1000033 is beyond trial division
+    det = SquareClass(1000003 * 1000033)
+    rank1 = FormInvariants(1, det, (1, 0), frozenset())
+    assert form_from_invariants(rank1).diagonal == (det.n,)
+    for n in (2, 3, 4, 6):
+        inv = FormInvariants(n, det, (n, 0), frozenset())
+        validate_invariants(inv)
+        for construct in (form_from_invariants, _ref_form_from_invariants):
+            with pytest.raises(FactorizationBudgetError):
+                construct(inv)
