@@ -318,7 +318,7 @@ def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
             aux_limit=200):
         sub_det = det * SquareClass(e)
         sub_sig = (r - 1, s) if e > 0 else (r, s - 1)
-        sub_primes = tuple(sorted(set(primes) ^ set(e_primes)))
+        sub_primes = tuple(set(primes) ^ set(e_primes))
         sub_hasse = frozenset(hasse ^ support_at(e, sub_det.n,
                                                  primes + e_primes))
         try:
@@ -332,8 +332,8 @@ def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
 
 def _rank2_from_invariants(det: SquareClass, sig, hasse,
                            det_primes) -> QuadraticForm:
-    """<a, a*det> with Hasse set `hasse`; `det_primes` are the primes of
-    det."""
+    """<a, a*det> with Hasse set `hasse`; `det_primes` is the tuple of the
+    primes of det."""
     r, s = sig
     minus_det = SquareClass(-det.n)
 
@@ -346,7 +346,7 @@ def _rank2_from_invariants(det: SquareClass, sig, hasse,
     base = set(det_primes) | {2}
     base.update(v for v in target if v != INF)
     for a, a_primes in _small_squareclass_candidates(sorted(base), sign_ok):
-        if support_at(a, minus_det.n, a_primes + tuple(det_primes)) == target:
+        if support_at(a, minus_det.n, a_primes + det_primes) == target:
             return QuadraticForm.make([a, a * det.n])
     raise RuntimeError("rank-2 construction search exhausted (bug)")
 
@@ -536,9 +536,8 @@ def _isotropy_witness(f: QuadraticForm, height: int, budget: int):
                         if work > budget:
                             return None
                         m = ax2 + b * y * y
-                        if m < 0 or not _SQUARES_64[m & 63]:
-                            continue
-                        if not _is_square(m):
+                        if (m < 0 or not _SQUARES_64[m & 63]
+                                or not _is_square(m)):
                             continue
                         val = d[i] * x * x + d[j] * y * y
                         t = _perfect_square_root(-val / d[k])
@@ -562,8 +561,8 @@ def _square_residues(modulus: int) -> bytes:
 
 
 # quadratic residues modulo 64, 63, 65 and 11 (Cohen, A Course in
-# Computational Algebraic Number Theory, Alg. 1.7.3): only about 1 in 150
-# non-squares passes all four, so isqrt runs on few non-squares
+# Computational Algebraic Number Theory, Alg. 1.7.3): about 1 in 120
+# non-squares passes all four, so isqrt rarely runs on a non-square
 _SQUARES_64, _SQUARES_63, _SQUARES_65, _SQUARES_11 = (
     _square_residues(m) for m in (64, 63, 65, 11))
 
