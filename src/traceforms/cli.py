@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .exact import FactorizationBudgetError, Poly
+from .exact import DEFAULT_FACTOR_BUDGET, FactorizationBudgetError, Poly
 from .numfields import (
     Cyclotomic,
     DescriptorError,
@@ -133,6 +133,12 @@ def parse_form(raw: str, what="form") -> QuadraticForm:
         if isinstance(err, FactorizationBudgetError):
             raise
         raise SchemaError(f"{what}: {err}") from err
+
+
+def parse_budget(budget: int) -> int:
+    if budget < 0:
+        raise SchemaError(f"budget: must be nonnegative, got {budget}")
+    return budget
 
 
 def parse_field(raw: str):
@@ -319,7 +325,7 @@ def render_table(rows, fmt: str) -> str:
 
 def cmd_form_invariants(args) -> dict:
     f = parse_form(args.form)
-    fi = invariants(f, budget=args.budget) if args.budget else invariants(f)
+    fi = invariants(f, budget=parse_budget(args.budget))
     return invariants_to_json(fi)
 
 
@@ -347,7 +353,7 @@ def cmd_form_split(args) -> dict:
 def cmd_represents_zero(args) -> dict:
     f = parse_form(args.form)
     verdict = represents_zero(f, height=args.height,
-                              budget=args.budget or WITNESS_BUDGET)
+                              budget=parse_budget(args.budget))
     out = {"isotropic": verdict.isotropic}
     if verdict.witness is not None:
         out["witness"] = [rational_str(x) for x in verdict.witness]
@@ -456,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("form-invariants",
                        help="classifying invariants of a rational form")
     p.add_argument("--form", required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_FACTOR_BUDGET)
     p.set_defaults(handler=cmd_form_invariants)
 
     p = sub.add_parser("form-isomorphic",
@@ -475,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="global isotropy with witness or obstruction")
     p.add_argument("--form", required=True)
     p.add_argument("--height", type=int, default=50)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=WITNESS_BUDGET)
     p.set_defaults(handler=cmd_represents_zero)
 
     p = sub.add_parser("transfer-compute",

@@ -1,9 +1,9 @@
 """Exact rational arithmetic bedrock: square classes, Hilbert symbols,
 polynomial root isolation and resultant norms.
 
-Everything here works over Q with `fractions.Fraction`; no floats enter any
-computation (the only float in sight is the `INF` marker for the real place,
-which is never used arithmetically).
+Everything here is exact: polynomials over `fractions.Fraction`, square
+classes and Hilbert symbols over the integers.  No float enters any
+computation; the `INF` marker for the real place is never used arithmetically.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def is_prime(n: int) -> bool:
     anyway)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -166,24 +166,13 @@ def squarefree_class(r: Rational, budget: int = DEFAULT_FACTOR_BUDGET) -> Square
     return SquareClass(sign * out)
 
 
-def _val_unit(r: Fraction, p: int) -> Tuple[int, Fraction]:
-    """p-adic valuation and unit part of a nonzero rational."""
-    num, den = r.numerator, r.denominator
+def _val_unit(n: int, p: int) -> Tuple[int, int]:
+    """p-adic valuation and unit part of a nonzero integer."""
     v = 0
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
-
-
-def _unit_residue(u: Fraction, modulus: int) -> int:
-    """Residue of a p-unit rational modulo `modulus` (coprime denominator)."""
-    num = u.numerator % modulus
-    den = u.denominator % modulus
-    return num * pow(den, -1, modulus) % modulus
+    return v, n
 
 
 def legendre(a: int, p: int) -> int:
@@ -211,8 +200,9 @@ def hilbert_symbol(a: Rational, b: Rational, place) -> int:
     >>> hilbert_symbol(2, 7, 7)
     0
     """
-    a = Fraction(a)
-    b = Fraction(b)
+    # the symbol only sees square classes, and p/q = pq (1/q)^2
+    a, b = Fraction(a), Fraction(b)
+    a, b = a.numerator * a.denominator, b.numerator * b.denominator
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero entries")
     if place == INF:
@@ -223,15 +213,14 @@ def hilbert_symbol(a: Rational, b: Rational, place) -> int:
     alpha, u = _val_unit(a, p)
     beta, v = _val_unit(b, p)
     if p == 2:
-        ru = _unit_residue(u, 8)
-        rv = _unit_residue(v, 8)
+        ru, rv = u % 8, v % 8
         eps_u = (ru - 1) // 2 % 2
         eps_v = (rv - 1) // 2 % 2
         om_u = (ru * ru - 1) // 8 % 2
         om_v = (rv * rv - 1) // 8 % 2
         return (eps_u * eps_v + alpha * om_v + beta * om_u) % 2
-    chi_u = 0 if legendre(_unit_residue(u, p), p) == 1 else 1
-    chi_v = 0 if legendre(_unit_residue(v, p), p) == 1 else 1
+    chi_u = 0 if legendre(u, p) == 1 else 1
+    chi_v = 0 if legendre(v, p) == 1 else 1
     eps_p = (p - 1) // 2 % 2
     return (alpha * beta * eps_p + beta * chi_u + alpha * chi_v) % 2
 

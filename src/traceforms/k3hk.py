@@ -20,11 +20,7 @@ from .numfields import (
     RealQuadratic,
     desc_from_json,
     field_invariants,
-    in_SE,
     lambda_plus_quadratic,
-    IN,
-    OUT,
-    UNKNOWN,
 )
 from .qforms import (
     QuadraticForm,
@@ -44,6 +40,7 @@ from .transfer import (
     bad_set,
     check_mode,
     rm_transfer_feasible,
+    split_prime_scan,
     split_transfer_feasible,
 )
 
@@ -154,20 +151,15 @@ def _bounds_report(mode: str, reason: str, detail: str) -> RealizabilityReport:
 def _report_from_verdict(mode, E, m, md, r, verdict,
                          extra_notes=()) -> RealizabilityReport:
     notes = list(extra_notes)
-    if verdict.status == "feasible":
-        return RealizabilityReport(True, "feasible", mode,
-                                   _family_dimension(mode, m), r - md,
-                                   hodge_group_label(E, m), tuple(notes),
-                                   verdict)
+    if verdict.status == "infeasible":
+        notes.append(str(verdict.obstruction))
+        return RealizabilityReport(False, "infeasible", mode, 0, None, None,
+                                   tuple(notes), verdict)
     if verdict.status == "needs_witness":
         notes.append("undecided: " + str(verdict.obstruction))
-        return RealizabilityReport(False, "needs_witness", mode,
-                                   _family_dimension(mode, m), r - md,
-                                   hodge_group_label(E, m), tuple(notes),
-                                   verdict)
-    notes.append(str(verdict.obstruction))
-    return RealizabilityReport(False, "infeasible", mode, 0, None, None,
-                               tuple(notes), verdict)
+    return RealizabilityReport(verdict.feasible, verdict.status, mode,
+                               _family_dimension(mode, m), r - md,
+                               hodge_group_label(E, m), tuple(notes), verdict)
 
 
 @dataclass(frozen=True)
@@ -309,18 +301,12 @@ def picard_compatible(L, E, m: int, mode: str,
             "condition": "disc",
             "detail": f"disc class {li.disc().n} differs from the m-th power "
                       f"of the field discriminant class ({want.n})"})
-    pending = []
-    for p in bad_set(E, L):
-        status = in_SE(E, p)
-        if status == OUT:
-            continue
-        hyper = is_locally_hyperbolic(L, p)
-        if status == IN and not hyper:
-            return TransferVerdict("infeasible", obstruction={
-                "condition": "split-prime-hyperbolic", "place": p,
-                "detail": f"Picard form is not hyperbolic over Q_{p}"})
-        if status == UNKNOWN and not hyper:
-            pending.append(p)
+    hard, pending = split_prime_scan(
+        E, bad_set(E, L), lambda p: not is_locally_hyperbolic(L, p))
+    if hard is not None:
+        return TransferVerdict("infeasible", obstruction={
+            "condition": "split-prime-hyperbolic", "place": hard,
+            "detail": f"Picard form is not hyperbolic over Q_{hard}"})
     if pending:
         return TransferVerdict("needs_witness", obstruction={
             "reason": "split-set-unknown", "primes": pending})

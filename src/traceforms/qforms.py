@@ -473,21 +473,23 @@ def represents_zero(f: QuadraticForm, height: int = 50,
     obstruction place.
     """
     fi = invariants(f)
-    # odd primes first, then 2, then the real place; the first failure is
-    # reported, and odd-prime certificates are the most readable
-    places = sorted(p for p in _candidate_places(fi) if p != INF and p != 2)
-    places += [2, INF]
-    for v in places:
-        if not _locally_isotropic_inv(fi, v):
-            return IsotropyVerdict(False, None, v)
+    place = _local_obstruction(fi)
+    if place is not None:
+        return IsotropyVerdict(False, None, place)
     return IsotropyVerdict(True, _isotropy_witness(f, height, budget), None)
 
 
-def _candidate_places(fi: FormInvariants):
-    out = {2, INF}
-    out.update(fi.det.primes())
-    out.update(v for v in fi.hasse if v != INF)
-    return out
+def _local_obstruction(fi: FormInvariants):
+    """The first place where the form is anisotropic, or None when there is
+    none, so that the form is isotropic (Hasse-Minkowski).  Testing 2, INF
+    and the primes of the determinant and the Hasse set suffices.  Odd primes
+    come first, then 2, then INF: odd-prime certificates are the most
+    readable."""
+    odd = sorted((set(fi.det.primes()) | fi.hasse) - {2, INF})
+    for v in odd + [2, INF]:
+        if not _locally_isotropic_inv(fi, v):
+            return v
+    return None
 
 
 def _perfect_square_root(q: Fraction):
@@ -614,15 +616,7 @@ def witt_reduce(f: QuadraticForm) -> WittClassQ:
     disc = fi.disc()
     sig = fi.signature[0] - fi.signature[1]
     kernel = fi
-    while kernel.dim > 0:
-        if kernel.dim == 1:
-            break
-        isotropic = all(
-            _locally_isotropic_inv(kernel, v)
-            for v in sorted(p for p in _candidate_places(kernel) if p != INF)
-        ) and _locally_isotropic_inv(kernel, INF)
-        if not isotropic:
-            break
+    while kernel.dim > 1 and _local_obstruction(kernel) is None:
         kernel = _peel_hyperbolic(kernel)
     kern = kernel if kernel.dim > 0 else None
     return WittClassQ(

@@ -201,6 +201,24 @@ def bad_set(E, U) -> tuple:
     return tuple(sorted(out))
 
 
+def split_prime_scan(E, primes, fails) -> tuple:
+    """Scan `primes` against the split set of the CM field E, skipping the
+    primes known to lie outside it.  Returns (hard, pending): the first prime
+    known to lie in it where `fails(p)` holds, or None, and every prime of
+    unknown membership where `fails(p)` holds."""
+    hard = None
+    pending = []
+    for p in primes:
+        status = in_SE(E, p)
+        if status == OUT or not fails(p):
+            continue
+        if status == UNKNOWN:
+            pending.append(p)
+        elif hard is None:
+            hard = p
+    return hard, pending
+
+
 # ---------------------------------------------------------------------------
 # feasibility for a fully specified rational form
 
@@ -235,17 +253,8 @@ def cm_transfer_feasible(E, U) -> TransferVerdict:
     if ui.det != want_det:
         violated.append(("(ii)", {
             "detail": f"det class {ui.det.n} != required {want_det.n}"}))
-    hard = None
-    pending = []
-    for p in bad_set(E, U):
-        status = in_SE(E, p)
-        if status == OUT:
-            continue
-        hyper = _locally_hyperbolic_inv(ui, p)
-        if status == IN and not hyper and hard is None:
-            hard = p
-        elif status == UNKNOWN and not hyper:
-            pending.append(p)
+    hard, pending = split_prime_scan(
+        E, bad_set(E, U), lambda p: not _locally_hyperbolic_inv(ui, p))
     if hard is not None:
         violated.append(("(iii)", {
             "place": hard,
@@ -592,18 +601,10 @@ def validate_cm_rank2_complement(E, a, twisted: bool) -> TransferVerdict:
     pool.update(squarefree_class(a).primes())
     pool.update(finv.disc_class.primes())
     pool.update(p for p in support if p != INF)
-    bad = []
-    pending = []
-    for p in sorted(pool):
-        st = in_SE(E, p)
-        nontrivial = p in support
-        if st == IN and nontrivial:
-            bad.append(p)
-        elif st == UNKNOWN and nontrivial:
-            pending.append(p)
-    if bad:
+    hard, pending = split_prime_scan(E, sorted(pool), support.__contains__)
+    if hard is not None:
         return TransferVerdict("infeasible", obstruction={
-            "condition": "split-prime-symbol", "place": bad[0]})
+            "condition": "split-prime-symbol", "place": hard})
     if pending:
         return TransferVerdict("needs_witness", obstruction={
             "reason": "split-set-unknown", "primes": pending})

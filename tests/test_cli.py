@@ -270,3 +270,28 @@ def test_exit_codes(capsys):
                          "--budget", "1000")
     assert code == EXIT_BUDGET
     assert doc["kind"] == "budget"
+
+
+def test_budget_zero_means_zero(capsys):
+    """--budget 0 is a budget of zero, not the default."""
+    form = '{"diagonal": [1, 1, -3, 5, 7]}'
+    code, doc = run_json(capsys, "represents-zero", "--form", form,
+                         "--budget", "0")
+    assert code == EXIT_OK
+    assert doc == {"isotropic": True}
+    code, doc = run_json(capsys, "represents-zero", "--form", form)
+    assert "witness" in doc
+
+    code, doc = run_json(capsys, "form-invariants",
+                         "--form", '{"diagonal": [35]}', "--budget", "0")
+    assert code == EXIT_BUDGET
+    assert doc["kind"] == "budget"
+
+
+@pytest.mark.parametrize("command", ["form-invariants", "represents-zero"])
+def test_negative_budget_is_rejected(capsys, command):
+    code, doc = run_json(capsys, command, "--form", '{"diagonal": [1, -1]}',
+                         "--budget", "-1")
+    assert code == EXIT_SCHEMA
+    assert doc["kind"] == "schema"
+    assert doc["status"] == "error"

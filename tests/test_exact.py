@@ -6,7 +6,9 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
+from typing import Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from traceforms.exact import (
     INF,
     FactorizationBudgetError,
     Poly,
+    Rational,
     SquareClass,
     count_real_roots,
     factorize,
@@ -172,6 +175,97 @@ def test_reciprocity_property(a, b):
     allowed.update(squarefree_class(a).primes())
     allowed.update(squarefree_class(b).primes())
     assert support <= allowed
+
+
+# The Fraction-based symbol that the integer evaluation replaced, kept
+# verbatim (renamed) as the reference for the property below.
+
+def _val_unit(r: Fraction, p: int) -> Tuple[int, Fraction]:
+    """p-adic valuation and unit part of a nonzero rational."""
+    num, den = r.numerator, r.denominator
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, Fraction(num, den)
+
+
+def _unit_residue(u: Fraction, modulus: int) -> int:
+    """Residue of a p-unit rational modulo `modulus` (coprime denominator)."""
+    num = u.numerator % modulus
+    den = u.denominator % modulus
+    return num * pow(den, -1, modulus) % modulus
+
+
+def reference_hilbert_symbol(a: Rational, b: Rational, place) -> int:
+    """Hilbert symbol of (a, b) at a place of Q, written additively: 0 when
+    z^2 = a x^2 + b y^2 has a nontrivial solution in the completion, 1 when
+    it does not.
+
+    The finite-place evaluation is the classical closed form in terms of
+    valuations, Legendre symbols and the mod-8 characters at 2; the real
+    place only looks at signs.
+
+    >>> hilbert_symbol(5, -5, 2)
+    0
+    >>> hilbert_symbol(-1, -1, INF), hilbert_symbol(-1, -1, 2), hilbert_symbol(-1, -1, 7)
+    (1, 1, 0)
+    >>> hilbert_symbol(2, 7, 7)
+    0
+    """
+    a = Fraction(a)
+    b = Fraction(b)
+    if a == 0 or b == 0:
+        raise ValueError("Hilbert symbol needs nonzero entries")
+    if place == INF:
+        return 1 if (a < 0 and b < 0) else 0
+    p = place
+    if not isinstance(p, int) or p < 2 or not is_prime(p):
+        raise ValueError(f"not a place of Q: {place!r}")
+    alpha, u = _val_unit(a, p)
+    beta, v = _val_unit(b, p)
+    if p == 2:
+        ru = _unit_residue(u, 8)
+        rv = _unit_residue(v, 8)
+        eps_u = (ru - 1) // 2 % 2
+        eps_v = (rv - 1) // 2 % 2
+        om_u = (ru * ru - 1) // 8 % 2
+        om_v = (rv * rv - 1) // 8 % 2
+        return (eps_u * eps_v + alpha * om_v + beta * om_u) % 2
+    chi_u = 0 if legendre(_unit_residue(u, p), p) == 1 else 1
+    chi_v = 0 if legendre(_unit_residue(v, p), p) == 1 else 1
+    eps_p = (p - 1) // 2 % 2
+    return (alpha * beta * eps_p + beta * chi_u + alpha * chi_v) % 2
+
+
+_SMOOTH_PRIMES = (2, 3, 5, 7, 11, 13, 1000003)
+_smooth = st.lists(st.integers(0, 3), min_size=7, max_size=7).map(
+    lambda es: prod(p ** e for p, e in zip(_SMOOTH_PRIMES, es)))
+_signed_rational = st.builds(
+    lambda sign, num, den: sign * Fraction(num, den),
+    st.sampled_from((1, -1)), _smooth, _smooth,
+).map(lambda r: r.numerator if r.denominator == 1 else r)
+_PLACES = (INF, 2, 3, 5, 7, 11, 13, 1000003, 1000033)
+
+
+@given(_signed_rational, _signed_rational, st.sampled_from(_PLACES))
+@settings(max_examples=500, derandomize=True)
+def test_symbol_matches_fraction_reference(a, b, place):
+    assert hilbert_symbol(a, b, place) == reference_hilbert_symbol(a, b, place)
+
+
+def test_symbol_rejects_what_the_reference_rejects():
+    cases = [(0, 3, 5), (3, Fraction(0), 5), (0, 0, INF)]
+    cases += [(2, 3, place) for place in (0, 1, 4, -3)]
+    for a, b, place in cases:
+        with pytest.raises(ValueError) as ref:
+            reference_hilbert_symbol(a, b, place)
+        with pytest.raises(ValueError) as new:
+            hilbert_symbol(a, b, place)
+        assert str(new.value) == str(ref.value)
 
 
 def test_is_square_at():
