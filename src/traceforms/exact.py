@@ -8,11 +8,11 @@ computation; the `INF` marker for the real place is never used arithmetically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -33,10 +33,12 @@ DEFAULT_FACTOR_BUDGET = 1_000_000
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=4096, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for n below 3.3e24 (and extremely
     reliable beyond; inputs that large do not survive the factor budget
-    anyway)."""
+    anyway).  Memoized: the places of Hilbert symbols are the same few
+    primes again and again."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -114,19 +116,34 @@ def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> dict:
 @dataclass(frozen=True)
 class SquareClass:
     """An element of Q^x / (Q^x)^2, stored as its unique squarefree signed
-    integer representative."""
+    integer representative.
+
+    `known_primes`, when set, is the set of primes dividing `n`, carried from
+    the factorization that produced the class so that `primes()` need not
+    factor again.  It takes no part in equality, hashing or `repr`.
+    """
 
     n: int
+    known_primes: Optional[frozenset] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n == 0:
             raise ValueError("zero has no square class")
+        if self.known_primes is None and abs(self.n) == 1:
+            object.__setattr__(self, "known_primes", frozenset())
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         # two squarefree integers multiply to a squarefree one once the
-        # square of their gcd is divided out
+        # square of their gcd is divided out; the primes of the gcd are the
+        # ones that cancel
         g = gcd(self.n, other.n)
-        return SquareClass(self.n // g * (other.n // g))
+        known = None
+        if self.known_primes is not None and other.known_primes is not None:
+            known = self.known_primes ^ other.known_primes
+        return SquareClass(self.n // g * (other.n // g), known)
+
+    def __neg__(self) -> "SquareClass":
+        return SquareClass(-self.n, self.known_primes)
 
     def __int__(self) -> int:
         return self.n
@@ -135,7 +152,10 @@ class SquareClass:
         return 1 if self.n > 0 else -1
 
     def primes(self, budget: int = DEFAULT_FACTOR_BUDGET) -> tuple:
-        """Odd part of the support: every prime dividing the representative."""
+        """Every prime dividing the representative, 2 included, in
+        increasing order.  Factors only when the primes are not carried."""
+        if self.known_primes is not None:
+            return tuple(sorted(self.known_primes))
         return tuple(sorted(factorize(abs(self.n), budget)))
 
     def __repr__(self):
@@ -143,7 +163,8 @@ class SquareClass:
 
 
 def squarefree_class(r: Rational, budget: int = DEFAULT_FACTOR_BUDGET) -> SquareClass:
-    """Squarefree representative of the square class of a nonzero rational.
+    """Squarefree representative of the square class of a nonzero rational,
+    carrying the primes found on the way.
 
     >>> squarefree_class(18)
     SquareClass(2)
@@ -157,13 +178,11 @@ def squarefree_class(r: Rational, budget: int = DEFAULT_FACTOR_BUDGET) -> Square
         raise ValueError("zero has no square class")
     # p/q and p*q differ by the square q^2
     n = r.numerator * r.denominator
-    sign = 1 if n > 0 else -1
-    n = abs(n)
+    odd = [p for p, e in factorize(abs(n), budget).items() if e % 2]
     out = 1
-    for p, e in factorize(n, budget).items():
-        if e % 2:
-            out *= p
-    return SquareClass(sign * out)
+    for p in odd:
+        out *= p
+    return SquareClass(out if n > 0 else -out, frozenset(odd))
 
 
 def _val_unit(n: int, p: int) -> Tuple[int, int]:
@@ -201,8 +220,12 @@ def hilbert_symbol(a: Rational, b: Rational, place) -> int:
     0
     """
     # the symbol only sees square classes, and p/q = pq (1/q)^2
-    a, b = Fraction(a), Fraction(b)
-    a, b = a.numerator * a.denominator, b.numerator * b.denominator
+    if not isinstance(a, int):
+        a = Fraction(a)
+        a = a.numerator * a.denominator
+    if not isinstance(b, int):
+        b = Fraction(b)
+        b = b.numerator * b.denominator
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero entries")
     if place == INF:

@@ -134,12 +134,14 @@ class FieldInvariants:
     half_degree: Optional[int]  # degree of the real subfield for CM fields
 
 
-def _check_squarefree(n: int, what: str, budget: int) -> None:
+def _check_squarefree(n: int, what: str, budget: int) -> frozenset:
+    """The primes of n, after checking that n is positive and squarefree."""
     if n < 1:
         raise DescriptorError(f"{what} must be positive")
-    for p, e in factorize(n, budget).items():
-        if e > 1:
-            raise DescriptorError(f"{what} must be squarefree, got {n}")
+    fac = factorize(n, budget)
+    if any(e > 1 for e in fac.values()):
+        raise DescriptorError(f"{what} must be squarefree, got {n}")
+    return frozenset(fac)
 
 
 def euler_phi(n: int) -> int:
@@ -154,15 +156,11 @@ def cyclotomic_disc_class(n: int) -> SquareClass:
     formula: sign (-1)^(phi/2), and prime q | n enters with exponent
     phi * v_q(n) - phi/(q-1)."""
     phi = euler_phi(n)
-    fac = factorize(n)
+    odd = [q for q, v in factorize(n).items() if (phi * v - phi // (q - 1)) % 2]
     out = 1
-    for q, v in fac.items():
-        exp = phi * v - phi // (q - 1)
-        if exp % 2:
-            out *= q
-    if (phi // 2) % 2:
-        out = -out
-    return SquareClass(out)
+    for q in odd:
+        out *= q
+    return SquareClass(-out if (phi // 2) % 2 else out, frozenset(odd))
 
 
 def poly_disc_class(f: Poly) -> SquareClass:
@@ -197,11 +195,11 @@ def _field_invariants(E, budget: int) -> FieldInvariants:
     if isinstance(E, RealQuadratic):
         if E.d < 2:
             raise DescriptorError("real quadratic needs d >= 2")
-        _check_squarefree(E.d, "d", budget)
-        return FieldInvariants(2, SquareClass(E.d), False, None)
+        primes = _check_squarefree(E.d, "d", budget)
+        return FieldInvariants(2, SquareClass(E.d, primes), False, None)
     if isinstance(E, ImagQuadratic):
-        _check_squarefree(E.D, "D", budget)
-        return FieldInvariants(2, SquareClass(-E.D), True, 1)
+        primes = _check_squarefree(E.D, "D", budget)
+        return FieldInvariants(2, SquareClass(-E.D, primes), True, 1)
     if isinstance(E, Cyclotomic):
         if E.n < 3:
             raise DescriptorError("cyclotomic needs n >= 3")
@@ -251,7 +249,8 @@ def in_SE(E, p: int) -> str:
     if not (isinstance(p, int) and is_prime(p)):
         raise ValueError(f"not a finite prime: {p!r}")
     if isinstance(E, ImagQuadratic):
-        return IN if is_square_at(squarefree_class(-E.D), p) else OUT
+        # -D is the field's discriminant class
+        return IN if is_square_at(field_invariants(E).disc_class, p) else OUT
     if isinstance(E, Cyclotomic):
         n = E.n
         while n % p == 0:

@@ -11,7 +11,7 @@ makes reciprocity literally "the set has even size".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -24,7 +24,6 @@ from .exact import (
     Rational,
     SquareClass,
     hilbert_symbol,
-    hilbert_support,
     is_prime,
     is_square_at,
     primes_below,
@@ -46,33 +45,48 @@ class InvariantContradiction(ValueError):
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Diagonal quadratic form <e_1, ..., e_n> with nonzero rational entries."""
+    """Diagonal quadratic form <e_1, ..., e_n> with nonzero rational entries.
+
+    `known_classes` holds, per entry, the square class of that entry when the
+    code that built the form already knew it (with its primes), and None
+    otherwise.  It takes no part in equality or hashing.
+    """
 
     diagonal: tuple
+    known_classes: Optional[tuple] = field(default=None, compare=False)
 
     def __post_init__(self):
         # a list diagonal would make the form unhashable, and forms are
         # cache keys of `invariants`
         object.__setattr__(self, "diagonal", tuple(self.diagonal))
+        known = self.known_classes
+        known = (None,) * len(self.diagonal) if known is None else tuple(known)
+        if len(known) != len(self.diagonal):
+            raise ValueError("one known class per diagonal entry")
+        object.__setattr__(self, "known_classes", known)
 
     @staticmethod
-    def make(entries: Sequence[Rational]) -> "QuadraticForm":
+    def make(entries: Sequence[Rational],
+             known_classes: Optional[Sequence] = None) -> "QuadraticForm":
         entries = tuple(Fraction(e) for e in entries)
         if not entries:
             raise ValueError("forms here are nonzero dimensional")
         if any(e == 0 for e in entries):
             raise ValueError("degenerate form: zero diagonal entry")
-        return QuadraticForm(entries)
+        return QuadraticForm(entries, known_classes)
 
     @property
     def dim(self) -> int:
         return len(self.diagonal)
 
-    def classes(self) -> tuple:
-        return tuple(squarefree_class(e) for e in self.diagonal)
+    def classes(self, budget: int = DEFAULT_FACTOR_BUDGET) -> tuple:
+        """The square class of every entry, factoring only the unknown ones."""
+        return tuple(squarefree_class(e, budget) if c is None else c
+                     for e, c in zip(self.diagonal, self.known_classes))
 
     def direct_sum(self, other: "QuadraticForm") -> "QuadraticForm":
-        return QuadraticForm(self.diagonal + other.diagonal)
+        return QuadraticForm(self.diagonal + other.diagonal,
+                             self.known_classes + other.known_classes)
 
     def evaluate(self, vector: Sequence[Rational]) -> Fraction:
         if len(vector) != self.dim:
@@ -97,8 +111,7 @@ class FormInvariants:
     def disc(self) -> SquareClass:
         """Signed determinant (-1)^(n(n-1)/2) det, the Witt-friendly variant."""
         n = self.dim
-        s = -1 if (n * (n - 1) // 2) % 2 else 1
-        return SquareClass(s * self.det.n)
+        return -self.det if (n * (n - 1) // 2) % 2 else self.det
 
 
 def hyperbolic_plane() -> QuadraticForm:
@@ -184,9 +197,14 @@ def invariants(f: QuadraticForm, budget: int = DEFAULT_FACTOR_BUDGET) -> FormInv
     The Hasse bit at v is the sum over i < j of (a_i, a_j)_v, which by
     bilinearity regroups as the sum over j of (a_1...a_{j-1}, a_j)_v
     (Serre, A Course in Arithmetic, IV.2): one symbol per entry and place.
-    Memoized: forms and the returned invariants are both frozen.
+    Entries whose class the form carries are not factored; the determinant
+    class carries the primes of the entry classes.
+
+    Memoized: forms and the returned invariants are both frozen.  The memo
+    key ignores the carried classes, so an equal form built without them
+    can hit the cache; the answer is the same either way.
     """
-    classes = tuple(squarefree_class(e, budget) for e in f.diagonal)
+    classes = f.classes(budget)
     r = sum(1 for e in f.diagonal if e > 0)
     s = f.dim - r
     places = {2, INF}
@@ -248,7 +266,7 @@ def validate_invariants(inv: FormInvariants) -> None:
         raise InvariantContradiction(
             "condition-3", "rank 1 forms have trivial Hasse invariant")
     if n == 2:
-        minus_det = SquareClass(-det.n)
+        minus_det = -det
         for v in hasse:
             if v == INF:
                 continue
@@ -287,28 +305,29 @@ def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
 
     The construction peels unit entries <1> / <-1> down to rank 3 and
     finishes with a rank-2 block <a, a*det> whose Hasse data is arranged
-    through the symbol (a, -det).  The determinant is factored once; every
-    later Hasse support is evaluated at its known primes.  Deterministic:
-    the same invariants always give the same form.
+    through the symbol (a, -det).  The determinant is factored once, unless
+    it carries its primes; every later Hasse support is evaluated at known
+    primes.  The form carries the class of every entry.  Deterministic: the
+    same invariants always give the same form.
     """
     validate_invariants(inv)
     n, det, (r, s), hasse = inv.dim, inv.det, inv.signature, inv.hasse
     if n == 1:
-        return QuadraticForm.make([det.n])
+        return QuadraticForm.make([det.n], [det])
     primes = det.primes()
+    det = SquareClass(det.n, frozenset(primes))
     head = []
     while n > 3:
         # <e> + W with e = +-1: det W = e det, w(W) = w + (e, det W)
         e = 1 if r > 0 else -1
-        det = SquareClass(e * det.n)
+        det = det if e > 0 else -det
         r, s = (r - 1, s) if e > 0 else (r, s - 1)
         hasse = frozenset(hasse ^ support_at(e, det.n, primes))
         n -= 1
         validate_invariants(FormInvariants(n, det, (r, s), hasse))
-        head.append(e)
+        head.append(SquareClass(e))
     if n == 2:
-        tail = _rank2_from_invariants(det, (r, s), hasse, primes)
-        return QuadraticForm.make(head + list(tail.diagonal))
+        return _rank2_from_invariants(head, det, (r, s), hasse)
 
     # the unit we peel must leave an admissible rank-2 tuple, which is a
     # real constraint here (condition-3 can bite); scan small entries.
@@ -316,26 +335,26 @@ def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
             (2, 3, 5, 7) + primes,
             lambda sgn: (sgn > 0 and r > 0) or (sgn < 0 and s > 0),
             aux_limit=200):
-        sub_det = det * SquareClass(e)
+        ec = SquareClass(e, frozenset(e_primes))
+        sub_det = det * ec
         sub_sig = (r - 1, s) if e > 0 else (r, s - 1)
-        sub_primes = tuple(set(primes) ^ set(e_primes))
         sub_hasse = frozenset(hasse ^ support_at(e, sub_det.n,
                                                  primes + e_primes))
         try:
             validate_invariants(FormInvariants(2, sub_det, sub_sig, sub_hasse))
         except InvariantContradiction:
             continue
-        tail = _rank2_from_invariants(sub_det, sub_sig, sub_hasse, sub_primes)
-        return QuadraticForm.make(head + [e] + list(tail.diagonal))
+        return _rank2_from_invariants(head + [ec], sub_det, sub_sig, sub_hasse)
     raise RuntimeError("rank-3 construction search exhausted (bug)")
 
 
-def _rank2_from_invariants(det: SquareClass, sig, hasse,
-                           det_primes) -> QuadraticForm:
-    """<a, a*det> with Hasse set `hasse`; `det_primes` is the tuple of the
-    primes of det."""
+def _rank2_from_invariants(head, det: SquareClass, sig,
+                           hasse) -> QuadraticForm:
+    """The entries of `head` (square classes) followed by <a, a*det> with
+    Hasse set `hasse`; det carries its primes."""
     r, s = sig
-    minus_det = SquareClass(-det.n)
+    minus_det = -det
+    det_primes = det.primes()
 
     def sign_ok(sgn):
         if det.n > 0:
@@ -347,7 +366,10 @@ def _rank2_from_invariants(det: SquareClass, sig, hasse,
     base.update(v for v in target if v != INF)
     for a, a_primes in _small_squareclass_candidates(sorted(base), sign_ok):
         if support_at(a, minus_det.n, a_primes + det_primes) == target:
-            return QuadraticForm.make([a, a * det.n])
+            ca = SquareClass(a, frozenset(a_primes))
+            classes = head + [ca, ca * det]
+            return QuadraticForm.make([c.n for c in head] + [a, a * det.n],
+                                      classes)
     raise RuntimeError("rank-2 construction search exhausted (bug)")
 
 
@@ -377,7 +399,9 @@ def complement_invariants(vi: FormInvariants, ui: FormInvariants) -> FormInvaria
     s = vi.signature[1] - ui.signature[1]
     if r < 0 or s < 0:
         raise InvariantContradiction("condition-1", "signature does not embed")
-    hasse = frozenset(vi.hasse ^ ui.hasse ^ hilbert_support(ui.det.n, det.n))
+    hasse = frozenset(vi.hasse ^ ui.hasse
+                      ^ support_at(ui.det.n, det.n,
+                                   ui.det.primes() + det.primes()))
     return FormInvariants(dim, det, (r, s), hasse)
 
 
@@ -448,7 +472,7 @@ def _locally_isotropic_inv(fi: FormInvariants, place) -> bool:
     if n == 1:
         return False
     if n == 2:
-        return is_square_at(SquareClass(-fi.det.n), place)
+        return is_square_at(-fi.det, place)
     if n == 3:
         want = hilbert_symbol(-1, -fi.det.n, place)
         return fi.hasse_bit(place) == want
@@ -605,9 +629,9 @@ class WittClassQ:
 
 
 def _peel_hyperbolic(fi: FormInvariants) -> FormInvariants:
-    det = SquareClass(-fi.det.n)
+    det = -fi.det
     r, s = fi.signature
-    hasse = frozenset(fi.hasse ^ hilbert_support(-1, det.n))
+    hasse = frozenset(fi.hasse ^ support_at(-1, det.n, det.primes()))
     return FormInvariants(fi.dim - 2, det, (r - 1, s - 1), hasse)
 
 

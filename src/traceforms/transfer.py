@@ -22,6 +22,7 @@ from .exact import (
     is_square_at,
     signs_at_real_roots,
     squarefree_class,
+    support_at,
 )
 from .numfields import (
     IN,
@@ -160,8 +161,7 @@ def cm_twist_class(finv: FieldInvariants) -> SquareClass:
     determinant of any CM transfer.  Always positive."""
     if not finv.is_cm:
         raise ValueError("the CM twist class needs a CM field")
-    sign = -1 if finv.half_degree % 2 else 1
-    return SquareClass(sign * finv.disc_class.n)
+    return -finv.disc_class if finv.half_degree % 2 else finv.disc_class
 
 
 def predicted_invariants(E, m: int, norm_det_class: Optional[SquareClass] = None):
@@ -195,8 +195,8 @@ def bad_set(E, U) -> tuple:
         out.update(U.det.primes())
         out.update(p for p in U.hasse if p != INF)
     else:
-        for e in U.diagonal:
-            out.update(squarefree_class(e).primes())
+        for c in U.classes():
+            out.update(c.primes())
     out.update(finv.disc_class.primes())
     return tuple(sorted(out))
 
@@ -422,8 +422,9 @@ def _first_complement(vi, det_u: SquareClass, md: int, extra_primes=(),
     if sig_c[0] < 0 or sig_c[1] < 0:
         return None
     want = want or {}
-    base = vi.hasse ^ hilbert_support(det_u.n, det_c.n)
-    minus_c, minus_u = SquareClass(-det_c.n), SquareClass(-det_u.n)
+    base = vi.hasse ^ support_at(det_u.n, det_c.n,
+                                 det_u.primes() + det_c.primes())
+    minus_c, minus_u = -det_c, -det_u
     hasse_c, free = set(), []
     for p in _hasse_candidates(vi, det_u, det_c, extra_primes):
         in_base = int(p in base)

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import reference_invariants
 from traceforms.cli import (
     EXIT_BUDGET, EXIT_CRITERION, EXIT_OK, EXIT_SCHEMA, main,
 )
+from traceforms.exact import INF, hilbert_symbol
 
 K3_DIAG = json.dumps({"diagonal": [1, -1] * 3 + [-1] * 16})
 
@@ -295,3 +297,34 @@ def test_negative_budget_is_rejected(capsys, command):
     assert code == EXIT_SCHEMA
     assert doc["kind"] == "schema"
     assert doc["status"] == "error"
+
+
+def test_represents_zero_past_trial_division(capsys):
+    """Each entry classifies alone and the form's classes carry their
+    primes, so the determinant 1000003 * 1000033 is never factored.  The
+    reported place is checked with the ternary criterion of Serre, A Course
+    in Arithmetic, IV.2.2: a rank-3 form is isotropic at v exactly when its
+    Hasse bit equals (-1, -det)_v, here from the primes `sympy` finds."""
+    diagonal = [1000003, 1000033, -1]
+    code, doc = run_json(capsys, "represents-zero",
+                         "--form", json.dumps({"diagonal": diagonal}))
+    assert code == EXIT_OK
+    assert doc == {"isotropic": False, "obstruction_place": "1000003"}
+    _, det, _, hasse = reference_invariants(diagonal)
+
+    def isotropic_at(v):
+        return int(v in hasse) == hilbert_symbol(-1, -det, v)
+
+    assert not isotropic_at(1000003)
+    # odd primes are reported first, in increasing order: none before it
+    assert all(isotropic_at(p) for p in sorted(hasse - {INF}) if p < 1000003)
+
+
+def test_form_invariants_of_a_semiprime_entry_still_exceeds_the_budget(
+        capsys):
+    # 1000000016000000063 = 1000000007 * 1000000009: the entry itself needs
+    # a factorization beyond trial division
+    code, doc = run_json(capsys, "form-invariants",
+                         "--form", '{"diagonal": ["1000000016000000063", 2]}')
+    assert code == EXIT_BUDGET
+    assert doc["kind"] == "budget"
