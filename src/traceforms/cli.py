@@ -64,10 +64,6 @@ class SchemaError(ValueError):
     """Input that fails to parse into a query."""
 
 
-class CriterionError(ValueError):
-    """A library precondition rejected a well-formed input."""
-
-
 # ---------------------------------------------------------------------------
 # serialization helpers
 
@@ -365,13 +361,10 @@ def cmd_represents_zero(args) -> dict:
 def cmd_transfer_compute(args) -> dict:
     E = parse_field(args.field)
     entries = parse_entries(E, args.entries)
-    try:
-        if isinstance(E, RealQuadratic):
-            t = transfer_quadratic(E.d, entries)
-        else:
-            t = transfer_hermitian_imagquad(E.D, entries)
-    except ValueError as err:
-        raise CriterionError(str(err)) from err
+    if isinstance(E, RealQuadratic):
+        t = transfer_quadratic(E.d, entries)
+    else:
+        t = transfer_hermitian_imagquad(E.D, entries)
     return {"transfer": form_to_json(t),
             "invariants": invariants_to_json(invariants(t))}
 
@@ -380,22 +373,16 @@ def cmd_transfer_feasible(args) -> dict:
     E = parse_field(args.field)
     f = parse_form(args.form)
     witness = parse_witness(E, args.witness) if args.witness else None
-    try:
-        if args.mode == "rm":
-            v = rm_transfer_feasible(E, f, witness=witness)
-        else:
-            v = cm_transfer_feasible(E, f)
-    except ValueError as err:
-        raise CriterionError(str(err)) from err
+    if args.mode == "rm":
+        v = rm_transfer_feasible(E, f, witness=witness)
+    else:
+        v = cm_transfer_feasible(E, f)
     return verdict_json(v)
 
 
 def cmd_hk(args) -> dict:
     E = parse_field(args.field)
-    try:
-        rep = hk_realizable(args.family, args.n, E, args.m, args.mode)
-    except ValueError as err:
-        raise CriterionError(str(err)) from err
+    rep = hk_realizable(args.family, args.n, E, args.m, args.mode)
     return jsonable(report_to_json(rep))
 
 
@@ -403,10 +390,7 @@ def cmd_picard(args) -> dict:
     E = parse_field(args.field)
     f = parse_form(args.form)
     witness = parse_witness(E, args.witness) if args.witness else None
-    try:
-        v = picard_compatible(f, E, args.m, args.mode, witness=witness)
-    except ValueError as err:
-        raise CriterionError(str(err)) from err
+    v = picard_compatible(f, E, args.m, args.mode, witness=witness)
     return verdict_json(v)
 
 
@@ -420,7 +404,7 @@ def cmd_elliptic(args) -> dict:
                               f"known: {', '.join(sorted(reg))}")
         ctx = reg[args.case].elliptic_context
         if ctx is None:
-            raise CriterionError(
+            raise ValueError(
                 f"case {args.case!r} has no elliptic-fibration question")
     else:
         ctx = parse_json_arg(args.context, "context")
@@ -433,18 +417,13 @@ def cmd_elliptic(args) -> dict:
         return jsonable(elliptic_fibration_verdict(ctx))
     except (KeyError, TypeError) as err:
         raise SchemaError(f"context: {err}") from err
-    except ValueError as err:
-        raise CriterionError(str(err)) from err
 
 
 def cmd_tabulate(args) -> str:
     cat = load_catalog(args.catalog)
     fields = catalog_fields(cat, args.mode)
     families = parse_families(args.families)
-    try:
-        rows = tabulate_rows(args.mode, families, fields, args.md_bound)
-    except ValueError as err:
-        raise CriterionError(str(err)) from err
+    rows = tabulate_rows(args.mode, families, fields, args.md_bound)
     return render_table(rows, args.format)
 
 
@@ -552,9 +531,6 @@ def main(argv=None) -> int:
     except FactorizationBudgetError as err:
         emit({"status": "error", "kind": "budget", "error": str(err)})
         return EXIT_BUDGET
-    except CriterionError as err:
-        emit({"status": "error", "kind": "criterion", "error": str(err)})
-        return EXIT_CRITERION
     except (ValueError, KeyError) as err:
         emit({"status": "error", "kind": "criterion", "error": str(err)})
         return EXIT_CRITERION

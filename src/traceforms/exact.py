@@ -248,16 +248,15 @@ def hilbert_symbol(a: Rational, b: Rational, place) -> int:
     return (alpha * beta * eps_p + beta * chi_u + alpha * chi_v) % 2
 
 
-def hilbert_support(a: Rational, b: Rational,
-                    budget: int = DEFAULT_FACTOR_BUDGET) -> frozenset:
+def hilbert_support(a: Rational, b: Rational) -> frozenset:
     """The finite, even-cardinality set of places where (a, b) is nontrivial.
 
     Only places among {2, INF} and the primes of the two square classes can
     carry a nonzero symbol, so the scan is finite.
     """
-    ca = squarefree_class(a, budget)
-    cb = squarefree_class(b, budget)
-    return support_at(ca.n, cb.n, ca.primes(budget) + cb.primes(budget))
+    ca = squarefree_class(a)
+    cb = squarefree_class(b)
+    return support_at(ca.n, cb.n, ca.primes() + cb.primes())
 
 
 def support_at(a: Rational, b: Rational, places: Iterable[int]) -> frozenset:

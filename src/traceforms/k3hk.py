@@ -117,14 +117,21 @@ def ambient_to_json(a: AmbientSpace) -> dict:
 
 @dataclass(frozen=True)
 class RealizabilityReport:
-    feasible: bool
-    status: str                      # feasible | infeasible | needs_witness
     mode: str                        # rm | cm
     family_dimension: object         # int, or "countable" for CM rank 1
     pic_rank: Optional[int]
     hodge_group_label: Optional[str]
     notes: tuple
     verdict: TransferVerdict
+
+    @property
+    def status(self) -> str:
+        """feasible | infeasible | needs_witness, as the verdict says."""
+        return self.verdict.status
+
+    @property
+    def feasible(self) -> bool:
+        return self.verdict.feasible
 
 
 def hodge_group_label(E, m: int) -> str:
@@ -144,8 +151,7 @@ def _family_dimension(mode: str, m: int):
 def _bounds_report(mode: str, reason: str, detail: str) -> RealizabilityReport:
     verdict = TransferVerdict("infeasible", obstruction={
         "condition": reason, "detail": detail})
-    return RealizabilityReport(False, "infeasible", mode, 0, None, None,
-                               (detail,), verdict)
+    return RealizabilityReport(mode, 0, None, None, (detail,), verdict)
 
 
 def _report_from_verdict(mode, E, m, md, r, verdict,
@@ -153,12 +159,10 @@ def _report_from_verdict(mode, E, m, md, r, verdict,
     notes = list(extra_notes)
     if verdict.status == "infeasible":
         notes.append(str(verdict.obstruction))
-        return RealizabilityReport(False, "infeasible", mode, 0, None, None,
-                                   tuple(notes), verdict)
+        return RealizabilityReport(mode, 0, None, None, tuple(notes), verdict)
     if verdict.status == "needs_witness":
         notes.append("undecided: " + str(verdict.obstruction))
-    return RealizabilityReport(verdict.feasible, verdict.status, mode,
-                               _family_dimension(mode, m), r - md,
+    return RealizabilityReport(mode, _family_dimension(mode, m), r - md,
                                hodge_group_label(E, m), tuple(notes), verdict)
 
 

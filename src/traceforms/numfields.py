@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Optional
 
 from .exact import (
-    DEFAULT_FACTOR_BUDGET,
     Poly,
     SquareClass,
     count_real_roots,
@@ -134,11 +133,11 @@ class FieldInvariants:
     half_degree: Optional[int]  # degree of the real subfield for CM fields
 
 
-def _check_squarefree(n: int, what: str, budget: int) -> frozenset:
+def _check_squarefree(n: int, what: str) -> frozenset:
     """The primes of n, after checking that n is positive and squarefree."""
     if n < 1:
         raise DescriptorError(f"{what} must be positive")
-    fac = factorize(n, budget)
+    fac = factorize(n)
     if any(e > 1 for e in fac.values()):
         raise DescriptorError(f"{what} must be squarefree, got {n}")
     return frozenset(fac)
@@ -174,10 +173,10 @@ def poly_disc_class(f: Poly) -> SquareClass:
     return squarefree_class(disc)
 
 
-def field_invariants(E, budget: int = DEFAULT_FACTOR_BUDGET) -> FieldInvariants:
+def field_invariants(E) -> FieldInvariants:
     """Degree, discriminant square class, CM flag.
 
-    Memoized per (descriptor, budget): descriptors and the returned
+    Memoized per descriptor: descriptors and the returned
     invariants are both frozen.  Errors are raised afresh on every call.
 
     >>> field_invariants(RealQuadratic(5)).disc_class
@@ -187,18 +186,18 @@ def field_invariants(E, budget: int = DEFAULT_FACTOR_BUDGET) -> FieldInvariants:
     """
     if not isinstance(E, NumberFieldDesc):
         raise DescriptorError(f"unknown field descriptor {E!r}")
-    return _field_invariants(E, budget)
+    return _field_invariants(E)
 
 
 @lru_cache(maxsize=1024)
-def _field_invariants(E, budget: int) -> FieldInvariants:
+def _field_invariants(E) -> FieldInvariants:
     if isinstance(E, RealQuadratic):
         if E.d < 2:
             raise DescriptorError("real quadratic needs d >= 2")
-        primes = _check_squarefree(E.d, "d", budget)
+        primes = _check_squarefree(E.d, "d")
         return FieldInvariants(2, SquareClass(E.d, primes), False, None)
     if isinstance(E, ImagQuadratic):
-        primes = _check_squarefree(E.D, "D", budget)
+        primes = _check_squarefree(E.D, "D")
         return FieldInvariants(2, SquareClass(-E.D, primes), True, 1)
     if isinstance(E, Cyclotomic):
         if E.n < 3:
@@ -289,7 +288,7 @@ def is_norm_quadratic(d: int, a) -> bool:
     """
     if d in (0, 1):
         raise ValueError("need a nonsquare d")
-    _check_squarefree(abs(d), "d", DEFAULT_FACTOR_BUDGET)
+    _check_squarefree(abs(d), "d")
     a = Fraction(a)
     if a == 0:
         raise ValueError("norm test needs a nonzero rational")
@@ -311,8 +310,8 @@ def lambda_plus_quadratic(d: int, a) -> bool:
     return is_norm_quadratic(d, a)
 
 
-def verify_lambda_plus_witness(E, m: int, target: SquareClass, alpha: Poly,
-                               budget: int = DEFAULT_FACTOR_BUDGET) -> bool:
+def verify_lambda_plus_witness(E, m: int, target: SquareClass,
+                               alpha: Poly) -> bool:
     """Certificate check for det(U) lying in Lambda+ * disc^m over a totally
     real field: alpha (a polynomial in the field generator) must be totally
     positive, and N(alpha) * disc^m must land in the target square class.
@@ -338,7 +337,7 @@ def verify_lambda_plus_witness(E, m: int, target: SquareClass, alpha: Poly,
     n = norm_via_resultant(f, red)
     if n == 0:
         raise ValueError("witness is a zero divisor (minpoly not irreducible?)")
-    got = squarefree_class(n, budget) * SquareClass(1 if m % 2 == 0 else disc.n)
+    got = squarefree_class(n) * SquareClass(1 if m % 2 == 0 else disc.n)
     return got == target
 
 

@@ -72,9 +72,6 @@ class QuadFieldElement:
     def norm(self, d: int) -> Fraction:
         return self.a * self.a - d * self.b * self.b
 
-    def trace(self) -> Fraction:
-        return 2 * self.a
-
     def sign_at(self, d: int, embedding: int) -> int:
         """Sign of a + b*sqrt(d) (embedding 0) or a - b*sqrt(d) (embedding 1),
         decided exactly by comparing a^2 with d b^2."""
@@ -306,7 +303,7 @@ def rm_transfer_feasible(E, U: QuadraticForm,
                 "norm_class": rational_str(target.n)})
         return TransferVerdict("infeasible", obstruction={
             "condition": "norm-class",
-            "place": _norm_obstruction_place(target, E.d),
+            "place": _norm_obstruction_place(target, finv.disc_class),
             "detail": f"{target.n} is not a totally positive norm class"})
     if witness is not None:
         if verify_lambda_plus_witness(E, m, ui.det, witness):
@@ -319,15 +316,15 @@ def rm_transfer_feasible(E, U: QuadraticForm,
         "reason": "norm-class-witness-needed"})
 
 
-def _norm_obstruction_place(target: SquareClass, d: int,
+def _norm_obstruction_place(target: SquareClass, disc: SquareClass,
                             totally_positive: bool = True):
     """The place named when `target` is not a norm (a totally positive one,
-    by default) from Q(sqrt d): the real place for a negative class where
-    positivity is asked, else the smallest odd prime where the symbol
-    (target, d) is nontrivial, else 2."""
+    by default) from Q(sqrt d), d in the class `disc`: the real place for a
+    negative class where positivity is asked, else the smallest odd prime
+    where the symbol (target, d) is nontrivial, else 2."""
     if totally_positive and target.n < 0:
         return INF
-    supp = hilbert_support(target.n, d)
+    supp = support_at(target.n, disc.n, target.primes() + disc.primes())
     odd = sorted(p for p in supp if p != INF and p != 2)
     if odd:
         return odd[0]
@@ -353,8 +350,7 @@ def check_mode(mode: str, E) -> tuple[str, FieldInvariants]:
 
 
 def split_transfer_feasible(V: QuadraticForm, E, m: int, mode: str,
-                            complement_hint=None,
-                            witness: Optional[Poly] = None) -> TransferVerdict:
+                            complement_hint=None) -> TransferVerdict:
     """Can the ambient form V be written as T(W) + V' with T(W) a rank-m
     transfer from E of signature (2, md-2)?
 
@@ -384,7 +380,7 @@ def split_transfer_feasible(V: QuadraticForm, E, m: int, mode: str,
         raise ValueError("complement hints are for rank-1 complements")
 
     if mode == "rm":
-        return _split_rm(vi, E, finv, m, md, complement_hint, witness)
+        return _split_rm(vi, E, finv, m, md, complement_hint)
     return _split_cm(vi, E, finv, m, md, codim)
 
 
@@ -457,7 +453,7 @@ def _first_complement(vi, det_u: SquareClass, md: int, extra_primes=(),
     return ci, ui
 
 
-def _split_rm(vi, E, finv, m, md, complement_hint, witness):
+def _split_rm(vi, E, finv, m, md, complement_hint):
     if m < 3:
         return TransferVerdict("infeasible", obstruction={
             "condition": "multiplicity",
@@ -475,20 +471,15 @@ def _split_rm(vi, E, finv, m, md, complement_hint, witness):
                 "condition": "signature",
                 "detail": "complement sign incompatible with the split"})
         if d % 2 == 0:
-            if isinstance(E, RealQuadratic):
-                if not lambda_plus_quadratic(E.d, t.n):
-                    return TransferVerdict("infeasible", obstruction={
-                        "condition": "norm-class",
-                        "place": _norm_obstruction_place(t, E.d),
-                        "detail": f"required norm class {t.n} is not a "
-                                  f"totally positive norm"})
-            elif witness is not None:
-                if not verify_lambda_plus_witness(E, m, vi.det * det_c_wanted, witness):
-                    return TransferVerdict("needs_witness", obstruction={
-                        "reason": "witness-rejected"})
-            else:
+            if not isinstance(E, RealQuadratic):
                 return TransferVerdict("needs_witness", obstruction={
                     "reason": "norm-class-witness-needed"})
+            if not lambda_plus_quadratic(E.d, t.n):
+                return TransferVerdict("infeasible", obstruction={
+                    "condition": "norm-class",
+                    "place": _norm_obstruction_place(t, finv.disc_class),
+                    "detail": f"required norm class {t.n} is not a "
+                              f"totally positive norm"})
     else:
         # 1 is a totally positive norm, and with it a complement always
         # exists: the rank >= 3 transfer side is constrained only by parity
@@ -497,12 +488,55 @@ def _split_rm(vi, E, finv, m, md, complement_hint, witness):
     found = _first_complement(vi, disc_m * t, md)
     if found is None:
         raise RuntimeError("rm split without an admissible complement (bug)")
-    return _rm_certificate(E, finv, m, md, *found, t)
+    extra = {"embedding_signature": [2, m - 2]}
+    if d % 2 == 0:
+        extra["norm_class"] = rational_str(t.n)
+    route = "even-degree-norm-class" if d % 2 == 0 else "odd-degree-transfer"
+    return TransferVerdict("feasible", certificate=_split_certificate(
+        finv, m, route, *found, extra))
 
 
-def _rm_certificate(E, finv, m, md, ci, ui, t):
-    route = ("odd-degree-transfer" if finv.degree % 2
-             else "even-degree-norm-class")
+def _split_cm(vi, E, finv, m, md, codim):
+    tw = cm_twist_class(finv)
+    det_u = tw if m % 2 else SquareClass(1)
+    det_c = vi.det * det_u
+    disc_primes = finv.disc_class.primes()
+
+    # the transfer side must be hyperbolic at every split prime where its
+    # Hasse set could be nontrivial.  Unknown primes are first taken as split;
+    # if that fails where the asserted ones alone pass, the verdict waits on
+    # the unknown primes
+    statuses = {p: in_SE(E, p)
+                for p in _hasse_candidates(vi, det_u, det_c, disc_primes)}
+
+    def solve(*kept):
+        return _first_complement(vi, det_u, md, extra_primes=disc_primes, want={
+            p: hyperbolic_bit(md // 2, p)
+            for p, st in statuses.items() if st in kept})
+
+    found = solve(IN, UNKNOWN)
+    if found is None:
+        unknowns = [p for p, st in statuses.items() if st == UNKNOWN]
+        if unknowns and solve(IN) is not None:
+            return TransferVerdict("needs_witness", obstruction={
+                "reason": "split-set-unknown", "primes": unknowns})
+        return TransferVerdict("infeasible", obstruction={
+            "condition": "(iii)",
+            "detail": "no complement leaves the transfer side hyperbolic "
+                      "at the asserted split primes"})
+    ci, ui = found
+    cert = _split_certificate(finv, m, "split-prime-hyperbolic-pattern", ci, ui,
+                              {"forced_determinant": rational_str(det_u.n)})
+    if codim == 2:
+        cert["complement_count"] = ("unique-hyperbolic" if det_c == SquareClass(-1)
+                                    else "infinite-family")
+    return TransferVerdict("feasible", certificate=cert)
+
+
+def _split_certificate(finv, m, route, ci, ui, extra) -> dict:
+    """The certificate of a feasible split: both sides' invariants, a
+    complement diagonal, the mode's own keys, and the complement's shape
+    where it is distinguished."""
     cert = {
         "m": m,
         "degree": finv.degree,
@@ -510,72 +544,14 @@ def _rm_certificate(E, finv, m, md, ci, ui, t):
         "transfer_invariants": invariants_to_json(ui),
         "complement_invariants": invariants_to_json(ci),
         "complement_diagonal": form_to_json(form_from_invariants(ci))["diagonal"],
-        "embedding_signature": [2, m - 2],
+        **extra,
     }
-    if finv.degree % 2 == 0:
-        cert["norm_class"] = rational_str(t.n)
-    _name_complement_shape(cert, ci)
-    return TransferVerdict("feasible", certificate=cert)
-
-
-def _split_cm(vi, E, finv, m, md, codim):
-    tw = cm_twist_class(finv)
-    det_u = tw if m % 2 else SquareClass(1)
-    dim_c, det_c, sig_c = _complement_target(vi, det_u, md)
-    if sig_c[0] < 0 or sig_c[1] < 0:
-        return TransferVerdict("infeasible", obstruction={
-            "condition": "signature", "detail": "complement signature negative"})
-
-    # primes whose split status matters: everywhere the derived transfer-side
-    # Hasse set could be nontrivial
-    pool = _hasse_candidates(vi, det_u, det_c, extra_primes=finv.disc_class.primes())
-    statuses = {p: in_SE(E, p) for p in pool}
-    unknowns = tuple(p for p, st in statuses.items() if st == UNKNOWN)
-
-    def solve(required):
-        return _first_complement(
-            vi, det_u, md, extra_primes=finv.disc_class.primes(),
-            want={p: hyperbolic_bit(md // 2, p) for p in required})
-
-    strict_req = [p for p, st in statuses.items() if st in (IN, UNKNOWN)]
-    loose_req = [p for p, st in statuses.items() if st == IN]
-    found = solve(strict_req)
-    if found is None:
-        loose = solve(loose_req)
-        if loose is None:
-            return TransferVerdict("infeasible", obstruction={
-                "condition": "(iii)",
-                "detail": "no complement leaves the transfer side hyperbolic "
-                          "at the asserted split primes"})
-        if unknowns:
-            return TransferVerdict("needs_witness", obstruction={
-                "reason": "split-set-unknown", "primes": list(unknowns)})
-        return TransferVerdict("infeasible", obstruction={
-            "condition": "(iii)",
-            "detail": "no complement satisfies the split-prime pattern"})
-    ci, ui = found
-    cert = {
-        "m": m,
-        "degree": finv.degree,
-        "route": "split-prime-hyperbolic-pattern",
-        "transfer_invariants": invariants_to_json(ui),
-        "complement_invariants": invariants_to_json(ci),
-        "complement_diagonal": form_to_json(form_from_invariants(ci))["diagonal"],
-        "forced_determinant": rational_str(det_u.n),
-    }
-    _name_complement_shape(cert, ci)
-    if codim == 2:
-        cert["complement_count"] = ("unique-hyperbolic" if det_c == SquareClass(-1)
-                                    else "infinite-family")
-    return TransferVerdict("feasible", certificate=cert)
-
-
-def _name_complement_shape(cert: dict, ci: FormInvariants):
     if ci.dim == 1:
         cert["complement_shape"] = "forced-line"
         cert["forced_complement"] = rational_str(ci.det.n)
     elif ci.dim % 2 == 0 and ci == invariants(hyperbolic_sum(ci.dim // 2)):
         cert["complement_shape"] = "hyperbolic"
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -593,13 +569,12 @@ def validate_cm_rank2_complement(E, a, twisted: bool) -> TransferVerdict:
     a = Fraction(a)
     if a == 0:
         raise ValueError("zero entry")
-    if twisted:
-        sym = (-3, -2 * a)
-    else:
-        sym = (-1, -a)
-    support = hilbert_support(sym[0], sym[1])
+    sym = (-3, -2 * a) if twisted else (-1, -a)
+    primes_a = squarefree_class(a).primes()
+    # the constants -1, -2 and -3 add no prime beyond 2 and 3
+    support = support_at(sym[0], sym[1], primes_a + (3,))
     pool = {2}
-    pool.update(squarefree_class(a).primes())
+    pool.update(primes_a)
     pool.update(finv.disc_class.primes())
     pool.update(p for p in support if p != INF)
     hard, pending = split_prime_scan(E, sorted(pool), support.__contains__)
@@ -702,7 +677,8 @@ def construct_witness_quadratic(U: QuadraticForm, d: int, height: int = 4,
     disc_m = SquareClass(d) if m % 2 else SquareClass(1)
     target_norm = ui.det * disc_m
     if not is_norm_quadratic(d, target_norm.n):
-        place = _norm_obstruction_place(target_norm, d,
+        # is_norm_quadratic has checked that d is squarefree
+        place = _norm_obstruction_place(target_norm, SquareClass(d),
                                         totally_positive=False)
         return WitnessResult("not_found", obstruction={
             "condition": "determinant-norm", "place": place})

@@ -141,3 +141,38 @@ def test_split_past_trial_division(f, data):
     assert invariants(res.complement) == res.complement_invariants
     assert (reference_invariants(u.diagonal + res.complement.diagonal)
             == reference_invariants(f.diagonal))
+
+
+def _factorize_calls(monkeypatch):
+    from traceforms import exact
+    calls = []
+    factorize = exact.factorize
+
+    def counting(n, *args, **kwargs):
+        calls.append(n)
+        return factorize(n, *args, **kwargs)
+
+    monkeypatch.setattr(exact, "factorize", counting)
+    return calls
+
+
+def test_split_prime_queries_factor_each_class_once(monkeypatch):
+    from traceforms.numfields import ImagQuadratic, RealQuadratic
+    from traceforms.transfer import (
+        rm_transfer_feasible, validate_cm_rank2_complement,
+    )
+    E, F = ImagQuadratic(1), RealQuadratic(3)
+    U = QuadraticForm.make([1, 1, -1, -1, -1, -7000021])
+    validate_cm_rank2_complement(E, 1, False)
+    rm_transfer_feasible(F, U)
+    calls = _factorize_calls(monkeypatch)
+    for twisted in (False, True):
+        calls.clear()
+        assert validate_cm_rank2_complement(E, 7000021, twisted).feasible
+        assert calls == [7000021]
+    # the norm test factors the target class 3 * 7000021; the obstruction
+    # place reads the primes it carries
+    calls.clear()
+    v = rm_transfer_feasible(F, U)
+    assert v.obstruction["place"] == 3
+    assert calls.count(3 * 7000021) == 1

@@ -328,3 +328,25 @@ def test_form_invariants_of_a_semiprime_entry_still_exceeds_the_budget(
                          "--form", '{"diagonal": ["1000000016000000063", 2]}')
     assert code == EXIT_BUDGET
     assert doc["kind"] == "budget"
+
+
+def test_budget_errors_exit_4_from_every_handler(capsys):
+    """A number past trial division is a budget error (exit 4) wherever the
+    handler meets it, not a criterion error."""
+    n = "1000000016000000063"
+    queries = [
+        ("transfer-feasible", "--field", '{"kind": "real_quadratic", "d": 2}',
+         "--form", json.dumps({"diagonal": [n, 1, -1, -1, -1, -1]}),
+         "--mode", "rm"),
+        ("k3", "--field", json.dumps({"kind": "real_quadratic", "d": n}),
+         "--m", "3", "--mode", "rm"),
+        ("picard", "--form", json.dumps({"diagonal": [n, -1]}),
+         "--field", '{"kind": "imag_quadratic", "D": 1}',
+         "--m", "10", "--mode", "cm"),
+        ("elliptic", "--context", json.dumps(
+            {"case": "picard-form", "form": {"diagonal": [n, -1]}})),
+    ]
+    for argv in queries:
+        code, doc = run_json(capsys, *argv)
+        assert (code, doc["kind"]) == (EXIT_BUDGET, "budget"), argv[0]
+        assert n in doc["error"]

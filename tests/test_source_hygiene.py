@@ -2,7 +2,8 @@
 
 No `assert` statement: invariant guards must survive `python -O`, so they
 raise explicitly.  No imported name that its module never references
-(`from __future__ import annotations` is exempt).  The checks report through
+(`from __future__ import annotations` is exempt).  No private top-level
+definition that the library never refers to.  The checks report through
 `pytest.fail`, so they also run under `python -O`.
 """
 
@@ -44,6 +45,34 @@ def test_no_unused_imports(path):
     if unused:
         pytest.fail(f"{path.name}: unused imports "
                     + ", ".join(f"{name} (line {line})" for line, name in unused))
+
+
+def _references(stmt: ast.AST) -> set:
+    """Every name and attribute that a top-level statement refers to."""
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_private_definitions_have_a_caller():
+    defs, refs = [], []
+    for path in SOURCES:
+        for stmt in _tree(path).body:
+            refs.append((stmt, _references(stmt)))
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and stmt.name.startswith("_")
+                    and not stmt.name.startswith("__")):
+                defs.append((path.name, stmt))
+    dead = [f"{name}:{stmt.name} (line {stmt.lineno})" for name, stmt in defs
+            if not any(other is not stmt and stmt.name in used
+                       for other, used in refs)]
+    if dead:
+        pytest.fail("private definitions without a caller: " + ", ".join(dead))
 
 
 def test_sources_found():
