@@ -18,7 +18,6 @@ from .exact import (
     INF,
     Poly,
     SquareClass,
-    hilbert_support,
     is_square_at,
     signs_at_real_roots,
     squarefree_class,
@@ -488,10 +487,10 @@ def _split_rm(vi, E, finv, m, md, complement_hint):
     found = _first_complement(vi, disc_m * t, md)
     if found is None:
         raise RuntimeError("rm split without an admissible complement (bug)")
-    extra = {"embedding_signature": [2, m - 2]}
+    route, extra = "odd-degree-transfer", {"embedding_signature": [2, m - 2]}
     if d % 2 == 0:
+        route = "even-degree-norm-class"
         extra["norm_class"] = rational_str(t.n)
-    route = "even-degree-norm-class" if d % 2 == 0 else "odd-degree-transfer"
     return TransferVerdict("feasible", certificate=_split_certificate(
         finv, m, route, *found, extra))
 
@@ -759,7 +758,8 @@ def _aggregate(blocks):
     det = SquareClass(1)
     hasse = frozenset()
     for b in blocks:
-        hasse = hasse ^ b.inv.hasse ^ hilbert_support(det.n, b.inv.det.n)
+        hasse = hasse ^ b.inv.hasse ^ support_at(
+            det.n, b.inv.det.n, det.primes() + b.inv.det.primes())
         det = det * b.inv.det
     sig = (sum(b.inv.signature[0] for b in blocks),
            sum(b.inv.signature[1] for b in blocks))

@@ -6,7 +6,8 @@ from known entries is factored again.  These properties compare the carried
 primes with `sympy.factorint`, check that the carried data never takes part
 in equality or hashing, and run reciprocity, the invariants round trip and
 the splitting of a form at heights where a determinant is a product of two
-primes in (1e9, 2e9), beyond trial division.
+primes in (1e9, 2e9), beyond trial division.  A counting check shows that
+the split-prime queries factor each class once.
 """
 
 from fractions import Fraction
@@ -16,11 +17,16 @@ from hypothesis import strategies as st
 from sympy import factorint, nextprime
 
 from conftest import reference_invariants
+from traceforms import exact
 from traceforms.exact import (
     INF, SquareClass, hilbert_symbol, squarefree_class, support_at,
 )
+from traceforms.numfields import ImagQuadratic, RealQuadratic
 from traceforms.qforms import (
     QuadraticForm, form_from_invariants, invariants, split_complement,
+)
+from traceforms.transfer import (
+    rm_transfer_feasible, validate_cm_rank2_complement,
 )
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 1009, 1000003)
@@ -144,7 +150,6 @@ def test_split_past_trial_division(f, data):
 
 
 def _factorize_calls(monkeypatch):
-    from traceforms import exact
     calls = []
     factorize = exact.factorize
 
@@ -157,12 +162,9 @@ def _factorize_calls(monkeypatch):
 
 
 def test_split_prime_queries_factor_each_class_once(monkeypatch):
-    from traceforms.numfields import ImagQuadratic, RealQuadratic
-    from traceforms.transfer import (
-        rm_transfer_feasible, validate_cm_rank2_complement,
-    )
     E, F = ImagQuadratic(1), RealQuadratic(3)
     U = QuadraticForm.make([1, 1, -1, -1, -1, -7000021])
+    # warm the memoized field and form invariants, which are not counted
     validate_cm_rank2_complement(E, 1, False)
     rm_transfer_feasible(F, U)
     calls = _factorize_calls(monkeypatch)
