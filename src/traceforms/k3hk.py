@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .exact import SquareClass
@@ -71,9 +72,14 @@ def _negatives(count: int) -> QuadraticForm:
     return QuadraticForm.make([-1] * count)
 
 
+@lru_cache(maxsize=256, typed=True)
 def ambient(family: str, n: Optional[int] = None) -> AmbientSpace:
     """The rational second-cohomology form of one of the known deformation
     types, by family name.  Kummer and hilbk3 need the half-dimension n >= 2.
+
+    Memoized: the returned space is frozen, and an invalid family or n raises
+    again on every call.  Keys are typed, so n = 2 and n = 2.0 do not share
+    an entry (their labels differ).
     """
     key = family.strip().lower()
     if key in ("kummer", "hilbk3"):
@@ -321,7 +327,8 @@ def picard_compatible(L, E, m: int, mode: str,
 
 def _attach_shortcut_warning(verdict: TransferVerdict, E: RealQuadratic,
                              li) -> TransferVerdict:
-    stated = lambda_plus_quadratic(E.d, (li.det * SquareClass(E.d)).n)
+    disc = field_invariants(E).disc_class
+    stated = lambda_plus_quadratic(disc, li.det * disc)
     derived = verdict.status == "feasible"
     if stated == derived:
         return verdict

@@ -19,12 +19,12 @@ from .exact import (
     SquareClass,
     count_real_roots,
     factorize,
-    hilbert_support,
     is_prime,
     is_square_at,
     norm_via_resultant,
     signs_at_real_roots,
     squarefree_class,
+    support_at,
 )
 
 
@@ -276,36 +276,42 @@ def in_SE(E, p: int) -> str:
 # norms and totally positive norms from quadratic fields
 
 
-def is_norm_quadratic(d: int, a) -> bool:
+def is_norm_quadratic(d, a) -> bool:
     """Is the rational a a norm from Q(sqrt(d))?  Purely local: the symbol
     (a, d) must vanish everywhere, and only finitely many places can carry
-    it.
+    it.  Either argument may be a square class; one that carries its primes
+    is not factored again, and a bare d or a is factored once.
 
     >>> is_norm_quadratic(5, -1)
     True
     >>> is_norm_quadratic(3, 3)
     False
     """
-    if d in (0, 1):
+    if not isinstance(d, SquareClass):
+        if d in (0, 1):
+            raise ValueError("need a nonsquare d")
+        d = SquareClass(d, _check_squarefree(abs(d), "d"))
+    elif d.n == 1:
         raise ValueError("need a nonsquare d")
-    _check_squarefree(abs(d), "d")
-    a = Fraction(a)
-    if a == 0:
-        raise ValueError("norm test needs a nonzero rational")
-    return len(hilbert_support(a, d)) == 0
+    if not isinstance(a, SquareClass):
+        a = Fraction(a)
+        if a == 0:
+            raise ValueError("norm test needs a nonzero rational")
+        a = squarefree_class(a)
+    return not support_at(a.n, d.n, a.primes() + d.primes())
 
 
-def lambda_plus_quadratic(d: int, a) -> bool:
+def lambda_plus_quadratic(d, a) -> bool:
     """Is the class of a the norm class of a totally positive element of
     Q(sqrt(d))?  For real quadratic fields this is exactly "positive and a
     norm": a norm of positive rational value is the norm of a totally
     positive or totally negative element, and the latter negates into the
-    former without changing the norm.
+    former without changing the norm.  As in `is_norm_quadratic`, either
+    argument may be a square class that carries its primes.
     """
-    if d < 2:
+    if (d.n if isinstance(d, SquareClass) else d) < 2:
         raise ValueError("need a real quadratic field")
-    a = Fraction(a)
-    if a <= 0:
+    if (a.n if isinstance(a, SquareClass) else Fraction(a)) <= 0:
         return False
     return is_norm_quadratic(d, a)
 

@@ -49,21 +49,25 @@ class QuadraticForm:
 
     `known_classes` holds, per entry, the square class of that entry when the
     code that built the form already knew it (with its primes), and None
-    otherwise.  It takes no part in equality or hashing.
+    otherwise.  It takes no part in equality or hashing.  The hash is that of
+    the diagonal, computed once: forms are cache keys of `invariants`.
     """
 
     diagonal: tuple
     known_classes: Optional[tuple] = field(default=None, compare=False)
 
     def __post_init__(self):
-        # a list diagonal would make the form unhashable, and forms are
-        # cache keys of `invariants`
+        # a list diagonal would make the form unhashable
         object.__setattr__(self, "diagonal", tuple(self.diagonal))
         known = self.known_classes
         known = (None,) * len(self.diagonal) if known is None else tuple(known)
         if len(known) != len(self.diagonal):
             raise ValueError("one known class per diagonal entry")
         object.__setattr__(self, "known_classes", known)
+        object.__setattr__(self, "_hash", hash(self.diagonal))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def make(entries: Sequence[Rational],
@@ -105,6 +109,12 @@ class FormInvariants:
     signature: Tuple[int, int]
     hasse: frozenset  # places where the Hasse invariant is nontrivial
 
+    def __post_init__(self):
+        # a set or list would make the invariants unhashable, and they are
+        # cache keys of `form_from_invariants`
+        object.__setattr__(self, "signature", tuple(self.signature))
+        object.__setattr__(self, "hasse", frozenset(self.hasse))
+
     def hasse_bit(self, place) -> int:
         return 1 if place in self.hasse else 0
 
@@ -122,6 +132,16 @@ def hyperbolic_sum(t: int) -> QuadraticForm:
     if t < 1:
         raise ValueError("need at least one plane")
     return QuadraticForm.make([1, -1] * t)
+
+
+def hyperbolic_invariants(t: int) -> FormInvariants:
+    """The invariants of a sum of t hyperbolic planes, written down: they
+    equal `invariants(hyperbolic_sum(t))`."""
+    if t < 1:
+        raise ValueError("need at least one plane")
+    return FormInvariants(2 * t, SquareClass((-1) ** t), (t, t),
+                          frozenset(v for v in (2, INF)
+                                    if hyperbolic_bit(t, v)))
 
 
 def diagonalize(gram: Sequence[Sequence[Rational]]) -> QuadraticForm:
@@ -300,6 +320,7 @@ def _small_squareclass_candidates(base_primes, sign_ok, aux_limit=2000):
                     yield sgn * c * q, combo + extra
 
 
+@lru_cache(maxsize=4096)
 def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
     """Build a diagonal form realizing an admissible invariant tuple.
 
@@ -309,6 +330,11 @@ def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
     it carries its primes; every later Hasse support is evaluated at known
     primes.  The form carries the class of every entry.  Deterministic: the
     same invariants always give the same form.
+
+    Memoized: the invariants and the returned form are both frozen.  The memo
+    key ignores the primes the determinant carries, so an equal tuple without
+    them can hit the cache and skip the factorization.  A contradiction is
+    raised again on every call.
     """
     validate_invariants(inv)
     n, det, (r, s), hasse = inv.dim, inv.det, inv.signature, inv.hasse

@@ -44,7 +44,7 @@ from .qforms import (
     diagonalize,
     form_from_invariants,
     hyperbolic_bit,
-    hyperbolic_sum,
+    hyperbolic_invariants,
     invariants,
     is_isomorphic,
     validate_invariants,
@@ -296,7 +296,7 @@ def rm_transfer_feasible(E, U: QuadraticForm,
             "m": m, "degree": d, "route": "odd-degree-transfer"})
     target = ui.det * (finv.disc_class if m % 2 else SquareClass(1))
     if isinstance(E, RealQuadratic):
-        if lambda_plus_quadratic(E.d, target.n):
+        if lambda_plus_quadratic(finv.disc_class, target):
             return TransferVerdict("feasible", certificate={
                 "m": m, "degree": d, "route": "even-degree-norm-class",
                 "norm_class": rational_str(target.n)})
@@ -473,7 +473,7 @@ def _split_rm(vi, E, finv, m, md, complement_hint):
             if not isinstance(E, RealQuadratic):
                 return TransferVerdict("needs_witness", obstruction={
                     "reason": "norm-class-witness-needed"})
-            if not lambda_plus_quadratic(E.d, t.n):
+            if not lambda_plus_quadratic(finv.disc_class, t):
                 return TransferVerdict("infeasible", obstruction={
                     "condition": "norm-class",
                     "place": _norm_obstruction_place(t, finv.disc_class),
@@ -548,7 +548,7 @@ def _split_certificate(finv, m, route, ci, ui, extra) -> dict:
     if ci.dim == 1:
         cert["complement_shape"] = "forced-line"
         cert["forced_complement"] = rational_str(ci.det.n)
-    elif ci.dim % 2 == 0 and ci == invariants(hyperbolic_sum(ci.dim // 2)):
+    elif ci.dim % 2 == 0 and ci == hyperbolic_invariants(ci.dim // 2):
         cert["complement_shape"] = "hyperbolic"
     return cert
 

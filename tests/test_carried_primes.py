@@ -6,8 +6,8 @@ from known entries is factored again.  These properties compare the carried
 primes with `sympy.factorint`, check that the carried data never takes part
 in equality or hashing, and run reciprocity, the invariants round trip and
 the splitting of a form at heights where a determinant is a product of two
-primes in (1e9, 2e9), beyond trial division.  A counting check shows that
-the split-prime queries factor each class once.
+primes in (1e9, 2e9), beyond trial division.  Counting checks show that
+the split-prime queries factor each class once and the norm test none.
 """
 
 from fractions import Fraction
@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 from sympy import factorint, nextprime
 
 from conftest import reference_invariants
-from traceforms import exact
+from traceforms import exact, numfields
 from traceforms.exact import (
     INF, SquareClass, hilbert_symbol, squarefree_class, support_at,
 )
-from traceforms.numfields import ImagQuadratic, RealQuadratic
+from traceforms.numfields import (
+    ImagQuadratic, RealQuadratic, _field_invariants,
+)
 from traceforms.qforms import (
     QuadraticForm, form_from_invariants, invariants, split_complement,
 )
@@ -172,9 +174,22 @@ def test_split_prime_queries_factor_each_class_once(monkeypatch):
         calls.clear()
         assert validate_cm_rank2_complement(E, 7000021, twisted).feasible
         assert calls == [7000021]
-    # the norm test factors the target class 3 * 7000021; the obstruction
-    # place reads the primes it carries
+    # the norm test and the obstruction place read the primes that the
+    # target class 3 * 7000021 carries
     calls.clear()
     v = rm_transfer_feasible(F, U)
     assert v.obstruction["place"] == 3
-    assert calls.count(3 * 7000021) == 1
+    assert calls == []
+
+
+def test_norm_test_reads_carried_primes(monkeypatch):
+    # cold memos: the field's d, the entries, and nothing from the norm test,
+    # which once factored d, the target class 3 * 7000021 and d again
+    _field_invariants.cache_clear()
+    invariants.cache_clear()
+    calls = _factorize_calls(monkeypatch)
+    monkeypatch.setattr(numfields, "factorize", exact.factorize)
+    v = rm_transfer_feasible(RealQuadratic(3),
+                             QuadraticForm.make([1, 1, -1, -1, -1, -7000021]))
+    assert v.status == "infeasible"
+    assert calls == [3, 1, 1, 1, 1, 1, 7000021]

@@ -1,9 +1,11 @@
 """The full 7-family realizability grid, both modes, md_bound 23, rendered
 as JSON by scripts/run_realizability_grids.py, against the committed golden
-bytes of the benchmark."""
+bytes of the benchmark, once and twice in one process."""
 
 import importlib.util
 from pathlib import Path
+
+from traceforms.qforms import form_from_invariants
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "perfbench" / "golden" / "grid.json"
@@ -22,3 +24,16 @@ def test_grid_matches_golden_bytes(capsys):
     assert _grid_script().main(["--format", "json", "--md-bound", "23"]) == 0
     out = capsys.readouterr().out
     assert out.encode() == GOLDEN.read_bytes()
+
+
+def test_grid_twice_in_one_process(capsys):
+    # the second run reads every construction from the memo, so a caller
+    # that mutated a memoized object would change its bytes
+    form_from_invariants.cache_clear()
+    script = _grid_script()
+    for _ in range(2):
+        assert script.main(["--format", "json", "--md-bound", "23"]) == 0
+        out = capsys.readouterr().out
+        assert out.encode() == GOLDEN.read_bytes()
+    # 201 distinct complements among the 638 feasible rows of each run
+    assert form_from_invariants.cache_info().misses == 201

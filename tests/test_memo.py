@@ -1,10 +1,13 @@
-"""The memoized pure functions, `qforms.invariants` and
-`numfields.field_invariants`: inputs built from lists still work, and
-errors are raised again on every call instead of being cached."""
+"""The memoized pure functions, `qforms.invariants`,
+`qforms.form_from_invariants`, `k3hk.ambient` and
+`numfields.field_invariants`: inputs built from lists or sets still work,
+memoized answers equal fresh ones, errors are raised again on every call
+instead of being cached, and a form hashes as its diagonal."""
 
 import pytest
 
-from traceforms.exact import FactorizationBudgetError, SquareClass
+from traceforms.exact import INF, FactorizationBudgetError, SquareClass
+from traceforms.k3hk import ambient
 from traceforms.numfields import (
     IN,
     DescriptorError,
@@ -14,7 +17,13 @@ from traceforms.numfields import (
     field_invariants,
     in_SE,
 )
-from traceforms.qforms import QuadraticForm, invariants
+from traceforms.qforms import (
+    FormInvariants,
+    InvariantContradiction,
+    QuadraticForm,
+    form_from_invariants,
+    invariants,
+)
 
 
 def test_form_from_a_list_is_a_cache_key():
@@ -58,3 +67,53 @@ def test_descriptor_errors_are_not_cached(desc):
     for _ in range(2):
         with pytest.raises(DescriptorError):
             field_invariants(desc)
+
+
+def test_invariants_from_a_set_and_a_list_are_a_cache_key():
+    fi = FormInvariants(3, SquareClass(-15), [2, 1], {2, 5})
+    assert fi.signature == (2, 1) and fi.hasse == frozenset({2, 5})
+    assert fi == FormInvariants(3, SquareClass(-15), (2, 1), frozenset({2, 5}))
+    f = form_from_invariants(fi)
+    assert f == QuadraticForm.make([1, -2, 30])
+    assert invariants(f) == fi
+
+
+@pytest.mark.parametrize("fi", [
+    FormInvariants(1, SquareClass(-3), (0, 1), frozenset()),
+    FormInvariants(3, SquareClass(-15), (2, 1), frozenset({2, 5})),
+    FormInvariants(4, SquareClass(7), (2, 2), frozenset({3, INF})),
+    invariants(QuadraticForm.make([1, -1] * 3 + [-1] * 16)),
+])
+def test_form_from_invariants_equals_a_fresh_construction(fi):
+    assert form_from_invariants(fi) == form_from_invariants.__wrapped__(fi)
+
+
+@pytest.mark.parametrize("family, n", [
+    ("k3", None), ("kummer", 2), ("og6", None), ("hilbk3", 3),
+    ("og10", None), (" K3 ", None),
+])
+def test_ambient_equals_a_fresh_construction(family, n):
+    assert ambient(family, n) == ambient.__wrapped__(family, n)
+
+
+def test_contradictions_are_not_cached():
+    odd = FormInvariants(3, SquareClass(-15), (2, 1), frozenset({5}))
+    for _ in range(2):
+        with pytest.raises(InvariantContradiction) as err:
+            form_from_invariants(odd)
+        assert err.value.condition == "reciprocity"
+
+
+@pytest.mark.parametrize("family, n", [("kummer", None), ("k3", 2)])
+def test_ambient_errors_are_not_cached(family, n):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            ambient(family, n)
+
+
+def test_form_hash_is_the_diagonal_hash():
+    g = form_from_invariants(invariants(QuadraticForm.make([3, -5, 7, 11])))
+    bare = QuadraticForm.make(g.diagonal)
+    assert g.known_classes != bare.known_classes
+    assert g == bare
+    assert hash(g) == hash(bare) == hash(g.diagonal)

@@ -23,6 +23,7 @@ from traceforms.qforms import (
     diagonalize,
     form_from_invariants,
     hyperbolic_bit,
+    hyperbolic_invariants,
     hyperbolic_plane,
     hyperbolic_sum,
     invariants,
@@ -113,6 +114,13 @@ def test_hyperbolic_tower():
         assert fi.signature == (n, n)
         # the 2-bit and the infinity-bit always agree for split towers
         assert fi.hasse_bit(INF) == expected_bit
+
+
+def test_hyperbolic_invariants_are_written_down():
+    for t in range(1, 13):
+        assert hyperbolic_invariants(t) == invariants(hyperbolic_sum(t))
+    with pytest.raises(ValueError):
+        hyperbolic_invariants(0)
 
 
 def test_scaling_invariance():
