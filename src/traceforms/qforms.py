@@ -21,6 +21,7 @@ from typing import Optional, Sequence, Tuple
 from .exact import (
     INF,
     DEFAULT_FACTOR_BUDGET,
+    FactorizationBudgetError,
     Rational,
     SquareClass,
     hilbert_symbol,
@@ -298,11 +299,9 @@ def validate_invariants(inv: FormInvariants) -> None:
         raise InvariantContradiction("reciprocity", "odd Hasse support")
 
 
-def _small_squareclass_candidates(base_primes, sign_ok, aux_limit=2000):
-    """Deterministic stream of squarefree integers built from the given
-    primes plus at most one auxiliary prime, for the rank-2 search.  Each
-    comes as (value, its primes)."""
-    base = sorted(set(base_primes))
+def _squareclass_cores(base):
+    """The products of the subsets of the sorted primes `base`, ascending,
+    each as (value, its primes)."""
     cores = [(1, ())]
     for k in range(1, len(base) + 1):
         for combo in combinations(base, k):
@@ -311,8 +310,23 @@ def _small_squareclass_candidates(base_primes, sign_ok, aux_limit=2000):
                 c *= p
             cores.append((c, combo))
     cores.sort()
-    auxes = [1] + [q for q in primes_below(aux_limit) if q not in base]
-    for q in auxes:
+    return cores
+
+
+def _aux_primes(base, aux_limit):
+    """1 and the primes below `aux_limit` outside `base`.  The construction
+    searches try sgn * core * q, walking q first, then the core, then the
+    sign."""
+    return [1] + [q for q in primes_below(aux_limit) if q not in base]
+
+
+def _small_squareclass_candidates(base_primes, sign_ok, aux_limit=2000):
+    """Deterministic stream of squarefree integers built from the given
+    primes plus at most one auxiliary prime, for the rank-3 search.  Each
+    comes as (value, its primes)."""
+    base = sorted(set(base_primes))
+    cores = _squareclass_cores(base)
+    for q in _aux_primes(base, aux_limit):
         extra = (q,) if q > 1 else ()
         for c, combo in cores:
             for sgn in (1, -1):
@@ -377,25 +391,65 @@ def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
 def _rank2_from_invariants(head, det: SquareClass, sig,
                            hasse) -> QuadraticForm:
     """The entries of `head` (square classes) followed by <a, a*det> with
-    Hasse set `hasse`; det carries its primes."""
+    Hasse set `hasse`; det carries its primes.
+
+    The first candidate a = sgn * core * q whose symbol (a, -det) has support
+    `hasse` is taken.  The symbol is bilinear, so that support is the
+    symmetric difference of the supports of the factors -1, the primes of the
+    core and q (Serre, A Course in Arithmetic, III.1.1): each factor's
+    support is evaluated once, as a bit mask over the places of `base` and
+    INF, and a candidate costs one XOR.  At the place q only the factor q can
+    be nontrivial, and q is not in `hasse`, so a q in its own support is
+    skipped with all its candidates.
+    """
     r, s = sig
     minus_det = -det
     det_primes = det.primes()
-
-    def sign_ok(sgn):
-        if det.n > 0:
-            return (sgn > 0) == (r == 2)
-        return True
-
+    signs = (1, -1) if det.n < 0 else ((1,) if r == 2 else (-1,))
     target = frozenset(hasse)
     base = set(det_primes) | {2}
     base.update(v for v in target if v != INF)
-    for a, a_primes in _small_squareclass_candidates(sorted(base), sign_ok):
-        if support_at(a, minus_det.n, a_primes + det_primes) == target:
-            ca = SquareClass(a, frozenset(a_primes))
-            classes = head + [ca, ca * det]
-            return QuadraticForm.make([c.n for c in head] + [a, a * det.n],
-                                      classes)
+    base = sorted(base)
+    bits = {v: 1 << i for i, v in enumerate(base + [INF])}
+    masks = {}
+
+    def mask(x):
+        """The support of (x, -det) as a bit mask, for x = -1, a prime of
+        `base` or an auxiliary prime; None for an auxiliary prime in its
+        own support, the one place outside `bits` a support can hold."""
+        if x not in masks:
+            supp = support_at(x, minus_det.n,
+                              det_primes + ((x,) if x > 0 else ()))
+            masks[x] = (None if x in supp and x not in bits
+                        else sum(bits[v] for v in supp))
+        return masks[x]
+
+    want = sum(bits[v] for v in target)
+    cores = _squareclass_cores(base)
+    core_masks = [None] * len(cores)
+    for q in _aux_primes(base, 2000):
+        q_mask = 0 if q == 1 else mask(q)
+        if q_mask is None:
+            continue
+        for i, (core, combo) in enumerate(cores):
+            if core_masks[i] is None:
+                core_masks[i] = 0
+                for p in combo:
+                    core_masks[i] ^= mask(p)
+            for sgn in signs:
+                score = core_masks[i] ^ q_mask ^ (mask(-1) if sgn < 0 else 0)
+                if score != want:
+                    continue
+                a = sgn * core * q
+                a_primes = combo + ((q,) if q > 1 else ())
+                if support_at(a, minus_det.n, a_primes + det_primes) != target:
+                    raise RuntimeError(
+                        "rank-2 bilinear score disagrees with the support "
+                        "(bug)")
+                ca = SquareClass(a, frozenset(a_primes))
+                classes = head + [ca, ca * det]
+                return QuadraticForm.make([c.n for c in head] + [a, a * det.n],
+                                          classes)
     raise RuntimeError("rank-2 construction search exhausted (bug)")
 
 
@@ -572,11 +626,24 @@ def _isotropy_witness(f: QuadraticForm, height: int, budget: int):
     nums = [e.numerator for e in d]
     dens = [e.denominator for e in d]
     ys = range(-height, height + 1)
+    # a triple whose ternary subform is anisotropic cannot hit, so its steps
+    # are charged without being taken; each unordered triple is decided once
+    triple_steps = height * len(ys)
+    classes = _entry_classes(f)
+    anisotropic = {}
     work = 0
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
                 if k in (i, j):
+                    continue
+                key = tuple(sorted((i, j, k)))
+                if key not in anisotropic:
+                    anisotropic[key] = _anisotropic_subform(f, classes, key)
+                if anisotropic[key]:
+                    work += triple_steps
+                    if work > budget:
+                        return None
                     continue
                 c = -nums[k] * dens[i] * dens[j] * dens[k]
                 a = nums[i] * dens[j] * c
@@ -603,6 +670,26 @@ def _isotropy_witness(f: QuadraticForm, height: int, budget: int):
                         vec[k] = t
                         return _checked_witness(f, vec)
     return None
+
+
+def _entry_classes(f: QuadraticForm):
+    """The square classes of the entries of f, or None when an entry resists
+    factoring."""
+    try:
+        return f.classes()
+    except FactorizationBudgetError:
+        return None
+
+
+def _anisotropic_subform(f: QuadraticForm, classes, key) -> bool:
+    """Is the subform of f on the entries `key` anisotropic?  Decided by the
+    local-global principle (Serre, A Course in Arithmetic, IV.3.2) from the
+    entry classes; without them nothing is proved."""
+    if classes is None:
+        return False
+    sub = QuadraticForm(tuple(f.diagonal[t] for t in key),
+                        tuple(classes[t] for t in key))
+    return _local_obstruction(invariants(sub)) is not None
 
 
 def _square_residues(modulus: int) -> bytes:

@@ -31,6 +31,7 @@ from .numfields import (
     GeneralTotallyReal,
     ImagQuadratic,
     RealQuadratic,
+    _check_squarefree,
     field_invariants,
     in_SE,
     is_norm_quadratic,
@@ -673,11 +674,10 @@ def construct_witness_quadratic(U: QuadraticForm, d: int, height: int = 4,
         return WitnessResult("not_found", obstruction={
             "condition": "(i)", "detail": "odd dimension"})
     m = ui.dim // 2
-    disc_m = SquareClass(d) if m % 2 else SquareClass(1)
-    target_norm = ui.det * disc_m
-    if not is_norm_quadratic(d, target_norm.n):
-        # is_norm_quadratic has checked that d is squarefree
-        place = _norm_obstruction_place(target_norm, SquareClass(d),
+    disc = SquareClass(d, _check_squarefree(d, "d"))
+    target_norm = ui.det * disc if m % 2 else ui.det
+    if not is_norm_quadratic(disc, target_norm):
+        place = _norm_obstruction_place(target_norm, disc,
                                         totally_positive=False)
         return WitnessResult("not_found", obstruction={
             "condition": "determinant-norm", "place": place})

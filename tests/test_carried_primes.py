@@ -7,7 +7,8 @@ primes with `sympy.factorint`, check that the carried data never takes part
 in equality or hashing, and run reciprocity, the invariants round trip and
 the splitting of a form at heights where a determinant is a product of two
 primes in (1e9, 2e9), beyond trial division.  Counting checks show that
-the split-prime queries factor each class once and the norm test none.
+the split-prime queries factor each class once, the norm test none, and
+the witness construction each entry and d once.
 """
 
 from fractions import Fraction
@@ -28,7 +29,8 @@ from traceforms.qforms import (
     QuadraticForm, form_from_invariants, invariants, split_complement,
 )
 from traceforms.transfer import (
-    rm_transfer_feasible, validate_cm_rank2_complement,
+    WitnessResult, construct_witness_quadratic, rm_transfer_feasible,
+    validate_cm_rank2_complement,
 )
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 1009, 1000003)
@@ -193,3 +195,17 @@ def test_norm_test_reads_carried_primes(monkeypatch):
                              QuadraticForm.make([1, 1, -1, -1, -1, -7000021]))
     assert v.status == "infeasible"
     assert calls == [3, 1, 1, 1, 1, 1, 7000021]
+
+
+def test_witness_construction_factors_d_once(monkeypatch):
+    # the entries of U and then d, checked squarefree; the norm test and the
+    # obstruction place read the primes of d and of the target class, which
+    # they once factored again as 7, 7, 7
+    construct_witness_quadratic(QuadraticForm.make([1, 1, -1, -5]), 7)
+    invariants.cache_clear()
+    calls = _factorize_calls(monkeypatch)
+    monkeypatch.setattr(numfields, "factorize", exact.factorize)
+    res = construct_witness_quadratic(QuadraticForm.make([1, 1, -1, -7]), 7)
+    assert res == WitnessResult("not_found", obstruction={
+        "condition": "determinant-norm", "place": 7})
+    assert calls == [1, 1, 1, 7, 7]
