@@ -7,51 +7,20 @@ out on stdout (tables also come as csv or markdown on request).  Exit codes:
 """
 
 import argparse
-import csv
 import io
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+# A cold `tf` query compiles and runs every module it imports, so only the
+# form layers load here; whatever needs numfields, transfer or k3hk imports
+# the names it uses inside the function.
 from .exact import DEFAULT_FACTOR_BUDGET, FactorizationBudgetError, Poly
-from .numfields import (
-    Cyclotomic,
-    DescriptorError,
-    GeneralTotallyReal,
-    ImagQuadratic,
-    RealQuadratic,
-    desc_from_json,
-    field_invariants,
-)
 from .qforms import (
-    WITNESS_BUDGET,
-    QuadraticForm,
-    form_from_json,
-    form_to_json,
-    invariants,
-    invariants_to_json,
-    is_isomorphic,
-    place_str,
-    place_to_json,
-    rational_str,
-    represents_zero,
-    split_complement,
-)
-from .transfer import (
-    QuadFieldElement,
-    cm_transfer_feasible,
-    rm_transfer_feasible,
-    transfer_hermitian_imagquad,
-    transfer_quadratic,
-)
-from .k3hk import (
-    ambient,
-    elliptic_fibration_verdict,
-    famous_examples,
-    hk_realizable,
-    picard_compatible,
-    report_to_json,
+    WITNESS_BUDGET, QuadraticForm, form_from_json, form_to_json, invariants,
+    invariants_to_json, is_isomorphic, place_str, place_to_json, rational_str,
+    represents_zero, split_complement,
 )
 
 EXIT_OK = 0
@@ -138,6 +107,7 @@ def parse_budget(budget: int) -> int:
 
 
 def parse_field(raw: str):
+    from .numfields import DescriptorError, desc_from_json
     obj = parse_json_arg(raw, "field")
     try:
         return desc_from_json(obj)
@@ -149,6 +119,8 @@ def parse_entries(E, raw: str):
     """Diagonal entries of a form over E: pairs [a, b] meaning a + b*sqrt(d)
     over a real quadratic field, plain rationals over an imaginary quadratic
     one."""
+    from .numfields import ImagQuadratic, RealQuadratic
+    from .transfer import QuadFieldElement
     obj = parse_json_arg(raw, "entries")
     if not isinstance(obj, list) or not obj:
         raise SchemaError("entries: need a nonempty JSON array")
@@ -170,6 +142,8 @@ def parse_entries(E, raw: str):
 
 
 def parse_witness(E, raw: str):
+    from .numfields import RealQuadratic
+    from .transfer import QuadFieldElement
     obj = parse_json_arg(raw, "witness")
     if not isinstance(obj, list):
         raise SchemaError("witness: need a JSON array")
@@ -208,6 +182,8 @@ def load_catalog(path=None) -> dict:
 
 def catalog_fields(cat: dict, mode: str):
     """(label, descriptor) pairs for one mode, sorted by (degree, label)."""
+    from .numfields import (Cyclotomic, GeneralTotallyReal, ImagQuadratic,
+                            RealQuadratic, field_invariants)
     out = []
     if mode == "rm":
         for d in cat["totally_real"].get("quadratic", ()):
@@ -229,6 +205,7 @@ def catalog_fields(cat: dict, mode: str):
 
 def parse_families(raw: str):
     """Comma list like "k3,kummer:2,og6,hilbk3:2,og10" into ambient family tokens."""
+    from .k3hk import ambient
     out = []
     for token in raw.split(","):
         token = token.strip()
@@ -266,6 +243,7 @@ def _row_criterion(rep) -> str:
 
 
 def tabulate_rows(mode: str, families, fields, md_bound: int):
+    from .k3hk import hk_realizable
     rows = []
     min_m = 3 if mode == "rm" else 1
     for label, fam, n in sorted(families, key=lambda t: t[0]):
@@ -299,6 +277,7 @@ def render_table(rows, fmt: str) -> str:
         return json.dumps({"rows": rows, "count": len(rows)},
                           sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(_COLUMNS)
@@ -359,6 +338,8 @@ def cmd_represents_zero(args) -> dict:
 
 
 def cmd_transfer_compute(args) -> dict:
+    from .numfields import RealQuadratic
+    from .transfer import transfer_hermitian_imagquad, transfer_quadratic
     E = parse_field(args.field)
     entries = parse_entries(E, args.entries)
     if isinstance(E, RealQuadratic):
@@ -370,6 +351,7 @@ def cmd_transfer_compute(args) -> dict:
 
 
 def cmd_transfer_feasible(args) -> dict:
+    from .transfer import cm_transfer_feasible, rm_transfer_feasible
     E = parse_field(args.field)
     f = parse_form(args.form)
     witness = parse_witness(E, args.witness) if args.witness else None
@@ -381,12 +363,14 @@ def cmd_transfer_feasible(args) -> dict:
 
 
 def cmd_hk(args) -> dict:
+    from .k3hk import hk_realizable, report_to_json
     E = parse_field(args.field)
     rep = hk_realizable(args.family, args.n, E, args.m, args.mode)
     return jsonable(report_to_json(rep))
 
 
 def cmd_picard(args) -> dict:
+    from .k3hk import picard_compatible
     E = parse_field(args.field)
     f = parse_form(args.form)
     witness = parse_witness(E, args.witness) if args.witness else None
@@ -395,6 +379,8 @@ def cmd_picard(args) -> dict:
 
 
 def cmd_elliptic(args) -> dict:
+    from .k3hk import elliptic_fibration_verdict, famous_examples
+    from .numfields import DescriptorError, desc_from_json
     if (args.case is None) == (args.context is None):
         raise SchemaError("elliptic: pass exactly one of --case, --context")
     if args.case is not None:

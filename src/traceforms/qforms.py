@@ -85,9 +85,19 @@ class QuadraticForm:
         return len(self.diagonal)
 
     def classes(self, budget: int = DEFAULT_FACTOR_BUDGET) -> tuple:
-        """The square class of every entry, factoring only the unknown ones."""
-        return tuple(squarefree_class(e, budget) if c is None else c
-                     for e, c in zip(self.diagonal, self.known_classes))
+        """The square class of every entry, factoring only the unknown ones.
+        What it factors, the form keeps with the budget used, so a second
+        call with that budget factors nothing, and a call with another
+        budget factors (and may raise) as the first one would."""
+        known = self.known_classes
+        if None not in known:
+            return known
+        kept = getattr(self, "_classes", None)
+        if kept is None or kept[0] != budget:
+            kept = (budget, tuple(squarefree_class(e, budget) if c is None
+                                  else c for e, c in zip(self.diagonal, known)))
+            object.__setattr__(self, "_classes", kept)
+        return kept[1]
 
     def direct_sum(self, other: "QuadraticForm") -> "QuadraticForm":
         return QuadraticForm(self.diagonal + other.diagonal,

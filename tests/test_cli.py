@@ -8,9 +8,15 @@ import pytest
 
 from conftest import reference_invariants
 from traceforms.cli import (
-    EXIT_BUDGET, EXIT_CRITERION, EXIT_OK, EXIT_SCHEMA, main,
+    EXIT_BUDGET, EXIT_CRITERION, EXIT_OK, EXIT_SCHEMA, catalog_fields,
+    load_catalog, main, parse_families, render_table, tabulate_rows,
+    verdict_json,
 )
-from traceforms.exact import INF, hilbert_symbol
+from traceforms.exact import INF, Poly, hilbert_symbol
+from traceforms.k3hk import picard_compatible
+from traceforms.numfields import GeneralTotallyReal, RealQuadratic
+from traceforms.qforms import QuadraticForm
+from traceforms.transfer import QuadFieldElement, rm_transfer_feasible
 
 K3_DIAG = json.dumps({"diagonal": [1, -1] * 3 + [-1] * 16})
 
@@ -350,3 +356,65 @@ def test_budget_errors_exit_4_from_every_handler(capsys):
         code, doc = run_json(capsys, *argv)
         assert (code, doc["kind"]) == (EXIT_BUDGET, "budget"), argv[0]
         assert n in doc["error"]
+
+
+# ---------------------------------------------------------------------------
+# --witness and --catalog, against the library calls they stand for
+
+# 2cos(2 pi / 13): a totally real sextic, where a witness decides rm
+SEXTIC = [-1, 3, 6, -4, -5, 1, 1]
+
+
+def test_transfer_feasible_rm_witness_over_a_real_quadratic_field(capsys):
+    # the witness parses to a field element; over a real quadratic field
+    # the norm class is decided outright, with or without it
+    form = [1, 1, -1, -1, -1, -1]
+    code, doc = run_json(
+        capsys, "transfer-feasible",
+        "--field", '{"kind": "real_quadratic", "d": 2}',
+        "--form", json.dumps({"diagonal": form}), "--mode", "rm",
+        "--witness", "[3, 1]")
+    witness = QuadFieldElement.make(Fraction(3), Fraction(1))
+    want = rm_transfer_feasible(RealQuadratic(2), QuadraticForm.make(form),
+                                witness=witness)
+    assert code == EXIT_OK
+    assert doc == verdict_json(want)
+    assert doc["feasible"] is True
+
+
+@pytest.mark.parametrize("witness, status", [
+    ([2, -1], "feasible"),           # 2 - x has norm class 13
+    ([1], "needs_witness"),          # norm 1: rejected
+])
+def test_picard_witness_over_a_totally_real_sextic(capsys, witness, status):
+    code, doc = run_json(
+        capsys, "picard", "--form", '{"diagonal": [1, -1, -1, -1]}',
+        "--field", json.dumps({"kind": "general_tr", "minpoly": SEXTIC}),
+        "--m", "3", "--mode", "rm", "--witness", json.dumps(witness))
+    E = GeneralTotallyReal(tuple(Fraction(c) for c in SEXTIC))
+    want = picard_compatible(QuadraticForm.make([1, -1, -1, -1]), E, 3, "rm",
+                             witness=Poly.make([Fraction(c) for c in witness]))
+    assert code == EXIT_OK
+    assert doc == verdict_json(want)
+    assert doc["status"] == status
+
+
+@pytest.mark.parametrize("mode, fmt", [("rm", "json"), ("cm", "csv")])
+def test_tabulate_from_a_catalog_file(capsys, tmp_path, mode, fmt):
+    catalog = {
+        "totally_real": {"quadratic": [5],
+                         "higher": [{"name": "sextic-cond-13",
+                                     "minpoly": SEXTIC}]},
+        "cm": {"imag_quadratic": [3], "cyclotomic": [7]},
+    }
+    path = tmp_path / "fields.json"
+    path.write_text(json.dumps(catalog))
+    code, out = run(capsys, "tabulate", "--mode", mode,
+                    "--families", "k3,og6", "--catalog", str(path),
+                    "--format", fmt)
+    fields = catalog_fields(load_catalog(path), mode)
+    rows = tabulate_rows(mode, parse_families("k3,og6"), fields, 21)
+    assert code == EXIT_OK
+    assert out == render_table(rows, fmt)
+    assert {r["field"] for r in rows} == {label for label, _, _ in fields}
+    assert len(fields) == 2

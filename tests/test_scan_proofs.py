@@ -325,3 +325,14 @@ def test_round_trip_142_support_count(monkeypatch):
     assert g.diagonal[:6] == (1, 1, 1, -1, -1, -7910)
     assert invariants(g) == fi
     assert calls[0] == 39
+
+
+def test_represents_zero_classifies_each_entry_once(monkeypatch):
+    # no pair of <7, 11, -13, -3, 5> is isotropic, so the scan reaches the
+    # triples; with a cold memo, the invariants and then the scan each
+    # classified the five entries (10 calls)
+    invariants.cache_clear()
+    calls = _count_calls(monkeypatch, "squarefree_class")
+    verdict = qforms.represents_zero(QuadraticForm.make([7, 11, -13, -3, 5]))
+    assert verdict.witness == (1, 0, -18, 0, 29)
+    assert calls[0] <= 5
