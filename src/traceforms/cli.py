@@ -338,10 +338,11 @@ def cmd_represents_zero(args) -> dict:
 
 
 def cmd_transfer_compute(args) -> dict:
-    from .numfields import RealQuadratic
+    from .numfields import RealQuadratic, field_invariants
     from .transfer import transfer_hermitian_imagquad, transfer_quadratic
     E = parse_field(args.field)
     entries = parse_entries(E, args.entries)
+    field_invariants(E)     # validates the descriptor, as every query does
     if isinstance(E, RealQuadratic):
         t = transfer_quadratic(E.d, entries)
     else:

@@ -103,14 +103,23 @@ def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> dict:
     # composite cofactor with all prime factors above the budget; a perfect
     # power is still recoverable exactly
     for k in range(2, n.bit_length()):
-        r = round(n ** (1.0 / k))
-        for cand in (r - 1, r, r + 1):
-            if cand > 1 and cand ** k == n and is_prime(cand):
-                out[cand] = out.get(cand, 0) + k
-                return out
+        r = _iroot(n, k)
+        if r ** k == n and is_prime(r):
+            out[r] = out.get(r, 0) + k
+            return out
     raise FactorizationBudgetError(
         f"cofactor {n} is composite and resists trial division up to {budget}"
     )
+
+
+def _iroot(n: int, k: int) -> int:
+    """Floor of the k-th root of n >= 1, by Newton's method on integers."""
+    x = 1 << -(-n.bit_length() // k)    # 2^ceil(bits/k), above the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 @dataclass(frozen=True)
@@ -358,23 +367,24 @@ class Poly:
     def deriv(self) -> "Poly":
         return Poly.make(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
-    def rem(self, other: "Poly") -> "Poly":
+    def divmod(self, other: "Poly") -> tuple:
+        """(q, r) with self == q * other + r and deg r < deg other."""
         if other.is_zero():
-            raise ZeroDivisionError("polynomial remainder by zero")
-        r = list(self.coeffs)
-        d = other.degree
-        lcb = other.lc
-        while r and r[-1] == 0:
-            r.pop()
-        while len(r) - 1 >= d:
-            q = r[-1] / lcb
-            shift = len(r) - 1 - d
-            for i, c in enumerate(other.coeffs):
-                r[shift + i] -= q * c
-            r.pop()
+            raise ZeroDivisionError("polynomial division by zero")
+        r, d, low = list(self.coeffs), other.degree, other.coeffs[:-1]
+        q = [Fraction(0)] * max(len(r) - d, 0)
+        while len(r) > d:
+            c = r.pop() / other.lc
+            shift = len(r) - d
+            q[shift] = c
+            for i, oc in enumerate(low):
+                r[shift + i] -= c * oc
             while r and r[-1] == 0:
                 r.pop()
-        return Poly.make(r)
+        return Poly.make(q), Poly.make(r)
+
+    def rem(self, other: "Poly") -> "Poly":
+        return self.divmod(other)[1]
 
     def normalized(self) -> "Poly":
         """Content cleared by a positive rational: primitive integer
@@ -404,43 +414,21 @@ def squarefree_part(f: Poly) -> Poly:
     simple."""
     if f.is_zero() or f.degree < 1:
         raise ValueError("need a nonconstant polynomial")
-    g = poly_gcd(f, f.deriv())
-    if g.degree < 1:
-        return f.scale(1 / f.lc)
-    # exact division f / g via repeated remainder-free deflation
-    out = _poly_div_exact(f, g)
+    out, r = f.divmod(poly_gcd(f, f.deriv()))
+    if not r.is_zero():
+        raise RuntimeError("inexact polynomial division (bug)")
     return out.scale(1 / out.lc)
 
 
-def _poly_div_exact(f: Poly, g: Poly) -> Poly:
-    q = [Fraction(0)] * (f.degree - g.degree + 1)
-    r = list(f.coeffs)
-    d = g.degree
-    while len(r) - 1 >= d:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        c = r[-1] / g.lc
-        q[len(r) - 1 - d] = c
-        shift = len(r) - 1 - d
-        for i, gc in enumerate(g.coeffs):
-            r[shift + i] -= c * gc
-        r.pop()
-    if any(r):
-        raise RuntimeError("inexact polynomial division (bug)")
-    return Poly.make(q)
-
-
-def sturm_chain(f: Poly) -> list:
-    """Sturm sequence of a squarefree polynomial (normalized to integer
-    coefficients at every step to keep arithmetic cheap)."""
-    chain = [f.normalized(), f.deriv().normalized()]
-    while not chain[-1].is_zero() and chain[-1].degree >= 1:
-        nxt = (-chain[-2].rem(chain[-1])).normalized()
-        if nxt.is_zero():
-            break
-        chain.append(nxt)
-    return [p for p in chain if not p.is_zero()]
+def sturm_chain(p: Poly, q: Poly) -> list:
+    """Signed remainder sequence of (p, q): p, q, then the negated remainder
+    of the two before, down to the last nonzero term, which is gcd(p, q) up
+    to a constant.  Every term is scaled by a positive rational to integer
+    coefficients, which keeps arithmetic cheap and leaves signs untouched."""
+    chain = [p.normalized(), q.normalized()]
+    while chain[-1].degree >= 1:
+        chain.append((-chain[-2].rem(chain[-1])).normalized())
+    return [c for c in chain if not c.is_zero()]
 
 
 def _variations(chain: Sequence[Poly], x: Rational) -> int:
@@ -452,8 +440,11 @@ def _variations(chain: Sequence[Poly], x: Rational) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def _count_roots(chain, lo, hi) -> int:
-    """Number of roots in the half-open interval (lo, hi]."""
+def _sturm_query(chain, lo, hi) -> int:
+    """V(lo) - V(hi) for chain = sturm_chain(p, p' * q), neither end a root
+    of p: the roots of p in (lo, hi] where q > 0, less those where q < 0
+    (Sturm-Tarski; Basu, Pollack and Roy, Thm. 2.58).  With q = 1 it counts
+    the distinct roots of p in (lo, hi]."""
     return _variations(chain, lo) - _variations(chain, hi)
 
 
@@ -488,7 +479,8 @@ def _split_point(f: Poly, lo: Fraction, hi: Fraction) -> Fraction:
 
 def isolate_real_roots(f: Poly) -> list:
     """Disjoint half-open intervals (lo, hi] with rational endpoints, each
-    containing exactly one real root of f, ordered left to right.
+    containing exactly one real root of f, ordered left to right.  No
+    endpoint is a root.
 
     The polynomial is replaced by its squarefree part first, so multiple
     roots are isolated once.
@@ -496,7 +488,7 @@ def isolate_real_roots(f: Poly) -> list:
     g = squarefree_part(f)
     if g.degree == 0:
         return []
-    chain = sturm_chain(g)
+    chain = sturm_chain(g, g.deriv())
     b = root_bound(g)
     lo, hi = Fraction(-b), Fraction(b)
     if g(lo) == 0 or g(hi) == 0:
@@ -504,7 +496,7 @@ def isolate_real_roots(f: Poly) -> list:
     out = []
 
     def rec(a, b2):
-        n = _count_roots(chain, a, b2)
+        n = _sturm_query(chain, a, b2)
         if n == 0:
             return
         if n == 1:
@@ -515,51 +507,33 @@ def isolate_real_roots(f: Poly) -> list:
         rec(m, b2)
 
     rec(lo, hi)
-    out.sort()
     return out
 
 
-def refine_to_sign(f: Poly, interval, g: Poly):
-    """Shrink an isolating interval of f until g is root-free on it, then
-    report (interval, sign of g at the enclosed root of f).
-
-    Assumes g does not vanish at the enclosed root.
-    """
-    lo, hi = interval
-    fchain = sturm_chain(squarefree_part(f))
-    gsq = squarefree_part(g) if g.degree >= 1 else g
-    gchain = sturm_chain(gsq) if g.degree >= 1 else []
-    for _ in range(10_000):
-        ok_ends = g(lo) != 0 and g(hi) != 0
-        if ok_ends and (g.degree < 1 or _count_roots(gchain, lo, hi) == 0):
-            val = g(hi)
-            return (lo, hi), (1 if val > 0 else -1)
-        m = _split_point(f, lo, hi)
-        if g(m) == 0:
-            # split elsewhere; g's roots are finite so this terminates
-            m = _split_point(g * f, lo, hi)
-        if _count_roots(fchain, lo, m) == 1:
-            lo, hi = lo, m
-        else:
-            lo, hi = m, hi
-    raise RuntimeError("interval refinement did not converge")
+def count_real_roots(f: Poly) -> int:
+    """Distinct real roots of a nonconstant f: one Sturm count over (-B, B]."""
+    if f.degree < 1:
+        raise ValueError("need a nonconstant polynomial")
+    b = root_bound(f)
+    return _sturm_query(sturm_chain(f, f.deriv()), -b, b)
 
 
 def signs_at_real_roots(f: Poly, g: Poly) -> tuple:
-    """Sign of g at every real root of f, in increasing root order.
+    """Sign of g at every real root of f, in increasing root order: the
+    Sturm-Tarski query of one chain, sturm_chain(fs, fs' * (g mod fs)) with
+    fs the squarefree part of f, on each isolating interval of fs.
 
     Rejects inputs with a shared root, where the sign would be 0.
     """
     if g.is_zero():
         raise ValueError("g is identically zero")
     fs = squarefree_part(f)
-    if g.degree >= 1 and poly_gcd(fs, g).degree >= 1:
+    chain = sturm_chain(fs, fs.deriv() * g.rem(fs))
+    # fs is squarefree, so the chain ends in gcd(fs, g) up to a constant
+    if chain[-1].degree >= 1:
         raise ValueError("f and g share a root")
-    signs = []
-    for iv in isolate_real_roots(fs):
-        _, s = refine_to_sign(fs, iv, g)
-        signs.append(s)
-    return tuple(signs)
+    return tuple(_sturm_query(chain, lo, hi)
+                 for lo, hi in isolate_real_roots(fs))
 
 
 def norm_via_resultant(f: Poly, g: Poly) -> Fraction:
@@ -588,6 +562,3 @@ def _resultant(f: Poly, g: Poly) -> Fraction:
         return Fraction(0)
     return sign * g.lc ** (f.degree - r.degree) * _resultant(g, r)
 
-
-def count_real_roots(f: Poly) -> int:
-    return len(isolate_real_roots(f))

@@ -322,18 +322,15 @@ def verify_lambda_plus_witness(E, m: int, target: SquareClass,
     real field: alpha (a polynomial in the field generator) must be totally
     positive, and N(alpha) * disc^m must land in the target square class.
 
-    Exact throughout: positivity via Sturm sign refinement at every real
-    root, the norm via a resultant.
+    Exact throughout: positivity via one Sturm-Tarski query per real root,
+    the norm via a resultant.
     """
-    if isinstance(E, RealQuadratic):
-        f = Poly.make([-E.d, 0, 1])
-        disc = SquareClass(E.d)
-    elif isinstance(E, GeneralTotallyReal):
-        f = E.poly()
-        _require_totally_real(f)
-        disc = poly_disc_class(f)
-    else:
+    # memoized: checks total realness and gives the discriminant class
+    inv = field_invariants(E)
+    if inv.is_cm:
         raise ValueError("witness verification is for totally real fields")
+    f = (E.poly() if isinstance(E, GeneralTotallyReal)
+         else Poly.make([-E.d, 0, 1]))
     red = alpha.rem(f)
     if red.is_zero():
         raise ValueError("witness is zero in the field")
@@ -343,7 +340,7 @@ def verify_lambda_plus_witness(E, m: int, target: SquareClass,
     n = norm_via_resultant(f, red)
     if n == 0:
         raise ValueError("witness is a zero divisor (minpoly not irreducible?)")
-    got = squarefree_class(n) * SquareClass(1 if m % 2 == 0 else disc.n)
+    got = squarefree_class(n) * (inv.disc_class if m % 2 else SquareClass(1))
     return got == target
 
 

@@ -598,10 +598,10 @@ def condition_C_profile(E, entries) -> SignatureProfile:
 
     Real quadratic fields take QuadFieldElement entries; imaginary quadratic
     fields take nonzero rationals (hermitian diagonal); general totally real
-    fields take polynomials in the generator, with signs read off through
-    Sturm refinement.  condition_ok reports the distinguished shape: exactly
-    one embedding of signature (2, m-2), every other one negative definite,
-    and m at least 3 in the totally real case.
+    fields take polynomials in the generator, with signs read off from one
+    Sturm-Tarski chain per entry.  condition_ok reports the distinguished
+    shape: exactly one embedding of signature (2, m-2), every other one
+    negative definite, and m at least 3 in the totally real case.
     """
     if not entries:
         raise ValueError("empty form")
@@ -626,8 +626,7 @@ def condition_C_profile(E, entries) -> SignatureProfile:
         for g in entries:
             if not isinstance(g, Poly):
                 raise ValueError("general totally real entries are polynomials")
-            sign_rows.append(signs_at_real_roots(
-                f, g.rem(f) if g.degree >= f.degree else g))
+            sign_rows.append(signs_at_real_roots(f, g))
         nroots = len(sign_rows[0])
         per = []
         for i in range(nroots):

@@ -418,3 +418,34 @@ def test_tabulate_from_a_catalog_file(capsys, tmp_path, mode, fmt):
     assert out == render_table(rows, fmt)
     assert {r["field"] for r in rows} == {label for label, _, _ in fields}
     assert len(fields) == 2
+
+
+@pytest.mark.parametrize("field, entries, error", [
+    ({"kind": "real_quadratic", "d": 4}, [[1, 1], [-1, 0]],
+     "d must be squarefree, got 4"),
+    ({"kind": "real_quadratic", "d": 1}, [[1, 1], [-1, 0]],
+     "real quadratic needs d >= 2"),
+    ({"kind": "imag_quadratic", "D": 4}, [1, -1], "D must be squarefree, got 4"),
+    ({"kind": "imag_quadratic", "D": 0}, [1, -1], "D must be positive"),
+    ({"kind": "imag_quadratic", "D": -3}, [1, -1], "D must be positive"),
+])
+def test_transfer_compute_rejects_what_transfer_feasible_rejects(
+        capsys, field, entries, error):
+    raw = json.dumps(field)
+    code, doc = run_json(capsys, "transfer-compute", "--field", raw,
+                         "--entries", json.dumps(entries))
+    assert code == EXIT_CRITERION
+    assert doc == {"status": "error", "kind": "criterion", "error": error}
+    mode = "rm" if field["kind"] == "real_quadratic" else "cm"
+    assert run_json(capsys, "transfer-feasible", "--field", raw, "--form",
+                    '{"diagonal": [1, -1, -1, -1]}', "--mode", mode) \
+        == (code, doc)
+
+
+def test_form_invariants_of_a_semiprime_past_float_range_is_a_budget_error(
+        capsys):
+    n = (10 ** 200 + 357) * (10 ** 200 + 627)
+    code, doc = run_json(capsys, "form-invariants",
+                         "--form", json.dumps({"diagonal": [str(n), 2]}))
+    assert code == EXIT_BUDGET
+    assert doc["kind"] == "budget"
