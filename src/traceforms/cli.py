@@ -64,12 +64,8 @@ def jsonable(obj):
 
 
 def verdict_json(v) -> dict:
-    out = {"status": v.status, "feasible": v.status == "feasible"}
-    if v.certificate is not None:
-        out["certificate"] = jsonable(v.certificate)
-    if v.obstruction is not None:
-        out["obstruction"] = jsonable(v.obstruction)
-    return out
+    from .transfer import verdict_to_json
+    return jsonable(verdict_to_json(v))
 
 
 def emit(doc, fmt="json") -> None:

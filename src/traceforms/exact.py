@@ -101,12 +101,15 @@ def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> dict:
         out[n] = out.get(n, 0) + 1
         return out
     # composite cofactor with all prime factors above the budget; a perfect
-    # power is still recoverable exactly
-    for k in range(2, n.bit_length()):
+    # power is still recoverable exactly.  Every prime factor is at least f,
+    # the first trial divisor not tried, so an r^k = n has f^k <= n
+    k = 2
+    while f ** k <= n:
         r = _iroot(n, k)
         if r ** k == n and is_prime(r):
             out[r] = out.get(r, 0) + k
             return out
+        k += 1
     raise FactorizationBudgetError(
         f"cofactor {n} is composite and resists trial division up to {budget}"
     )
@@ -154,9 +157,6 @@ class SquareClass:
     def __neg__(self) -> "SquareClass":
         return SquareClass(-self.n, self.known_primes)
 
-    def __int__(self) -> int:
-        return self.n
-
     def sign(self) -> int:
         return 1 if self.n > 0 else -1
 
@@ -192,6 +192,12 @@ def squarefree_class(r: Rational, budget: int = DEFAULT_FACTOR_BUDGET) -> Square
     for p in odd:
         out *= p
     return SquareClass(out if n > 0 else -out, frozenset(odd))
+
+
+def rational_str(x) -> str:
+    """A rational as text: "p/q", or the integer alone."""
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def _val_unit(n: int, p: int) -> Tuple[int, int]:
@@ -346,9 +352,6 @@ class Poly:
         b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
         return Poly.make(x + y for x, y in zip(a, b))
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
             return Poly(())
@@ -456,25 +459,13 @@ def root_bound(f: Poly) -> int:
     return int(b) + 1
 
 
-_OFFSETS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7),
-            Fraction(4, 9), Fraction(5, 11), Fraction(6, 13)]
-
-
 def _split_point(f: Poly, lo: Fraction, hi: Fraction) -> Fraction:
-    """A point strictly inside (lo, hi) where f does not vanish."""
-    width = hi - lo
-    k = 1
-    while True:
-        for off in _OFFSETS:
-            m = lo + width * off
-            if f(m) != 0:
-                return m
-        # astronomically unlikely to loop, but stay total
-        width_k = width / (2 ** k)
-        m = lo + width_k
-        if f(m) != 0:
-            return m
-        k += 1
+    """A point strictly inside (lo, hi) where f does not vanish: the
+    midpoint, moved halfway towards lo while it is a root."""
+    m = (lo + hi) / 2
+    while f(m) == 0:
+        m = (lo + m) / 2
+    return m
 
 
 def isolate_real_roots(f: Poly) -> list:
@@ -485,9 +476,11 @@ def isolate_real_roots(f: Poly) -> list:
     The polynomial is replaced by its squarefree part first, so multiple
     roots are isolated once.
     """
-    g = squarefree_part(f)
-    if g.degree == 0:
-        return []
+    return _isolate_squarefree(squarefree_part(f))
+
+
+def _isolate_squarefree(g: Poly) -> list:
+    """`isolate_real_roots` for a g that is already squarefree."""
     chain = sturm_chain(g, g.deriv())
     b = root_bound(g)
     lo, hi = Fraction(-b), Fraction(b)
@@ -533,7 +526,7 @@ def signs_at_real_roots(f: Poly, g: Poly) -> tuple:
     if chain[-1].degree >= 1:
         raise ValueError("f and g share a root")
     return tuple(_sturm_query(chain, lo, hi)
-                 for lo, hi in isolate_real_roots(fs))
+                 for lo, hi in _isolate_squarefree(fs))
 
 
 def norm_via_resultant(f: Poly, g: Poly) -> Fraction:
@@ -554,8 +547,6 @@ def _resultant(f: Poly, g: Poly) -> Fraction:
         return Fraction(0)
     if g.degree == 0:
         return g.coeffs[0] ** f.degree
-    if f.degree == 0:
-        return f.coeffs[0] ** g.degree
     r = f.rem(g)
     sign = -1 if (f.degree * g.degree) % 2 else 1
     if r.is_zero():

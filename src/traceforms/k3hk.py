@@ -43,6 +43,7 @@ from .transfer import (
     rm_transfer_feasible,
     split_prime_scan,
     split_transfer_feasible,
+    verdict_to_json,
 )
 
 
@@ -244,20 +245,14 @@ def hk_realizable(family: str, n: Optional[int], E, m: int,
 
 
 def report_to_json(rep: RealizabilityReport) -> dict:
-    out = {
-        "feasible": rep.feasible,
-        "status": rep.status,
+    return {
+        **verdict_to_json(rep.verdict),
         "mode": rep.mode,
         "family_dim": rep.family_dimension,
         "pic_rank": rep.pic_rank,
         "hodge_group": rep.hodge_group_label,
         "notes": list(rep.notes),
     }
-    if rep.verdict.certificate is not None:
-        out["certificate"] = rep.verdict.certificate
-    if rep.verdict.obstruction is not None:
-        out["obstruction"] = rep.verdict.obstruction
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .exact import (
+    INF,
     Poly,
     SquareClass,
     count_real_roots,
@@ -22,6 +23,7 @@ from .exact import (
     is_prime,
     is_square_at,
     norm_via_resultant,
+    rational_str,
     signs_at_real_roots,
     squarefree_class,
     support_at,
@@ -37,17 +39,11 @@ class RealQuadratic:
     """Q(sqrt(d)) for squarefree d >= 2."""
     d: int
 
-    def label(self) -> str:
-        return f"Q(sqrt({self.d}))"
-
 
 @dataclass(frozen=True)
 class ImagQuadratic:
     """Q(sqrt(-D)) for squarefree D >= 1.  D=1 is the Gaussian field."""
     D: int
-
-    def label(self) -> str:
-        return "Q(i)" if self.D == 1 else f"Q(sqrt(-{self.D}))"
 
 
 @dataclass(frozen=True)
@@ -60,9 +56,6 @@ class Cyclotomic:
         n = self.n
         if n % 4 == 2:
             object.__setattr__(self, "n", n // 2)
-
-    def label(self) -> str:
-        return f"Q(zeta_{self.n})"
 
 
 @dataclass(frozen=True)
@@ -80,9 +73,6 @@ class GeneralTotallyReal:
 
     def poly(self) -> Poly:
         return Poly.make(self.minpoly)
-
-    def label(self) -> str:
-        return "Q[x]/(" + _poly_label(self.minpoly) + ")"
 
 
 @dataclass(frozen=True)
@@ -102,27 +92,9 @@ class GeneralCM:
     def poly(self) -> Poly:
         return Poly.make(self.real_minpoly)
 
-    def label(self) -> str:
-        return "CM/Q[x]/(" + _poly_label(self.real_minpoly) + ")"
-
 
 NumberFieldDesc = (RealQuadratic, ImagQuadratic, Cyclotomic,
                    GeneralTotallyReal, GeneralCM)
-
-
-def _poly_label(coeffs) -> str:
-    terms = []
-    for i, c in enumerate(coeffs):
-        c = Fraction(c)
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        elif i == 1:
-            terms.append(f"{c}*x" if c != 1 else "x")
-        else:
-            terms.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
-    return "+".join(reversed(terms)).replace("+-", "-")
 
 
 @dataclass(frozen=True)
@@ -276,17 +248,24 @@ def in_SE(E, p: int) -> str:
 # norms and totally positive norms from quadratic fields
 
 
-def is_norm_quadratic(d, a) -> bool:
-    """Is the rational a a norm from Q(sqrt(d))?  Purely local: the symbol
-    (a, d) must vanish everywhere, and only finitely many places can carry
-    it.  Either argument may be a square class; one that carries its primes
-    is not factored again, and a bare d or a is factored once.
+def norm_obstruction(d, a, totally_positive: bool):
+    """The place that keeps the rational a from being a norm from Q(sqrt(d)),
+    or a totally positive one when `totally_positive` is set; None when a
+    is one.  Purely local: the symbol (a, d) must vanish everywhere, and
+    only finitely many places can carry it.  The place named is the real
+    place for a nonpositive a where positivity is asked, else the smallest
+    odd prime where (a, d) is nontrivial, else 2.  Either argument may be a
+    square class; one that carries its primes is not factored again, and a
+    bare d or a is factored once.
 
-    >>> is_norm_quadratic(5, -1)
-    True
-    >>> is_norm_quadratic(3, 3)
-    False
+    >>> norm_obstruction(3, 3, False), norm_obstruction(2, -1, True)
+    (3, inf)
     """
+    if totally_positive:
+        if (d.n if isinstance(d, SquareClass) else d) < 2:
+            raise ValueError("need a real quadratic field")
+        if (a.n if isinstance(a, SquareClass) else Fraction(a)) <= 0:
+            return INF
     if not isinstance(d, SquareClass):
         if d in (0, 1):
             raise ValueError("need a nonsquare d")
@@ -298,7 +277,22 @@ def is_norm_quadratic(d, a) -> bool:
         if a == 0:
             raise ValueError("norm test needs a nonzero rational")
         a = squarefree_class(a)
-    return not support_at(a.n, d.n, a.primes() + d.primes())
+    support = support_at(a.n, d.n, a.primes() + d.primes())
+    if not support:
+        return None
+    # an even support without an odd prime is {2, INF}
+    return min((p for p in support if p not in (2, INF)), default=2)
+
+
+def is_norm_quadratic(d, a) -> bool:
+    """Is the rational a a norm from Q(sqrt(d))?  See `norm_obstruction`.
+
+    >>> is_norm_quadratic(5, -1)
+    True
+    >>> is_norm_quadratic(3, 3)
+    False
+    """
+    return norm_obstruction(d, a, False) is None
 
 
 def lambda_plus_quadratic(d, a) -> bool:
@@ -306,14 +300,9 @@ def lambda_plus_quadratic(d, a) -> bool:
     Q(sqrt(d))?  For real quadratic fields this is exactly "positive and a
     norm": a norm of positive rational value is the norm of a totally
     positive or totally negative element, and the latter negates into the
-    former without changing the norm.  As in `is_norm_quadratic`, either
-    argument may be a square class that carries its primes.
+    former without changing the norm.  See `norm_obstruction`.
     """
-    if (d.n if isinstance(d, SquareClass) else d) < 2:
-        raise ValueError("need a real quadratic field")
-    if (a.n if isinstance(a, SquareClass) else Fraction(a)) <= 0:
-        return False
-    return is_norm_quadratic(d, a)
+    return norm_obstruction(d, a, True) is None
 
 
 def verify_lambda_plus_witness(E, m: int, target: SquareClass,
@@ -357,13 +346,13 @@ def desc_to_json(E) -> dict:
         return {"kind": "cyclotomic", "n": E.n}
     if isinstance(E, GeneralTotallyReal):
         out = {"kind": "general_tr",
-               "minpoly": [_rat_str(c) for c in E.minpoly]}
+               "minpoly": [rational_str(c) for c in E.minpoly]}
         if E.supplied_disc is not None:
             out["disc"] = E.supplied_disc
         return out
     if isinstance(E, GeneralCM):
         return {"kind": "general_cm",
-                "minpoly": [_rat_str(c) for c in E.real_minpoly],
+                "minpoly": [rational_str(c) for c in E.real_minpoly],
                 "disc": E.disc_class,
                 "se": [[p, flag] for p, flag in E.se_assertions]}
     raise DescriptorError(f"unknown descriptor {E!r}")
@@ -392,8 +381,3 @@ def desc_from_json(obj) -> object:
     except (KeyError, TypeError) as err:
         raise DescriptorError(f"malformed {kind} descriptor: {err}") from err
     raise DescriptorError(f"unknown field kind {kind!r}")
-
-
-def _rat_str(c) -> str:
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import isqrt
 from typing import Optional, Sequence, Tuple
 
@@ -28,6 +28,7 @@ from .exact import (
     is_prime,
     is_square_at,
     primes_below,
+    rational_str,
     squarefree_class,
     support_at,
 )
@@ -264,7 +265,11 @@ def is_isomorphic(f: QuadraticForm, g: QuadraticForm) -> bool:
 
 def is_locally_isomorphic(f: QuadraticForm, g: QuadraticForm, place) -> bool:
     """Equivalence over the completion at one place."""
-    fi, gi = invariants(f), invariants(g)
+    return _locally_isomorphic_inv(invariants(f), invariants(g), place)
+
+
+def _locally_isomorphic_inv(fi: FormInvariants, gi: FormInvariants,
+                            place) -> bool:
     if fi.dim != gi.dim:
         return False
     if place == INF:
@@ -330,20 +335,6 @@ def _aux_primes(base, aux_limit):
     return [1] + [q for q in primes_below(aux_limit) if q not in base]
 
 
-def _small_squareclass_candidates(base_primes, sign_ok, aux_limit=2000):
-    """Deterministic stream of squarefree integers built from the given
-    primes plus at most one auxiliary prime, for the rank-3 search.  Each
-    comes as (value, its primes)."""
-    base = sorted(set(base_primes))
-    cores = _squareclass_cores(base)
-    for q in _aux_primes(base, aux_limit):
-        extra = (q,) if q > 1 else ()
-        for c, combo in cores:
-            for sgn in (1, -1):
-                if sign_ok(sgn):
-                    yield sgn * c * q, combo + extra
-
-
 @lru_cache(maxsize=4096)
 def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
     """Build a diagonal form realizing an admissible invariant tuple.
@@ -380,11 +371,12 @@ def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
         return _rank2_from_invariants(head, det, (r, s), hasse)
 
     # the unit we peel must leave an admissible rank-2 tuple, which is a
-    # real constraint here (condition-3 can bite); scan small entries.
-    for e, e_primes in _small_squareclass_candidates(
-            (2, 3, 5, 7) + primes,
-            lambda sgn: (sgn > 0 and r > 0) or (sgn < 0 and s > 0),
-            aux_limit=200):
+    # real constraint here (condition-3 can bite); scan small entries
+    base = sorted({2, 3, 5, 7}.union(primes))
+    signs = [sgn for sgn, k in ((1, r), (-1, s)) if k > 0]
+    for q, (c, combo), sgn in product(_aux_primes(base, 200),
+                                      _squareclass_cores(base), signs):
+        e, e_primes = sgn * c * q, combo + ((q,) if q > 1 else ())
         ec = SquareClass(e, frozenset(e_primes))
         sub_det = det * ec
         sub_sig = (r - 1, s) if e > 0 else (r, s - 1)
@@ -532,15 +524,8 @@ def is_locally_hyperbolic(f: QuadraticForm, place) -> bool:
 
 
 def _locally_hyperbolic_inv(fi: FormInvariants, place) -> bool:
-    if fi.dim % 2:
-        return False
-    t = fi.dim // 2
-    if place == INF:
-        return fi.signature == (t, t)
-    want_det = SquareClass((-1) ** t)
-    if not is_square_at(fi.det * want_det, place):
-        return False
-    return fi.hasse_bit(place) == hyperbolic_bit(t, place)
+    return fi.dim % 2 == 0 and _locally_isomorphic_inv(
+        fi, hyperbolic_invariants(fi.dim // 2), place)
 
 
 # ---------------------------------------------------------------------------
@@ -792,11 +777,6 @@ def witt_add(a: WittClassQ, b: WittClassQ) -> WittClassQ:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def rational_str(x) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def rational_from(s) -> Fraction:

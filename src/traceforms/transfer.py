@@ -34,8 +34,7 @@ from .numfields import (
     _check_squarefree,
     field_invariants,
     in_SE,
-    is_norm_quadratic,
-    lambda_plus_quadratic,
+    norm_obstruction,
     verify_lambda_plus_witness,
 )
 from .qforms import (
@@ -98,6 +97,17 @@ class TransferVerdict:
     @property
     def feasible(self) -> bool:
         return self.status == "feasible"
+
+
+def verdict_to_json(v: TransferVerdict) -> dict:
+    """The status, the feasible flag and whichever of the certificate and
+    the obstruction the verdict has."""
+    out = {"status": v.status, "feasible": v.feasible}
+    if v.certificate is not None:
+        out["certificate"] = v.certificate
+    if v.obstruction is not None:
+        out["obstruction"] = v.obstruction
+    return out
 
 
 @dataclass(frozen=True)
@@ -297,13 +307,14 @@ def rm_transfer_feasible(E, U: QuadraticForm,
             "m": m, "degree": d, "route": "odd-degree-transfer"})
     target = ui.det * (finv.disc_class if m % 2 else SquareClass(1))
     if isinstance(E, RealQuadratic):
-        if lambda_plus_quadratic(finv.disc_class, target):
+        place = norm_obstruction(finv.disc_class, target, True)
+        if place is None:
             return TransferVerdict("feasible", certificate={
                 "m": m, "degree": d, "route": "even-degree-norm-class",
                 "norm_class": rational_str(target.n)})
         return TransferVerdict("infeasible", obstruction={
             "condition": "norm-class",
-            "place": _norm_obstruction_place(target, finv.disc_class),
+            "place": place,
             "detail": f"{target.n} is not a totally positive norm class"})
     if witness is not None:
         if verify_lambda_plus_witness(E, m, ui.det, witness):
@@ -314,21 +325,6 @@ def rm_transfer_feasible(E, U: QuadraticForm,
             "reason": "witness-rejected"})
     return TransferVerdict("needs_witness", obstruction={
         "reason": "norm-class-witness-needed"})
-
-
-def _norm_obstruction_place(target: SquareClass, disc: SquareClass,
-                            totally_positive: bool = True):
-    """The place named when `target` is not a norm (a totally positive one,
-    by default) from Q(sqrt d), d in the class `disc`: the real place for a
-    negative class where positivity is asked, else the smallest odd prime
-    where the symbol (target, d) is nontrivial, else 2."""
-    if totally_positive and target.n < 0:
-        return INF
-    supp = support_at(target.n, disc.n, target.primes() + disc.primes())
-    odd = sorted(p for p in supp if p != INF and p != 2)
-    if odd:
-        return odd[0]
-    return 2 if 2 in supp else INF
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +470,11 @@ def _split_rm(vi, E, finv, m, md, complement_hint):
             if not isinstance(E, RealQuadratic):
                 return TransferVerdict("needs_witness", obstruction={
                     "reason": "norm-class-witness-needed"})
-            if not lambda_plus_quadratic(finv.disc_class, t):
+            place = norm_obstruction(finv.disc_class, t, True)
+            if place is not None:
                 return TransferVerdict("infeasible", obstruction={
                     "condition": "norm-class",
-                    "place": _norm_obstruction_place(t, finv.disc_class),
+                    "place": place,
                     "detail": f"required norm class {t.n} is not a "
                               f"totally positive norm"})
     else:
@@ -675,9 +672,8 @@ def construct_witness_quadratic(U: QuadraticForm, d: int, height: int = 4,
     m = ui.dim // 2
     disc = SquareClass(d, _check_squarefree(d, "d"))
     target_norm = ui.det * disc if m % 2 else ui.det
-    if not is_norm_quadratic(disc, target_norm):
-        place = _norm_obstruction_place(target_norm, disc,
-                                        totally_positive=False)
+    place = norm_obstruction(disc, target_norm, False)
+    if place is not None:
         return WitnessResult("not_found", obstruction={
             "condition": "determinant-norm", "place": place})
 
