@@ -87,7 +87,10 @@ def parse_json_arg(raw: str, what: str):
 
 
 def parse_form(raw: str, what="form") -> QuadraticForm:
-    obj = parse_json_arg(raw, what)
+    return parse_form_obj(parse_json_arg(raw, what), what)
+
+
+def parse_form_obj(obj, what="form") -> QuadraticForm:
     try:
         return form_from_json(obj)
     except (KeyError, TypeError, ValueError) as err:
@@ -396,6 +399,8 @@ def cmd_elliptic(args) -> dict:
                 ctx = dict(ctx, field=desc_from_json(ctx["field"]))
             except DescriptorError as err:
                 raise SchemaError(f"context field: {err}") from err
+        if isinstance(ctx, dict) and "form" in ctx:
+            ctx = dict(ctx, form=parse_form_obj(ctx["form"], "context form"))
     try:
         return jsonable(elliptic_fibration_verdict(ctx))
     except (KeyError, TypeError) as err:

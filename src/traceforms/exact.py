@@ -8,7 +8,6 @@ computation; the `INF` marker for the real place is never used arithmetically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -125,8 +124,63 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-@dataclass(frozen=True)
-class SquareClass:
+class Record:
+    """Base of the library's frozen value types: a `__slots__` class with
+    the semantics of a frozen dataclass, at no class-generation cost on
+    import.
+
+    A subclass lists its attributes in `__slots__`, the ones that make up
+    its value in `_fields` (in order), and writes an `__init__` that stores
+    every slot with `object.__setattr__`.  Then:
+
+    - assigning or deleting an attribute raises AttributeError;
+    - `==` holds only between instances of the same class whose `_fields`
+      are equal; against any other class it returns NotImplemented, so
+      descriptors of different field types never collide as cache keys;
+    - the hash is hash(tuple of the `_fields` values), the value a frozen
+      dataclass gives, so set and memo orders are those of one;
+    - `repr` is the dataclass format, `Name(field=value, ...)` over
+      `_fields`, unless the class defines its own;
+    - slots outside `_fields` (carried or cached data) take no part in
+      equality, hashing or `repr`;
+    - `copy.deepcopy` and `pickle` restore an instance slot by slot.
+
+    Classes hashed or compared in hot loops write `__eq__` and `__hash__`
+    out over the same fields, which is faster than the generic pair here.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return (self.__class__.__qualname__ + "("
+                + ", ".join(f"{name}={getattr(self, name)!r}"
+                            for name in self._fields) + ")")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # a class without __dict__ pickles as (None, {slot: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class SquareClass(Record):
     """An element of Q^x / (Q^x)^2, stored as its unique squarefree signed
     integer representative.
 
@@ -135,14 +189,24 @@ class SquareClass:
     factor again.  It takes no part in equality, hashing or `repr`.
     """
 
-    n: int
-    known_primes: Optional[frozenset] = field(default=None, compare=False)
+    __slots__ = ("n", "known_primes")
+    _fields = ("n",)
 
-    def __post_init__(self):
-        if self.n == 0:
+    def __init__(self, n: int, known_primes: Optional[frozenset] = None):
+        if n == 0:
             raise ValueError("zero has no square class")
-        if self.known_primes is None and abs(self.n) == 1:
-            object.__setattr__(self, "known_primes", frozenset())
+        if known_primes is None and abs(n) == 1:
+            known_primes = frozenset()
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "known_primes", known_primes)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n,))
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         # two squarefree integers multiply to a squarefree one once the
@@ -196,7 +260,8 @@ def squarefree_class(r: Rational, budget: int = DEFAULT_FACTOR_BUDGET) -> Square
 
 def rational_str(x) -> str:
     """A rational as text: "p/q", or the integer alone."""
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)     # ints and Fractions already carry both parts
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
@@ -305,15 +370,17 @@ def is_square_at(c: SquareClass, place) -> bool:
 # polynomials with exact rational coefficients
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Record):
     """Univariate polynomial over Q, coefficients stored low degree first.
 
-    Construction normalizes away trailing zeros; the zero polynomial is
+    `make` normalizes away trailing zeros; the zero polynomial is
     coeffs == ().
     """
 
-    coeffs: tuple
+    __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple):
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def make(cs: Iterable[Rational]) -> "Poly":

@@ -10,12 +10,11 @@ input is only which ambient form to use and how to count moduli.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .exact import SquareClass
+from .exact import Record, SquareClass
 from .numfields import (
     Cyclotomic,
     RealQuadratic,
@@ -51,13 +50,20 @@ from .transfer import (
 # ambient spaces
 
 
-@dataclass(frozen=True)
-class AmbientSpace:
-    family: str                 # k3 | kummer | og6 | hilbk3 | og10
-    n: Optional[int]            # half the complex dimension where it varies
-    b2: int
-    rational_form: QuadraticForm
-    integral_label: str
+class AmbientSpace(Record):
+    """`family` is k3, kummer, og6, hilbk3 or og10; `n` is half the complex
+    dimension where it varies."""
+
+    __slots__ = _fields = ("family", "n", "b2", "rational_form",
+                           "integral_label")
+
+    def __init__(self, family: str, n: Optional[int], b2: int,
+                 rational_form: QuadraticForm, integral_label: str):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "b2", b2)
+        object.__setattr__(self, "rational_form", rational_form)
+        object.__setattr__(self, "integral_label", integral_label)
 
     @property
     def scaled_line(self) -> Optional[int]:
@@ -122,14 +128,34 @@ def ambient_to_json(a: AmbientSpace) -> dict:
 # realizability reports
 
 
-@dataclass(frozen=True)
-class RealizabilityReport:
-    mode: str                        # rm | cm
-    family_dimension: object         # int, or "countable" for CM rank 1
-    pic_rank: Optional[int]
-    hodge_group_label: Optional[str]
-    notes: tuple
-    verdict: TransferVerdict
+class RealizabilityReport(Record):
+    """`mode` is rm or cm; `family_dimension` is an int, or "countable" for
+    CM rank 1."""
+
+    __slots__ = _fields = ("mode", "family_dimension", "pic_rank",
+                           "hodge_group_label", "notes", "verdict")
+
+    def __init__(self, mode: str, family_dimension: object,
+                 pic_rank: Optional[int], hodge_group_label: Optional[str],
+                 notes: tuple, verdict: TransferVerdict):
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "family_dimension", family_dimension)
+        object.__setattr__(self, "pic_rank", pic_rank)
+        object.__setattr__(self, "hodge_group_label", hodge_group_label)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "verdict", verdict)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.mode, self.family_dimension, self.pic_rank,
+                     self.hodge_group_label, self.notes, self.verdict)
+                    == (other.mode, other.family_dimension, other.pic_rank,
+                        other.hodge_group_label, other.notes, other.verdict))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.mode, self.family_dimension, self.pic_rank,
+                     self.hodge_group_label, self.notes, self.verdict))
 
     @property
     def status(self) -> str:
@@ -173,14 +199,24 @@ def _report_from_verdict(mode, E, m, md, r, verdict,
                                hodge_group_label(E, m), tuple(notes), verdict)
 
 
-@dataclass(frozen=True)
-class _FamilyText:
-    """What a report prints differently from one family to the next."""
-    cm_bound: Optional[int] = None   # the md bound a CM report names; b2 - 1
-    rank1_cm: str = "countably many manifolds"
-    even_b2_note: bool = True        # "even field degree tightens the bound"
-    square_disc_note: bool = False   # the K3 note at md = cm_bound
-    rm_note: Optional[str] = None
+class _FamilyText(Record):
+    """What a report prints differently from one family to the next:
+    `cm_bound` is the md bound a CM report names (b2 - 1 when None),
+    `even_b2_note` adds "even field degree tightens the bound", and
+    `square_disc_note` the K3 note at md = cm_bound."""
+
+    __slots__ = _fields = ("cm_bound", "rank1_cm", "even_b2_note",
+                           "square_disc_note", "rm_note")
+
+    def __init__(self, cm_bound: Optional[int] = None,
+                 rank1_cm: str = "countably many manifolds",
+                 even_b2_note: bool = True, square_disc_note: bool = False,
+                 rm_note: Optional[str] = None):
+        object.__setattr__(self, "cm_bound", cm_bound)
+        object.__setattr__(self, "rank1_cm", rank1_cm)
+        object.__setattr__(self, "even_b2_note", even_b2_note)
+        object.__setattr__(self, "square_disc_note", square_disc_note)
+        object.__setattr__(self, "rm_note", rm_note)
 
 
 # CM fields have even degree, so for K3 the named bound 20 cuts the same
@@ -422,16 +458,21 @@ def _field_from_context(context):
 # named examples
 
 
-@dataclass(frozen=True)
-class FamousExample:
-    key: str
-    summary: str
-    field: object
-    m: int
-    mode: str
-    elliptic_context: Optional[dict]
-    transcendental: Optional[QuadraticForm]
-    expected: dict
+class FamousExample(Record):
+    __slots__ = _fields = ("key", "summary", "field", "m", "mode",
+                           "elliptic_context", "transcendental", "expected")
+
+    def __init__(self, key: str, summary: str, field: object, m: int,
+                 mode: str, elliptic_context: Optional[dict],
+                 transcendental: Optional[QuadraticForm], expected: dict):
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "summary", summary)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "elliptic_context", elliptic_context)
+        object.__setattr__(self, "transcendental", transcendental)
+        object.__setattr__(self, "expected", expected)
 
 
 def _double_sextic_transcendental() -> QuadraticForm:

@@ -9,7 +9,6 @@ sign counts).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -17,6 +16,7 @@ from typing import Optional
 from .exact import (
     INF,
     Poly,
+    Record,
     SquareClass,
     count_real_roots,
     factorize,
@@ -34,60 +34,107 @@ class DescriptorError(ValueError):
     """Malformed or inconsistent field descriptor."""
 
 
-@dataclass(frozen=True)
-class RealQuadratic:
+class RealQuadratic(Record):
     """Q(sqrt(d)) for squarefree d >= 2."""
-    d: int
+
+    __slots__ = _fields = ("d",)
+
+    def __init__(self, d: int):
+        object.__setattr__(self, "d", d)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.d == other.d
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.d,))
 
 
-@dataclass(frozen=True)
-class ImagQuadratic:
+class ImagQuadratic(Record):
     """Q(sqrt(-D)) for squarefree D >= 1.  D=1 is the Gaussian field."""
-    D: int
+
+    __slots__ = _fields = ("D",)
+
+    def __init__(self, D: int):
+        object.__setattr__(self, "D", D)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.D == other.D
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.D,))
 
 
-@dataclass(frozen=True)
-class Cyclotomic:
+class Cyclotomic(Record):
     """Q(zeta_n).  n = 2 mod 4 is silently replaced by n/2, which generates
     the same field; callers therefore always see a canonical n."""
-    n: int
 
-    def __post_init__(self):
-        n = self.n
-        if n % 4 == 2:
-            object.__setattr__(self, "n", n // 2)
+    __slots__ = _fields = ("n",)
+
+    def __init__(self, n: int):
+        object.__setattr__(self, "n", n // 2 if n % 4 == 2 else n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n,))
 
 
-@dataclass(frozen=True)
-class GeneralTotallyReal:
+class GeneralTotallyReal(Record):
     """Totally real field given by a monic irreducible minimal polynomial
     (irreducibility is the caller's contract; total realness is verified).
     Coefficients run from the constant term up."""
-    minpoly: tuple
-    supplied_disc: Optional[int] = None
 
-    def __post_init__(self):
+    __slots__ = _fields = ("minpoly", "supplied_disc")
+
+    def __init__(self, minpoly: tuple, supplied_disc: Optional[int] = None):
         # tuples keep the descriptor hashable, as the field_invariants memo
         # needs
-        object.__setattr__(self, "minpoly", tuple(self.minpoly))
+        object.__setattr__(self, "minpoly", tuple(minpoly))
+        object.__setattr__(self, "supplied_disc", supplied_disc)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.minpoly, self.supplied_disc)
+                    == (other.minpoly, other.supplied_disc))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.minpoly, self.supplied_disc))
 
     def poly(self) -> Poly:
         return Poly.make(self.minpoly)
 
 
-@dataclass(frozen=True)
-class GeneralCM:
+class GeneralCM(Record):
     """CM field described through its maximal totally real subfield plus the
     data this library cannot derive on its own: the discriminant square class
     and any known split-prime memberships."""
-    real_minpoly: tuple
-    disc_class: int
-    se_assertions: tuple = ()   # ((p, bool), ...)
 
-    def __post_init__(self):
-        object.__setattr__(self, "real_minpoly", tuple(self.real_minpoly))
+    __slots__ = _fields = ("real_minpoly", "disc_class", "se_assertions")
+
+    def __init__(self, real_minpoly: tuple, disc_class: int,
+                 se_assertions: tuple = ()):     # ((p, bool), ...)
+        object.__setattr__(self, "real_minpoly", tuple(real_minpoly))
+        object.__setattr__(self, "disc_class", disc_class)
         object.__setattr__(self, "se_assertions",
-                           tuple(tuple(a) for a in self.se_assertions))
+                           tuple(tuple(a) for a in se_assertions))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.real_minpoly, self.disc_class, self.se_assertions)
+                    == (other.real_minpoly, other.disc_class,
+                        other.se_assertions))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.real_minpoly, self.disc_class, self.se_assertions))
 
     def poly(self) -> Poly:
         return Poly.make(self.real_minpoly)
@@ -97,12 +144,16 @@ NumberFieldDesc = (RealQuadratic, ImagQuadratic, Cyclotomic,
                    GeneralTotallyReal, GeneralCM)
 
 
-@dataclass(frozen=True)
-class FieldInvariants:
-    degree: int
-    disc_class: SquareClass
-    is_cm: bool
-    half_degree: Optional[int]  # degree of the real subfield for CM fields
+class FieldInvariants(Record):
+    __slots__ = _fields = ("degree", "disc_class", "is_cm", "half_degree")
+
+    def __init__(self, degree: int, disc_class: SquareClass, is_cm: bool,
+                 half_degree: Optional[int]):
+        # half_degree: degree of the real subfield for CM fields
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "disc_class", disc_class)
+        object.__setattr__(self, "is_cm", is_cm)
+        object.__setattr__(self, "half_degree", half_degree)
 
 
 def _check_squarefree(n: int, what: str) -> frozenset:

@@ -11,7 +11,6 @@ makes reciprocity literally "the set has even size".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -23,6 +22,7 @@ from .exact import (
     DEFAULT_FACTOR_BUDGET,
     FactorizationBudgetError,
     Rational,
+    Record,
     SquareClass,
     hilbert_symbol,
     is_prime,
@@ -45,8 +45,7 @@ class InvariantContradiction(ValueError):
         super().__init__(f"{condition}: {detail}" if detail else condition)
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(Record):
     """Diagonal quadratic form <e_1, ..., e_n> with nonzero rational entries.
 
     `known_classes` holds, per entry, the square class of that entry when the
@@ -55,18 +54,24 @@ class QuadraticForm:
     the diagonal, computed once: forms are cache keys of `invariants`.
     """
 
-    diagonal: tuple
-    known_classes: Optional[tuple] = field(default=None, compare=False)
+    __slots__ = ("diagonal", "known_classes", "_hash", "_classes")
+    _fields = ("diagonal",)
 
-    def __post_init__(self):
+    def __init__(self, diagonal: tuple, known_classes: Optional[tuple] = None):
         # a list diagonal would make the form unhashable
-        object.__setattr__(self, "diagonal", tuple(self.diagonal))
-        known = self.known_classes
-        known = (None,) * len(self.diagonal) if known is None else tuple(known)
-        if len(known) != len(self.diagonal):
+        diagonal = tuple(diagonal)
+        known = ((None,) * len(diagonal) if known_classes is None
+                 else tuple(known_classes))
+        if len(known) != len(diagonal):
             raise ValueError("one known class per diagonal entry")
+        object.__setattr__(self, "diagonal", diagonal)
         object.__setattr__(self, "known_classes", known)
-        object.__setattr__(self, "_hash", hash(self.diagonal))
+        object.__setattr__(self, "_hash", hash(diagonal))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.diagonal == other.diagonal
+        return NotImplemented
 
     def __hash__(self):
         return self._hash
@@ -114,18 +119,30 @@ class QuadraticForm:
         return "<" + ", ".join(str(e) for e in self.diagonal) + ">"
 
 
-@dataclass(frozen=True)
-class FormInvariants:
-    dim: int
-    det: SquareClass
-    signature: Tuple[int, int]
-    hasse: frozenset  # places where the Hasse invariant is nontrivial
+class FormInvariants(Record):
+    """The classifying invariants of a form: dimension, determinant class,
+    signature (r, s) and the places where the Hasse invariant is
+    nontrivial."""
 
-    def __post_init__(self):
+    __slots__ = _fields = ("dim", "det", "signature", "hasse")
+
+    def __init__(self, dim: int, det: SquareClass, signature: Tuple[int, int],
+                 hasse: frozenset):
         # a set or list would make the invariants unhashable, and they are
         # cache keys of `form_from_invariants`
-        object.__setattr__(self, "signature", tuple(self.signature))
-        object.__setattr__(self, "hasse", frozenset(self.hasse))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "signature", tuple(signature))
+        object.__setattr__(self, "hasse", frozenset(hasse))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.dim, self.det, self.signature, self.hasse)
+                    == (other.dim, other.det, other.signature, other.hasse))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.dim, self.det, self.signature, self.hasse))
 
     def hasse_bit(self, place) -> int:
         return 1 if place in self.hasse else 0
@@ -459,12 +476,17 @@ def _rank2_from_invariants(head, det: SquareClass, sig,
 # complements
 
 
-@dataclass(frozen=True)
-class SplitResult:
-    feasible: bool
-    complement: Optional[QuadraticForm]
-    complement_invariants: Optional[FormInvariants]
-    reason: Optional[str] = None
+class SplitResult(Record):
+    __slots__ = _fields = ("feasible", "complement", "complement_invariants",
+                           "reason")
+
+    def __init__(self, feasible: bool, complement: Optional[QuadraticForm],
+                 complement_invariants: Optional[FormInvariants],
+                 reason: Optional[str] = None):
+        object.__setattr__(self, "feasible", feasible)
+        object.__setattr__(self, "complement", complement)
+        object.__setattr__(self, "complement_invariants", complement_invariants)
+        object.__setattr__(self, "reason", reason)
 
 
 def complement_invariants(vi: FormInvariants, ui: FormInvariants) -> FormInvariants:
@@ -532,11 +554,17 @@ def _locally_hyperbolic_inv(fi: FormInvariants, place) -> bool:
 # isotropy
 
 
-@dataclass(frozen=True)
-class IsotropyVerdict:
-    isotropic: bool
-    witness: Optional[tuple]          # rational vector for the diagonal form
-    obstruction: Optional[object]     # a place certifying anisotropy
+class IsotropyVerdict(Record):
+    """`witness` is a rational vector for the diagonal form, `obstruction`
+    a place certifying anisotropy."""
+
+    __slots__ = _fields = ("isotropic", "witness", "obstruction")
+
+    def __init__(self, isotropic: bool, witness: Optional[tuple],
+                 obstruction: Optional[object]):
+        object.__setattr__(self, "isotropic", isotropic)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "obstruction", obstruction)
 
 
 def _locally_isotropic_inv(fi: FormInvariants, place) -> bool:
@@ -722,18 +750,23 @@ def _checked_witness(f: QuadraticForm, vec) -> tuple:
 # Witt group
 
 
-@dataclass(frozen=True)
-class WittClassQ:
+class WittClassQ(Record):
     """Witt class of a rational form: rank parity, signed determinant,
     signature (as an integer), and the invariants of the anisotropic kernel
     for exact equality and arithmetic."""
 
-    dim_parity: int
-    disc: SquareClass
-    signature: int
-    local: frozenset
-    torsion: bool
-    kernel: Optional[FormInvariants]
+    __slots__ = _fields = ("dim_parity", "disc", "signature", "local",
+                           "torsion", "kernel")
+
+    def __init__(self, dim_parity: int, disc: SquareClass, signature: int,
+                 local: frozenset, torsion: bool,
+                 kernel: Optional[FormInvariants]):
+        object.__setattr__(self, "dim_parity", dim_parity)
+        object.__setattr__(self, "disc", disc)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "local", local)
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "kernel", kernel)
 
 
 def _peel_hyperbolic(fi: FormInvariants) -> FormInvariants:
@@ -780,11 +813,14 @@ def witt_add(a: WittClassQ, b: WittClassQ) -> WittClassQ:
 
 
 def rational_from(s) -> Fraction:
-    if isinstance(s, (int, Fraction)):
+    """An integer, a Fraction or a "p/q" string as a Fraction.  Anything
+    else (a bool included) and a zero denominator raise ValueError."""
+    if isinstance(s, bool) or not isinstance(s, (int, Fraction, str)):
+        raise ValueError(f"not a rational: {s!r}")
+    try:
         return Fraction(s)
-    if isinstance(s, str):
-        return Fraction(s)
-    raise ValueError(f"not a rational: {s!r}")
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {s!r}") from None
 
 
 def place_to_json(v):
@@ -808,13 +844,22 @@ def form_to_json(f: QuadraticForm) -> dict:
     return {"diagonal": [rational_str(e) for e in f.diagonal]}
 
 
+def _json_array(obj, what: str) -> list:
+    # a string would otherwise be read one character at a time
+    if not isinstance(obj, (list, tuple)):
+        raise ValueError(f"{what} must be an array")
+    return obj
+
+
 def form_from_json(obj) -> QuadraticForm:
     if not isinstance(obj, dict):
         raise ValueError("form must be an object")
     if "diagonal" in obj:
-        return QuadraticForm.make([rational_from(e) for e in obj["diagonal"]])
+        return QuadraticForm.make(
+            [rational_from(e) for e in _json_array(obj["diagonal"], "diagonal")])
     if "gram" in obj:
-        return diagonalize([[rational_from(x) for x in row] for row in obj["gram"]])
+        return diagonalize([[rational_from(x) for x in _json_array(row, "gram row")]
+                            for row in _json_array(obj["gram"], "gram")])
     raise ValueError("form needs a 'diagonal' or 'gram' key")
 
 

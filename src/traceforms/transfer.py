@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 from .exact import (
     INF,
     Poly,
+    Record,
     SquareClass,
     is_square_at,
     signs_at_real_roots,
@@ -55,11 +56,14 @@ from .qforms import (
 )
 
 
-@dataclass(frozen=True)
-class QuadFieldElement:
+class QuadFieldElement(Record):
     """a + b*sqrt(d) in a real quadratic field; d travels separately."""
-    a: Fraction
-    b: Fraction
+
+    __slots__ = _fields = ("a", "b")
+
+    def __init__(self, a: Fraction, b: Fraction):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @staticmethod
     def make(a, b) -> "QuadFieldElement":
@@ -88,6 +92,8 @@ class QuadFieldElement:
         return 1 if b > 0 else -1
 
 
+# The one dataclass of the library: tests compare verdicts through
+# `dataclasses.asdict`, so importing this module imports `dataclasses`.
 @dataclass(frozen=True)
 class TransferVerdict:
     status: str                      # feasible | infeasible | needs_witness
@@ -110,11 +116,18 @@ def verdict_to_json(v: TransferVerdict) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class SignatureProfile:
-    per_embedding: tuple   # (r, s) per real embedding (or conjugate pair)
-    multiplicity: int      # rank of W over E
-    condition_ok: bool     # one (2, m-2) slot, the rest negative definite
+class SignatureProfile(Record):
+    """`per_embedding` holds (r, s) per real embedding (or conjugate pair),
+    `multiplicity` is the rank of W over E, and `condition_ok` says there
+    is one (2, m-2) slot and the rest are negative definite."""
+
+    __slots__ = _fields = ("per_embedding", "multiplicity", "condition_ok")
+
+    def __init__(self, per_embedding: tuple, multiplicity: int,
+                 condition_ok: bool):
+        object.__setattr__(self, "per_embedding", per_embedding)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "condition_ok", condition_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -647,11 +660,16 @@ def _condition_shape(per, m) -> bool:
 # witness search over real quadratic fields
 
 
-@dataclass(frozen=True)
-class WitnessResult:
-    status: str                       # found | not_found
-    entries: Optional[tuple] = None   # QuadFieldElements
-    obstruction: Optional[dict] = None
+class WitnessResult(Record):
+    """`status` is found or not_found; `entries` are QuadFieldElements."""
+
+    __slots__ = _fields = ("status", "entries", "obstruction")
+
+    def __init__(self, status: str, entries: Optional[tuple] = None,
+                 obstruction: Optional[dict] = None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "obstruction", obstruction)
 
 
 def construct_witness_quadratic(U: QuadraticForm, d: int, height: int = 4,
@@ -703,11 +721,14 @@ def construct_witness_quadratic(U: QuadraticForm, d: int, height: int = 4,
     return WitnessResult("found", entries=entries)
 
 
-@dataclass(frozen=True)
-class _Block:
-    entry: QuadFieldElement
-    inv: FormInvariants
-    key: tuple
+class _Block(Record):
+    __slots__ = _fields = ("entry", "inv", "key")
+
+    def __init__(self, entry: QuadFieldElement, inv: FormInvariants,
+                 key: tuple):
+        object.__setattr__(self, "entry", entry)
+        object.__setattr__(self, "inv", inv)
+        object.__setattr__(self, "key", key)
 
 
 def _block_data(e: QuadFieldElement, d: int) -> _Block:
