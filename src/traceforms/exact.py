@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -29,15 +29,19 @@ class FactorizationBudgetError(ValueError):
 # in practice while keeping worst-case behaviour predictable.
 DEFAULT_FACTOR_BUDGET = 1_000_000
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: psi_13, the least strong pseudoprime to all thirteen prime bases up to
+#: 41 (OEIS A014233): below it `is_prime` is a proof
+MR_PROVEN_BELOW = 3317044064679887385961981
 
 
 @lru_cache(maxsize=4096, typed=True)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n below 3.3e24 (and extremely
-    reliable beyond; inputs that large do not survive the factor budget
-    anyway).  Memoized: the places of Hilbert symbols are the same few
-    primes again and again."""
+    """Miller-Rabin to the prime bases up to 41: a proof for n below
+    `MR_PROVEN_BELOW` (about 3.3e24), a probable-prime test above it.
+    Memoized: the places of Hilbert symbols are the same few primes again
+    and again."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -77,6 +81,11 @@ def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> dict:
     """Factor a positive integer by trial division up to `budget`, finishing
     off prime or prime-power cofactors with a primality test.
 
+    Trial division stops early when the cofactor is proved prime: that is
+    tested once 2 and 3 are divided out and again after each prime factor
+    found, for cofactors below `MR_PROVEN_BELOW` only.  A larger cofactor is
+    trial-divided as far as the budget allows, as without the test.
+
     Returns {prime: exponent}.  Raises FactorizationBudgetError when the
     leftover cofactor is composite with no factor below the budget.
     """
@@ -88,15 +97,19 @@ def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> dict:
             n //= p
             out[p] = out.get(p, 0) + 1
     f = 5
-    while f * f <= n and f <= budget:
+    # a cofactor below f^2 leaves the loop and is tested after it
+    proved = f * f <= n < MR_PROVEN_BELOW and is_prime(n)
+    while not proved and f * f <= n and f <= budget:
         for p in (f, f + 2):
-            while n % p == 0:
-                n //= p
-                out[p] = out.get(p, 0) + 1
+            if n % p == 0:
+                while n % p == 0:
+                    n //= p
+                    out[p] = out.get(p, 0) + 1
+                proved = f * f <= n < MR_PROVEN_BELOW and is_prime(n)
         f += 6
     if n == 1:
         return out
-    if is_prime(n):
+    if proved or is_prime(n):
         out[n] = out.get(n, 0) + 1
         return out
     # composite cofactor with all prime factors above the budget; a perfect
@@ -265,22 +278,65 @@ def rational_str(x) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def _val_unit(n: int, p: int) -> Tuple[int, int]:
-    """p-adic valuation and unit part of a nonzero integer."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for odd prime p, in {-1, 0, 1}."""
     a %= p
     if a == 0:
         return 0
-    t = pow(a, (p - 1) // 2, p)
-    return -1 if t == p - 1 else 1
+    return -1 if local_characters(a, p)[1] else 1
+
+
+def local_characters(n: int, place) -> tuple:
+    """The class of the nonzero integer n in Q_v^x / (Q_v^x)^2 as bits: the
+    sign at INF; at 2 the parity of the valuation and the characters
+    eps = (u - 1)/2 and omega = (u^2 - 1)/8 mod 2 of the unit part u; at an
+    odd p the parity of the valuation and chi = 1 when u is not a square
+    mod p.
+
+    >>> local_characters(-12, INF), local_characters(-12, 2), local_characters(-12, 3)
+    ((1,), (0, 0, 1), (1, 1))
+    """
+    if n == 0:
+        raise ValueError("zero has no square class")
+    if place == INF:
+        return (1 if n < 0 else 0,)
+    v = 0
+    while n % place == 0:
+        n //= place
+        v ^= 1
+    if place == 2:
+        r = n % 8
+        return (v, (r - 1) // 2 % 2, (r * r - 1) // 8 % 2)
+    # Euler's criterion on the unit n
+    return (v, 0 if pow(n, (place - 1) // 2, place) == 1 else 1)
+
+
+def hasse_parity(chars: Sequence[tuple], place) -> int:
+    """The sum over i < j of the Hilbert symbols (a_i, a_j) at `place`, mod
+    2, from the `local_characters` of the a_i: the Hasse bit of <a_1, ...>.
+
+    Summed over the pairs, the bilinear form of `hilbert_symbol` is C(S, 2)
+    at INF, C(E, 2) + V W + sum v_i omega_i at 2 and eps(p) C(V, 2) + V X +
+    sum v_i chi_i at an odd p, with S, E, V, W, X the sums of the sign, eps,
+    v, omega and chi bits.  One pass over the characters, no symbol.
+    """
+    if place == INF:
+        s = sum([c[0] for c in chars])
+        return s * (s - 1) // 2 % 2
+    if place == 2:
+        V = E = W = VW = 0
+        for v, e, w in chars:
+            V += v
+            E += e
+            W += w
+            VW += v & w
+        return (E * (E - 1) // 2 + V * W + VW) % 2
+    V = X = VX = 0
+    for v, x in chars:
+        V += v
+        X += x
+        VX += v & x
+    return ((place - 1) // 2 * (V * (V - 1) // 2) + V * X + VX) % 2
 
 
 def hilbert_symbol(a: Rational, b: Rational, place) -> int:
@@ -288,9 +344,10 @@ def hilbert_symbol(a: Rational, b: Rational, place) -> int:
     z^2 = a x^2 + b y^2 has a nontrivial solution in the completion, 1 when
     it does not.
 
-    The finite-place evaluation is the classical closed form in terms of
-    valuations, Legendre symbols and the mod-8 characters at 2; the real
-    place only looks at signs.
+    A bilinear form on the `local_characters` (Serre, A Course in
+    Arithmetic, III.1.2, Thm. 1): s_a s_b at INF, eps_a eps_b + v_a omega_b
+    + v_b omega_a at 2 and eps(p) v_a v_b + v_a chi_b + v_b chi_a at an odd
+    p, with eps(p) = (p - 1)/2 mod 2.
 
     >>> hilbert_symbol(5, -5, 2)
     0
@@ -313,19 +370,10 @@ def hilbert_symbol(a: Rational, b: Rational, place) -> int:
     p = place
     if not isinstance(p, int) or p < 2 or not is_prime(p):
         raise ValueError(f"not a place of Q: {place!r}")
-    alpha, u = _val_unit(a, p)
-    beta, v = _val_unit(b, p)
+    ca, cb = local_characters(a, p), local_characters(b, p)
     if p == 2:
-        ru, rv = u % 8, v % 8
-        eps_u = (ru - 1) // 2 % 2
-        eps_v = (rv - 1) // 2 % 2
-        om_u = (ru * ru - 1) // 8 % 2
-        om_v = (rv * rv - 1) // 8 % 2
-        return (eps_u * eps_v + alpha * om_v + beta * om_u) % 2
-    chi_u = 0 if legendre(u, p) == 1 else 1
-    chi_v = 0 if legendre(v, p) == 1 else 1
-    eps_p = (p - 1) // 2 % 2
-    return (alpha * beta * eps_p + beta * chi_u + alpha * chi_v) % 2
+        return (ca[1] * cb[1] + ca[0] * cb[2] + cb[0] * ca[2]) % 2
+    return ((p - 1) // 2 * ca[0] * cb[0] + ca[0] * cb[1] + cb[0] * ca[1]) % 2
 
 
 def hilbert_support(a: Rational, b: Rational) -> frozenset:
@@ -354,16 +402,9 @@ def support_at(a: Rational, b: Rational, places: Iterable[int]) -> frozenset:
 
 
 def is_square_at(c: SquareClass, place) -> bool:
-    """Is the square class a square in the completion at `place`?"""
-    n = c.n
-    if place == INF:
-        return n > 0
-    p = place
-    if p == 2:
-        return n % 2 != 0 and n % 8 == 1
-    if n % p == 0:
-        return False
-    return legendre(n % p, p) == 1
+    """Is the square class a square in the completion at `place`?  Exactly
+    when all its local characters vanish."""
+    return not any(local_characters(c.n, place))
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,11 @@ from .exact import (
     Rational,
     Record,
     SquareClass,
+    hasse_parity,
     hilbert_symbol,
     is_prime,
     is_square_at,
+    local_characters,
     primes_below,
     rational_str,
     squarefree_class,
@@ -243,11 +245,11 @@ def _swap(m, i, j):
 def invariants(f: QuadraticForm, budget: int = DEFAULT_FACTOR_BUDGET) -> FormInvariants:
     """dimension, determinant square class, signature and Hasse place set.
 
-    The Hasse bit at v is the sum over i < j of (a_i, a_j)_v, which by
-    bilinearity regroups as the sum over j of (a_1...a_{j-1}, a_j)_v
-    (Serre, A Course in Arithmetic, IV.2): one symbol per entry and place.
-    Entries whose class the form carries are not factored; the determinant
-    class carries the primes of the entry classes.
+    The Hasse bit at v is the sum over i < j of (a_i, a_j)_v.  The symbol is
+    bilinear in the local characters of its arguments, so the sum is a
+    parity of their totals (`hasse_parity`): one character vector per entry
+    and place, and no symbol.  Entries whose class the form carries are not
+    factored; the determinant class carries the primes of the entry classes.
 
     Memoized: forms and the returned invariants are both frozen.  The memo
     key ignores the carried classes, so an equal form built without them
@@ -257,19 +259,14 @@ def invariants(f: QuadraticForm, budget: int = DEFAULT_FACTOR_BUDGET) -> FormInv
     r = sum(1 for e in f.diagonal if e > 0)
     s = f.dim - r
     places = {2, INF}
-    for c in classes:
-        places.update(c.primes(budget))
-    # the square classes of the prefix products a_1...a_{j-1}; a prefix in
-    # the trivial class contributes nothing
-    pairs = []
     det = SquareClass(1)
     for c in classes:
-        if det.n != 1:
-            pairs.append((det.n, c.n))
+        places.update(c.primes(budget))
         det = det * c
+    ns = [c.n for c in classes]
     support = frozenset(
         v for v in places
-        if sum(hilbert_symbol(a, c, v) for a, c in pairs) % 2)
+        if hasse_parity([local_characters(n, v) for n in ns], v))
     return FormInvariants(f.dim, det, (r, s), support)
 
 
@@ -648,10 +645,12 @@ def _isotropy_witness(f: QuadraticForm, height: int, budget: int):
     # (multiply through by the square (q_i q_j p_k)^2)
     nums = [e.numerator for e in d]
     dens = [e.denominator for e in d]
-    ys = range(-height, height + 1)
+    # a x^2 + b y^2 is even in y, so a row's first hit has y <= 0: the row
+    # runs over y <= 0 and charges the height steps of y > 0 untaken
+    ys = range(-height, 1)
     # a triple whose ternary subform is anisotropic cannot hit, so its steps
     # are charged without being taken; each unordered triple is decided once
-    triple_steps = height * len(ys)
+    triple_steps = height * (2 * height + 1)
     classes = _entry_classes(f)
     anisotropic = {}
     work = 0
@@ -692,6 +691,9 @@ def _isotropy_witness(f: QuadraticForm, height: int, budget: int):
                         vec[j] = Fraction(y)
                         vec[k] = t
                         return _checked_witness(f, vec)
+                    work += height
+                    if work > budget:
+                        return None
     return None
 
 
