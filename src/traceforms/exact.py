@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -87,7 +88,9 @@ def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> dict:
     trial-divided as far as the budget allows, as without the test.
 
     Returns {prime: exponent}.  Raises FactorizationBudgetError when the
-    leftover cofactor is composite with no factor below the budget.
+    leftover cofactor is composite with no factor below the budget, or when
+    it (or its root, for a perfect power) passes `is_prime` at or above
+    `MR_PROVEN_BELOW`, where that test proves nothing.
     """
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
@@ -109,22 +112,28 @@ def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> dict:
         f += 6
     if n == 1:
         return out
-    if proved or is_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return out
-    # composite cofactor with all prime factors above the budget; a perfect
-    # power is still recoverable exactly.  Every prime factor is at least f,
-    # the first trial divisor not tried, so an r^k = n has f^k <= n
-    k = 2
-    while f ** k <= n:
-        r = _iroot(n, k)
-        if r ** k == n and is_prime(r):
-            out[r] = out.get(r, 0) + k
-            return out
-        k += 1
-    raise FactorizationBudgetError(
-        f"cofactor {n} is composite and resists trial division up to {budget}"
-    )
+    p, k = n, 1
+    if not (proved or is_prime(n)):
+        # composite cofactor with all prime factors above the budget; a
+        # perfect power is still recoverable exactly.  Every prime factor is
+        # at least f, the first trial divisor not tried, so n = p^k has
+        # f^k <= n
+        k = 2
+        while f ** k <= n:
+            p = _iroot(n, k)
+            if p ** k == n and is_prime(p):
+                break
+            k += 1
+        else:
+            raise FactorizationBudgetError(f"cofactor {n} is composite and "
+                                           f"resists trial division up to "
+                                           f"{budget}")
+    if p >= MR_PROVEN_BELOW:
+        raise FactorizationBudgetError(
+            f"cofactor {p} is only a probable prime: is_prime is a proof "
+            f"below {MR_PROVEN_BELOW} only")
+    out[p] = out.get(p, 0) + k
+    return out
 
 
 def _iroot(n: int, k: int) -> int:
@@ -143,9 +152,12 @@ class Record:
     import.
 
     A subclass lists its attributes in `__slots__`, the ones that make up
-    its value in `_fields` (in order), and writes an `__init__` that stores
-    every slot with `object.__setattr__`.  Then:
+    its value in `_fields` (in order), and the defaults of the trailing
+    fields in `_defaults`.  Then:
 
+    - the constructor takes the `_fields` by position or keyword, fills in
+      the defaults, and raises TypeError on a missing, surplus, unknown or
+      repeated argument, as a written-out signature would;
     - assigning or deleting an attribute raises AttributeError;
     - `==` holds only between instances of the same class whose `_fields`
       are equal; against any other class it returns NotImplemented, so
@@ -158,23 +170,57 @@ class Record:
       equality, hashing or `repr`;
     - `copy.deepcopy` and `pickle` restore an instance slot by slot.
 
-    Classes hashed or compared in hot loops write `__eq__` and `__hash__`
-    out over the same fields, which is faster than the generic pair here.
+    Only the six classes that normalize or check their arguments write an
+    `__init__` (storing with `object.__setattr__`): `SquareClass`,
+    `Cyclotomic`, `GeneralTotallyReal`, `GeneralCM`, `QuadraticForm` and
+    `FormInvariants`.  `QuadraticForm` also hashes its diagonal once, as the
+    cache key of `invariants`, in its own `__eq__` and `__hash__`.
     """
 
     __slots__ = ()
     _fields: tuple = ()
+    _defaults: tuple = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+    def __init_subclass__(cls):
+        # one C-level getter per class.  Of a single field it gives the
+        # bare value, which compares as its 1-tuple would; `_values` wraps
+        # it, so that every hash is hash(tuple of the fields)
+        cls._get = get = attrgetter(*cls._fields)
+        cls._values = (staticmethod(lambda x: (get(x),))
+                       if len(cls._fields) == 1 else get)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            what = self.__class__.__qualname__ + "()"
+            if len(args) > len(fields):
+                raise TypeError(f"{what} takes at most {len(fields)} positional"
+                                f" arguments but {len(args)} were given")
+            given = dict(zip(fields, args))
+            for name in kwargs:
+                if name in given or name not in fields:
+                    raise TypeError(f"{what} got " + (
+                        "multiple values for argument" if name in given
+                        else "an unexpected keyword argument") + f" {name!r}")
+            # the defaults are those of the trailing fields
+            values = dict(zip(fields[len(fields) - len(self._defaults):],
+                              self._defaults), **given, **kwargs)
+            missing = [repr(name) for name in fields if name not in values]
+            if missing:
+                raise TypeError(f"{what} missing required arguments: "
+                                + ", ".join(missing))
+            args = [values[name] for name in fields]
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            get = self._get
+            return get(self) == get(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self):
         return (self.__class__.__qualname__ + "("
@@ -212,14 +258,6 @@ class SquareClass(Record):
             known_primes = frozenset()
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "known_primes", known_primes)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n,))
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         # two squarefree integers multiply to a squarefree one once the
@@ -419,9 +457,6 @@ class Poly(Record):
     """
 
     __slots__ = _fields = ("coeffs",)
-
-    def __init__(self, coeffs: tuple):
-        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def make(cs: Iterable[Rational]) -> "Poly":

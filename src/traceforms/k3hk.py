@@ -57,14 +57,6 @@ class AmbientSpace(Record):
     __slots__ = _fields = ("family", "n", "b2", "rational_form",
                            "integral_label")
 
-    def __init__(self, family: str, n: Optional[int], b2: int,
-                 rational_form: QuadraticForm, integral_label: str):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "b2", b2)
-        object.__setattr__(self, "rational_form", rational_form)
-        object.__setattr__(self, "integral_label", integral_label)
-
     @property
     def scaled_line(self) -> Optional[int]:
         """The 2k of a trailing <-2k> line, where the family has one."""
@@ -135,28 +127,6 @@ class RealizabilityReport(Record):
     __slots__ = _fields = ("mode", "family_dimension", "pic_rank",
                            "hodge_group_label", "notes", "verdict")
 
-    def __init__(self, mode: str, family_dimension: object,
-                 pic_rank: Optional[int], hodge_group_label: Optional[str],
-                 notes: tuple, verdict: TransferVerdict):
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "family_dimension", family_dimension)
-        object.__setattr__(self, "pic_rank", pic_rank)
-        object.__setattr__(self, "hodge_group_label", hodge_group_label)
-        object.__setattr__(self, "notes", notes)
-        object.__setattr__(self, "verdict", verdict)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.mode, self.family_dimension, self.pic_rank,
-                     self.hodge_group_label, self.notes, self.verdict)
-                    == (other.mode, other.family_dimension, other.pic_rank,
-                        other.hodge_group_label, other.notes, other.verdict))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.mode, self.family_dimension, self.pic_rank,
-                     self.hodge_group_label, self.notes, self.verdict))
-
     @property
     def status(self) -> str:
         """feasible | infeasible | needs_witness, as the verdict says."""
@@ -207,16 +177,7 @@ class _FamilyText(Record):
 
     __slots__ = _fields = ("cm_bound", "rank1_cm", "even_b2_note",
                            "square_disc_note", "rm_note")
-
-    def __init__(self, cm_bound: Optional[int] = None,
-                 rank1_cm: str = "countably many manifolds",
-                 even_b2_note: bool = True, square_disc_note: bool = False,
-                 rm_note: Optional[str] = None):
-        object.__setattr__(self, "cm_bound", cm_bound)
-        object.__setattr__(self, "rank1_cm", rank1_cm)
-        object.__setattr__(self, "even_b2_note", even_b2_note)
-        object.__setattr__(self, "square_disc_note", square_disc_note)
-        object.__setattr__(self, "rm_note", rm_note)
+    _defaults = (None, "countably many manifolds", True, False, None)
 
 
 # CM fields have even degree, so for K3 the named bound 20 cuts the same
@@ -229,6 +190,8 @@ _FAMILY_TEXT = {
     "og6": _FamilyText(rm_note="with b2 = 8 the bounds leave only degree 2, "
                                "rank 3"),
 }
+# the text of every other family
+_DEFAULT_TEXT = _FamilyText()
 
 
 def k3_realizable(E, m: int, mode: str) -> RealizabilityReport:
@@ -251,7 +214,7 @@ def hk_realizable(family: str, n: Optional[int], E, m: int,
     amb = ambient(family, n)
     if m < 1:
         raise ValueError("rank must be positive")
-    text = _FAMILY_TEXT.get(amb.family, _FamilyText())
+    text = _FAMILY_TEXT.get(amb.family, _DEFAULT_TEXT)
     r = amb.b2
     md = m * finv.degree
     bound = r - 1
@@ -461,18 +424,6 @@ def _field_from_context(context):
 class FamousExample(Record):
     __slots__ = _fields = ("key", "summary", "field", "m", "mode",
                            "elliptic_context", "transcendental", "expected")
-
-    def __init__(self, key: str, summary: str, field: object, m: int,
-                 mode: str, elliptic_context: Optional[dict],
-                 transcendental: Optional[QuadraticForm], expected: dict):
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "summary", summary)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "elliptic_context", elliptic_context)
-        object.__setattr__(self, "transcendental", transcendental)
-        object.__setattr__(self, "expected", expected)
 
 
 def _double_sextic_transcendental() -> QuadraticForm:

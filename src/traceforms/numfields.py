@@ -23,6 +23,7 @@ from .exact import (
     is_prime,
     is_square_at,
     norm_via_resultant,
+    poly_gcd,
     rational_str,
     signs_at_real_roots,
     squarefree_class,
@@ -39,33 +40,11 @@ class RealQuadratic(Record):
 
     __slots__ = _fields = ("d",)
 
-    def __init__(self, d: int):
-        object.__setattr__(self, "d", d)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.d == other.d
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.d,))
-
 
 class ImagQuadratic(Record):
     """Q(sqrt(-D)) for squarefree D >= 1.  D=1 is the Gaussian field."""
 
     __slots__ = _fields = ("D",)
-
-    def __init__(self, D: int):
-        object.__setattr__(self, "D", D)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.D == other.D
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.D,))
 
 
 class Cyclotomic(Record):
@@ -76,14 +55,6 @@ class Cyclotomic(Record):
 
     def __init__(self, n: int):
         object.__setattr__(self, "n", n // 2 if n % 4 == 2 else n)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n,))
 
 
 class GeneralTotallyReal(Record):
@@ -98,15 +69,6 @@ class GeneralTotallyReal(Record):
         # needs
         object.__setattr__(self, "minpoly", tuple(minpoly))
         object.__setattr__(self, "supplied_disc", supplied_disc)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.minpoly, self.supplied_disc)
-                    == (other.minpoly, other.supplied_disc))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.minpoly, self.supplied_disc))
 
     def poly(self) -> Poly:
         return Poly.make(self.minpoly)
@@ -126,16 +88,6 @@ class GeneralCM(Record):
         object.__setattr__(self, "se_assertions",
                            tuple(tuple(a) for a in se_assertions))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.real_minpoly, self.disc_class, self.se_assertions)
-                    == (other.real_minpoly, other.disc_class,
-                        other.se_assertions))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.real_minpoly, self.disc_class, self.se_assertions))
-
     def poly(self) -> Poly:
         return Poly.make(self.real_minpoly)
 
@@ -145,15 +97,10 @@ NumberFieldDesc = (RealQuadratic, ImagQuadratic, Cyclotomic,
 
 
 class FieldInvariants(Record):
-    __slots__ = _fields = ("degree", "disc_class", "is_cm", "half_degree")
+    """Degree, discriminant square class and CM flag of a field;
+    `half_degree` is the degree of the real subfield for CM fields."""
 
-    def __init__(self, degree: int, disc_class: SquareClass, is_cm: bool,
-                 half_degree: Optional[int]):
-        # half_degree: degree of the real subfield for CM fields
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "disc_class", disc_class)
-        object.__setattr__(self, "is_cm", is_cm)
-        object.__setattr__(self, "half_degree", half_degree)
+    __slots__ = _fields = ("degree", "disc_class", "is_cm", "half_degree")
 
 
 def _check_squarefree(n: int, what: str) -> frozenset:
@@ -247,6 +194,9 @@ def _field_invariants(E) -> FieldInvariants:
 def _require_totally_real(f: Poly) -> None:
     if not f.is_monic() or f.degree < 1:
         raise DescriptorError("minimal polynomial must be monic nonconstant")
+    # a repeated root would otherwise read as a missing real root
+    if poly_gcd(f, f.deriv()).degree >= 1:
+        raise DescriptorError("minimal polynomial is not squarefree")
     if count_real_roots(f) != f.degree:
         raise DescriptorError("minimal polynomial is not totally real")
 

@@ -137,15 +137,6 @@ class FormInvariants(Record):
         object.__setattr__(self, "signature", tuple(signature))
         object.__setattr__(self, "hasse", frozenset(hasse))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.dim, self.det, self.signature, self.hasse)
-                    == (other.dim, other.det, other.signature, other.hasse))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.dim, self.det, self.signature, self.hasse))
-
     def hasse_bit(self, place) -> int:
         return 1 if place in self.hasse else 0
 
@@ -476,14 +467,7 @@ def _rank2_from_invariants(head, det: SquareClass, sig,
 class SplitResult(Record):
     __slots__ = _fields = ("feasible", "complement", "complement_invariants",
                            "reason")
-
-    def __init__(self, feasible: bool, complement: Optional[QuadraticForm],
-                 complement_invariants: Optional[FormInvariants],
-                 reason: Optional[str] = None):
-        object.__setattr__(self, "feasible", feasible)
-        object.__setattr__(self, "complement", complement)
-        object.__setattr__(self, "complement_invariants", complement_invariants)
-        object.__setattr__(self, "reason", reason)
+    _defaults = (None,)
 
 
 def complement_invariants(vi: FormInvariants, ui: FormInvariants) -> FormInvariants:
@@ -556,12 +540,6 @@ class IsotropyVerdict(Record):
     a place certifying anisotropy."""
 
     __slots__ = _fields = ("isotropic", "witness", "obstruction")
-
-    def __init__(self, isotropic: bool, witness: Optional[tuple],
-                 obstruction: Optional[object]):
-        object.__setattr__(self, "isotropic", isotropic)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "obstruction", obstruction)
 
 
 def _locally_isotropic_inv(fi: FormInvariants, place) -> bool:
@@ -759,16 +737,6 @@ class WittClassQ(Record):
 
     __slots__ = _fields = ("dim_parity", "disc", "signature", "local",
                            "torsion", "kernel")
-
-    def __init__(self, dim_parity: int, disc: SquareClass, signature: int,
-                 local: frozenset, torsion: bool,
-                 kernel: Optional[FormInvariants]):
-        object.__setattr__(self, "dim_parity", dim_parity)
-        object.__setattr__(self, "disc", disc)
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "local", local)
-        object.__setattr__(self, "torsion", torsion)
-        object.__setattr__(self, "kernel", kernel)
 
 
 def _peel_hyperbolic(fi: FormInvariants) -> FormInvariants:

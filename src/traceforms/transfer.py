@@ -61,10 +61,6 @@ class QuadFieldElement(Record):
 
     __slots__ = _fields = ("a", "b")
 
-    def __init__(self, a: Fraction, b: Fraction):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
     @staticmethod
     def make(a, b) -> "QuadFieldElement":
         return QuadFieldElement(Fraction(a), Fraction(b))
@@ -122,12 +118,6 @@ class SignatureProfile(Record):
     is one (2, m-2) slot and the rest are negative definite."""
 
     __slots__ = _fields = ("per_embedding", "multiplicity", "condition_ok")
-
-    def __init__(self, per_embedding: tuple, multiplicity: int,
-                 condition_ok: bool):
-        object.__setattr__(self, "per_embedding", per_embedding)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "condition_ok", condition_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -664,12 +654,7 @@ class WitnessResult(Record):
     """`status` is found or not_found; `entries` are QuadFieldElements."""
 
     __slots__ = _fields = ("status", "entries", "obstruction")
-
-    def __init__(self, status: str, entries: Optional[tuple] = None,
-                 obstruction: Optional[dict] = None):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "obstruction", obstruction)
+    _defaults = (None, None)
 
 
 def construct_witness_quadratic(U: QuadraticForm, d: int, height: int = 4,
@@ -723,12 +708,6 @@ def construct_witness_quadratic(U: QuadraticForm, d: int, height: int = 4,
 
 class _Block(Record):
     __slots__ = _fields = ("entry", "inv", "key")
-
-    def __init__(self, entry: QuadFieldElement, inv: FormInvariants,
-                 key: tuple):
-        object.__setattr__(self, "entry", entry)
-        object.__setattr__(self, "inv", inv)
-        object.__setattr__(self, "key", key)
 
 
 def _block_data(e: QuadFieldElement, d: int) -> _Block:

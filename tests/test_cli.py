@@ -449,3 +449,13 @@ def test_form_invariants_of_a_semiprime_past_float_range_is_a_budget_error(
                          "--form", json.dumps({"diagonal": [str(n), 2]}))
     assert code == EXIT_BUDGET
     assert doc["kind"] == "budget"
+
+
+@pytest.mark.parametrize("minpoly", [[0, 0, 1], [-2, 5, -4, 1]])
+def test_non_squarefree_minimal_polynomial_exits_3(capsys, minpoly):
+    field = json.dumps({"kind": "general_tr", "minpoly": minpoly})
+    code, doc = run_json(capsys, "k3", "--field", field, "--m", "4",
+                         "--mode", "rm")
+    assert code == EXIT_CRITERION
+    assert doc == {"status": "error", "kind": "criterion",
+                   "error": "minimal polynomial is not squarefree"}

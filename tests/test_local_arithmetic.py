@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import factorint, isprime, nextprime
+from sympy import factorint, isprime, nextprime, prevprime
 
 from traceforms import exact, qforms
 from traceforms.cli import EXIT_BUDGET, main
@@ -66,6 +66,24 @@ def test_psi12_entry_is_a_budget_error(capsys):
                  '{"diagonal": ["318665857834031151167461", 2]}'])
     assert code == EXIT_BUDGET
     assert '"kind": "budget"' in capsys.readouterr().out
+
+
+def test_probable_prime_at_or_above_psi13_is_a_budget_error(capsys):
+    # psi_13 passes all thirteen bases, so it used to come back as its own
+    # prime factor and was listed as a Hasse place
+    code = main(["form-invariants", "--form",
+                 '{"diagonal": ["3317044064679887385961981", 2]}'])
+    assert code == EXIT_BUDGET
+    assert '"kind": "budget"' in capsys.readouterr().out
+    big = nextprime(10 ** 25)
+    assert big > PSI_13 and is_prime(big)
+    # a cofactor left by trial division, and the root of a perfect power
+    for n in (PSI_13, big, 2 * big, 3 * big ** 2):
+        with pytest.raises(FactorizationBudgetError):
+            factorize(n)
+    # below psi_13 the test is a proof, and the cofactor is a factor
+    below = prevprime(PSI_13)
+    assert factorize(2 * below) == {2: 1, below: 1}
 
 
 @given(st.integers(2, 10 ** 7))

@@ -108,6 +108,18 @@ def test_general_totally_real():
         field_invariants(GeneralTotallyReal(minpoly=(-2, 0, 0, 1)))
 
 
+def test_non_squarefree_minimal_polynomial_is_named():
+    # x^2 and (x - 1)^2 (x - 2) have fewer distinct real roots than their
+    # degree, but the reason to reject them is the repeated root
+    for coeffs in ((0, 0, 1), (-2, 5, -4, 1)):
+        with pytest.raises(DescriptorError, match="not squarefree"):
+            field_invariants(GeneralTotallyReal(minpoly=coeffs))
+        with pytest.raises(DescriptorError, match="not squarefree"):
+            field_invariants(GeneralCM(real_minpoly=coeffs, disc_class=5))
+    with pytest.raises(DescriptorError, match="not totally real"):
+        field_invariants(GeneralTotallyReal(minpoly=(-2, 0, 0, 1)))
+
+
 def test_general_totally_real_quintic_sextic():
     quintic = GeneralTotallyReal(minpoly=(1, 3, -3, -4, 1, 1))
     assert field_invariants(quintic).degree == 5

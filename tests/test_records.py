@@ -264,3 +264,39 @@ def test_construction_by_keyword():
     assert _FamilyText() == _FamilyText(None, "countably many manifolds",
                                         True, False, None)
     assert SplitResult(False, None, None).reason is None
+
+
+# ---------------------------------------------------------------------------
+# the generic constructor of `Record`
+
+
+MISSING, SURPLUS = "missing", "positional arguments but"
+UNKNOWN, REPEATED = "unexpected keyword argument", "multiple values"
+W = (0, SquareClass(1), 0, frozenset(), True)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Poly(), MISSING),
+    (lambda: WittClassQ(*W), MISSING),
+    (lambda: WitnessResult(), MISSING),
+    (lambda: WitnessResult(entries=()), MISSING),
+    (lambda: SplitResult(True, FORM), MISSING),
+    (lambda: Poly((), ()), SURPLUS),
+    (lambda: WittClassQ(*W, None, 7), SURPLUS),
+    (lambda: WitnessResult("found", None, None, 1), SURPLUS),
+    (lambda: SplitResult(True, FORM, INV, None, 1), SURPLUS),
+    (lambda: _FamilyText(20, "r", False, True, "n", 1), SURPLUS),
+    (lambda: Poly(coefs=()), UNKNOWN + " 'coefs'"),
+    (lambda: WittClassQ(*W, kern=None), UNKNOWN + " 'kern'"),
+    (lambda: WitnessResult("found", entry=()), UNKNOWN),
+    (lambda: SplitResult(True, FORM, INV, why="x"), UNKNOWN),
+    (lambda: _FamilyText(cm=20), UNKNOWN + " 'cm'"),
+    (lambda: Poly((), coeffs=()), REPEATED + " for argument 'coeffs'"),
+    (lambda: WittClassQ(*W, None, dim_parity=0), REPEATED),
+    (lambda: WitnessResult("found", status="found"), REPEATED),
+    (lambda: SplitResult(True, FORM, INV, feasible=True), REPEATED),
+    (lambda: _FamilyText(20, cm_bound=20), REPEATED),
+])
+def test_generic_constructor_rejects_bad_arguments(build, message):
+    with pytest.raises(TypeError, match=message):
+        build()

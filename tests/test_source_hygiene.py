@@ -3,7 +3,8 @@
 No `assert` statement: invariant guards must survive `python -O`, so they
 raise explicitly.  No imported name that its module never references
 (`from __future__ import annotations` is exempt).  No private top-level
-definition that the library never refers to.  The checks report through
+definition that the library never refers to.  No `exact.Record` subclass
+writes its own `__init__`, `__eq__` or `__hash__` outside a named list.  The checks report through
 `pytest.fail`, so they also run under `python -O`.
 """
 
@@ -73,6 +74,40 @@ def test_private_definitions_have_a_caller():
                        for other, used in refs)]
     if dead:
         pytest.fail("private definitions without a caller: " + ", ".join(dead))
+
+
+#: the `Record` subclasses that write their own dunders: the six
+#: constructors normalize or check their arguments, and `QuadraticForm`
+#: hashes its diagonal once.  Every other class takes the base's.
+OWN_DUNDERS = {
+    "__init__": {"SquareClass", "Cyclotomic", "GeneralTotallyReal",
+                 "GeneralCM", "QuadraticForm", "FormInvariants"},
+    "__eq__": {"QuadraticForm"},
+    "__hash__": {"QuadraticForm"},
+}
+
+
+def test_records_write_their_own_dunders_only_where_listed():
+    found = {name: set() for name in OWN_DUNDERS}
+    records = 0
+    for path in SOURCES:
+        for stmt in _tree(path).body:
+            if not (isinstance(stmt, ast.ClassDef)
+                    and any(isinstance(b, ast.Name) and b.id == "Record"
+                            for b in stmt.bases)):
+                continue
+            records += 1
+            for item in stmt.body:
+                names = ([item.name] if isinstance(item, ast.FunctionDef)
+                         else [t.id for t in getattr(item, "targets", ())
+                               if isinstance(t, ast.Name)])
+                for name in names:
+                    if name in found:
+                        found[name].add(stmt.name)
+    if records < 20:
+        pytest.fail(f"only {records} Record subclasses found")
+    if found != OWN_DUNDERS:
+        pytest.fail(f"own dunders {found}, expected {OWN_DUNDERS}")
 
 
 def test_sources_found():
