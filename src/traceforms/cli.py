@@ -205,7 +205,7 @@ def catalog_fields(cat: dict, mode: str):
 def parse_families(raw: str):
     """Comma list like "k3,kummer:2,og6,hilbk3:2,og10" into ambient family tokens."""
     from .k3hk import ambient
-    out = []
+    out, seen = [], set()
     for token in raw.split(","):
         token = token.strip()
         if not token:
@@ -219,9 +219,12 @@ def parse_families(raw: str):
         else:
             fam, n = token, None
         try:
-            ambient(fam, n)
+            amb = ambient(fam, n)
         except ValueError as err:
             raise SchemaError(f"families: {err}") from err
+        if (amb.family, amb.n) in seen:
+            raise SchemaError(f"families: {token!r} repeats an earlier family")
+        seen.add((amb.family, amb.n))
         out.append((token if n is None else f"{fam}:{n}", fam, n))
     if not out:
         raise SchemaError("families: empty list")

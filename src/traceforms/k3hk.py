@@ -140,7 +140,11 @@ class RealizabilityReport(Record):
 def hodge_group_label(E, m: int) -> str:
     """Hodge/special Mumford-Tate group of a rank-m structure over E, as a
     restriction-of-scalars label."""
-    finv = field_invariants(E)
+    return _hodge_label(field_invariants(E), m)
+
+
+def _hodge_label(finv, m: int) -> str:
+    """`hodge_group_label` from the invariants of E."""
     group = "U" if finv.is_cm else "SO"
     return f"Res_{{E/Q}} {group}(W), m={m}"
 
@@ -157,7 +161,7 @@ def _bounds_report(mode: str, reason: str, detail: str) -> RealizabilityReport:
     return RealizabilityReport(mode, 0, None, None, (detail,), verdict)
 
 
-def _report_from_verdict(mode, E, m, md, r, verdict,
+def _report_from_verdict(mode, finv, m, md, r, verdict,
                          extra_notes=()) -> RealizabilityReport:
     notes = list(extra_notes)
     if verdict.status == "infeasible":
@@ -166,7 +170,7 @@ def _report_from_verdict(mode, E, m, md, r, verdict,
     if verdict.status == "needs_witness":
         notes.append("undecided: " + str(verdict.obstruction))
     return RealizabilityReport(mode, _family_dimension(mode, m), r - md,
-                               hodge_group_label(E, m), tuple(notes), verdict)
+                               _hodge_label(finv, m), tuple(notes), verdict)
 
 
 class _FamilyText(Record):
@@ -240,7 +244,7 @@ def hk_realizable(family: str, n: Optional[int], E, m: int,
     if mode == "cm" and m == 1:
         notes.append("rank 1 over the field: " + text.rank1_cm)
     verdict = split_transfer_feasible(amb.rational_form, E, m, mode)
-    return _report_from_verdict(mode, E, m, md, r, verdict, notes)
+    return _report_from_verdict(mode, finv, m, md, r, verdict, notes)
 
 
 def report_to_json(rep: RealizabilityReport) -> dict:

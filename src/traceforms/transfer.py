@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .exact import (
@@ -362,6 +363,8 @@ def split_transfer_feasible(V: QuadraticForm, E, m: int, mode: str,
     mode, finv = check_mode(mode, E)
     if m < 1:
         raise ValueError("rank must be positive")
+    if complement_hint is not None and mode != "rm":
+        raise ValueError("complement hints are read by the rm engine only")
     vi = invariants(V)
     d = finv.degree
     md = m * d
@@ -413,10 +416,19 @@ def _first_complement(vi, det_u: SquareClass, md: int, extra_primes=(),
     candidate primes to the Hasse bit the transfer side must carry), or else
     free; the parity of the set is then fixed with the smallest free prime.
     """
+    return _choose_complement(vi, det_u, md, tuple(extra_primes),
+                              tuple(sorted((want or {}).items())))
+
+
+@lru_cache(maxsize=4096)
+def _choose_complement(vi, det_u, md, extra_primes, want_items):
+    """`_first_complement` on a hashable key, `want` as sorted (prime, bit)
+    pairs.  Memoized: the key and the returned pair are frozen, and a grid
+    pass asks the same question of each ambient again and again."""
     dim_c, det_c, sig_c = _complement_target(vi, det_u, md)
     if sig_c[0] < 0 or sig_c[1] < 0:
         return None
-    want = want or {}
+    want = dict(want_items)
     base = vi.hasse ^ support_at(det_u.n, det_c.n,
                                  det_u.primes() + det_c.primes())
     minus_c, minus_u = -det_c, -det_u
