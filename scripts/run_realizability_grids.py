@@ -3,7 +3,9 @@
 
 Covers K3 plus all four hyperkahler deformation types (Kummer-type and
 Hilbert-scheme-type at n = 2, 3) in both multiplication modes, over the
-built-in field catalog.  Output goes to stdout.
+built-in field catalog.  Output goes to stdout.  From the command line, bad
+input (a repeated family, a catalog without a section) prints the JSON
+error document of `tf tabulate` and exits with its code, 2.
 
     python3 scripts/run_realizability_grids.py --format markdown
     python3 scripts/run_realizability_grids.py --mode cm --format csv
@@ -13,7 +15,8 @@ import argparse
 import sys
 
 from traceforms.cli import (
-    catalog_fields, load_catalog, parse_families, render_table, tabulate_rows,
+    catalog_fields, exit_code, load_catalog, parse_families, render_table,
+    tabulate_rows,
 )
 
 ALL_FAMILIES = "k3,kummer:2,kummer:3,og6,hilbk3:2,hilbk3:3,og10"
@@ -49,4 +52,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

@@ -511,11 +511,13 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def exit_code(query, *args) -> int:
+    """Run `query(*args)` and return EXIT_OK; if it rejects its input, print
+    the JSON error document on stdout and return the exit code of the
+    rejection instead.  `main` and the grid script both answer through
+    this."""
     try:
-        result = args.handler(args)
+        query(*args)
     except SchemaError as err:
         emit({"status": "error", "kind": "schema", "error": str(err)})
         return EXIT_SCHEMA
@@ -525,11 +527,16 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as err:
         emit({"status": "error", "kind": "criterion", "error": str(err)})
         return EXIT_CRITERION
-    if isinstance(result, str):
-        emit(result, fmt="raw")
-    else:
-        emit(result)
     return EXIT_OK
+
+
+def _answer(args) -> None:
+    result = args.handler(args)
+    emit(result, fmt="raw" if isinstance(result, str) else "json")
+
+
+def main(argv=None) -> int:
+    return exit_code(_answer, build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from math import isqrt
+from heapq import heappop, heappush
+from math import isqrt, prod
 from typing import Optional, Sequence, Tuple
 
 from .exact import (
@@ -184,22 +184,12 @@ def diagonalize(gram: Sequence[Sequence[Rational]]) -> QuadraticForm:
     diag = []
     for k in range(n):
         if m[k][k] == 0:
-            pivot = None
-            for i in range(k, n):
-                if m[i][i] != 0:
-                    pivot = i
-                    break
+            pivot = next((i for i in range(k, n) if m[i][i] != 0), None)
             if pivot is not None:
                 _swap(m, k, pivot)
             else:
-                found = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if m[i][j] != 0:
-                            found = (i, j)
-                            break
-                    if found:
-                        break
+                found = next(((i, j) for i in range(k, n)
+                              for j in range(i + 1, n) if m[i][j] != 0), None)
                 if not found:
                     raise ValueError("degenerate form: Gram matrix is singular")
                 i, j = found
@@ -225,8 +215,6 @@ def diagonalize(gram: Sequence[Sequence[Rational]]) -> QuadraticForm:
 
 
 def _swap(m, i, j):
-    if i == j:
-        return
     m[i], m[j] = m[j], m[i]
     for row in m:
         row[i], row[j] = row[j], row[i]
@@ -263,9 +251,7 @@ def invariants(f: QuadraticForm, budget: int = DEFAULT_FACTOR_BUDGET) -> FormInv
 
 def is_isomorphic(f: QuadraticForm, g: QuadraticForm) -> bool:
     """Rational equivalence, decided entirely through the invariants."""
-    fi, gi = invariants(f), invariants(g)
-    return (fi.dim == gi.dim and fi.det == gi.det
-            and fi.signature == gi.signature and fi.hasse == gi.hasse)
+    return invariants(f) == invariants(g)
 
 
 def is_locally_isomorphic(f: QuadraticForm, g: QuadraticForm, place) -> bool:
@@ -319,25 +305,34 @@ def validate_invariants(inv: FormInvariants) -> None:
         raise InvariantContradiction("reciprocity", "odd Hasse support")
 
 
-def _squareclass_cores(base):
-    """The products of the subsets of the sorted primes `base`, ascending,
-    each as (value, its primes)."""
-    cores = [(1, ())]
-    for k in range(1, len(base) + 1):
-        for combo in combinations(base, k):
-            c = 1
-            for p in combo:
-                c *= p
-            cores.append((c, combo))
-    cores.sort()
-    return cores
+def _ascending_cores(base):
+    """A walk of the products of the subsets of the sorted primes `base`,
+    each as (value, its primes), ascending: a heap holds the frontier, and a
+    popped core pushes its primes with the next base prime appended and with
+    their largest swapped for it.  A walk re-reads the cores seen so far."""
+    seen, heap = [(1, ())], ([(base[0], (base[0],), 0)] if base else [])
+
+    def walk():
+        i = 0
+        while i < len(seen) or heap:
+            if i == len(seen):
+                c, combo, j = heappop(heap)
+                seen.append((c, combo))
+                if j + 1 < len(base):
+                    p = base[j + 1]
+                    heappush(heap, (c * p, combo + (p,), j + 1))
+                    heappush(heap, (c // combo[-1] * p, combo[:-1] + (p,),
+                                    j + 1))
+            yield seen[i]
+            i += 1
+    return walk
 
 
 def _aux_primes(base, aux_limit):
-    """1 and the primes below `aux_limit` outside `base`.  The construction
-    searches try sgn * core * q, walking q first, then the core, then the
-    sign."""
-    return [1] + [q for q in primes_below(aux_limit) if q not in base]
+    """1 and the primes below `aux_limit` outside `base`, lazily: the q of
+    the candidates sgn * core * q, walked first."""
+    yield 1
+    yield from (q for q in primes_below(aux_limit) if q not in base)
 
 
 @lru_cache(maxsize=4096)
@@ -346,7 +341,9 @@ def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
 
     The construction peels unit entries <1> / <-1> down to rank 3 and
     finishes with a rank-2 block <a, a*det> whose Hasse data is arranged
-    through the symbol (a, -det).  The determinant is factored once, unless
+    through the symbol (a, -det).  Both last steps search sgn * core * q,
+    walking the cores lazily; the rank-2 step skips by elimination over F2
+    each q that cannot hit.  The determinant is factored once, unless
     it carries its primes; every later Hasse support is evaluated at known
     primes.  The form carries the class of every entry.  Deterministic: the
     same invariants always give the same form.
@@ -379,8 +376,9 @@ def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
     # real constraint here (condition-3 can bite); scan small entries
     base = sorted({2, 3, 5, 7}.union(primes))
     signs = [sgn for sgn, k in ((1, r), (-1, s)) if k > 0]
-    for q, (c, combo), sgn in product(_aux_primes(base, 200),
-                                      _squareclass_cores(base), signs):
+    cores = _ascending_cores(base)
+    for q, (c, combo), sgn in ((q, core, sgn) for q in _aux_primes(base, 200)
+                               for core in cores() for sgn in signs):
         e, e_primes = sgn * c * q, combo + ((q,) if q > 1 else ())
         ec = SquareClass(e, frozenset(e_primes))
         sub_det = det * ec
@@ -400,14 +398,17 @@ def _rank2_from_invariants(head, det: SquareClass, sig,
     """The entries of `head` (square classes) followed by <a, a*det> with
     Hasse set `hasse`; det carries its primes.
 
-    The first candidate a = sgn * core * q whose symbol (a, -det) has support
-    `hasse` is taken.  The symbol is bilinear, so that support is the
-    symmetric difference of the supports of the factors -1, the primes of the
-    core and q (Serre, A Course in Arithmetic, III.1.1): each factor's
-    support is evaluated once, as a bit mask over the places of `base` and
-    INF, and a candidate costs one XOR.  At the place q only the factor q can
-    be nontrivial, and q is not in `hasse`, so a q in its own support is
-    skipped with all its candidates.
+    The first a = sgn * core * q (q, then core, then sign ascending) whose
+    symbol (a, -det) has support `hasse` is taken.  The symbol is bilinear,
+    so that support is the symmetric difference of the supports of the
+    factors -1, the primes of the core and q (Serre, A Course in Arithmetic,
+    III.1.1): each factor's support is evaluated once, as a bit mask over
+    the places of `base` and INF, and a candidate costs one XOR.  At the
+    place q only the factor q can be nontrivial, and q is not in `hasse`, so
+    a q in its own support is skipped.  Once the walk for q = 1 has reached
+    every base prime, elimination over F2 of the base masks decides whether
+    a q can hit; if so, the walk reads as many cores as its solution cosets
+    have members, and lists the cosets if it has not hit by then.
     """
     r, s = sig
     minus_det = -det
@@ -432,31 +433,67 @@ def _rank2_from_invariants(head, det: SquareClass, sig,
         return masks[x]
 
     want = sum(bits[v] for v in target)
-    cores = _squareclass_cores(base)
-    core_masks = [None] * len(cores)
+    cores = _ascending_cores(base)
+    # the base masks in echelon form, {top bit: (row, set of base primes)},
+    # and a basis of the sets of base primes whose masks sum to 0
+    rows, kernel = {}, []
+
+    def reduce(v, c=0):
+        while v and v.bit_length() in rows:
+            row, row_set = rows[v.bit_length()]
+            v, c = v ^ row, c ^ row_set
+        return v, c
+
+    def primes_of(c):
+        return tuple(p for j, p in enumerate(base) if c >> j & 1)
+
+    def first_hit(q_mask):
+        stop = None  # where the walk gives way to listing the cosets
+        for i, (core, combo) in enumerate(cores()):
+            if stop is None and base[-1] in masks:
+                for j in range(len(rows) + len(kernel), len(base)):
+                    v, c = reduce(mask(base[j]), 1 << j)
+                    if v:
+                        rows[v.bit_length()] = v, c
+                    else:
+                        kernel.append(c)
+                goals = [(k, reduce(want ^ q_mask ^ (mask(-1) if sgn < 0
+                                                     else 0)))
+                         for k, sgn in enumerate(signs)]
+                goals = [(k, c) for k, (v, c) in goals if not v]
+                if not goals:
+                    return None
+                stop = i + (len(goals) << len(kernel))
+            if i == stop:
+                sets = [0]
+                for x in kernel:
+                    sets += [y ^ x for y in sets]
+                core, k, c = min((prod(primes_of(c ^ y)), k, c ^ y)
+                                 for k, c in goals for y in sets)
+                return core, primes_of(c), signs[k]
+            score = q_mask
+            for p in combo:
+                score ^= mask(p)
+            for sgn in signs:
+                if score ^ (mask(-1) if sgn < 0 else 0) == want:
+                    return core, combo, sgn
+        return None
+
     for q in _aux_primes(base, 2000):
         q_mask = 0 if q == 1 else mask(q)
-        if q_mask is None:
+        hit = None if q_mask is None else first_hit(q_mask)
+        if hit is None:
             continue
-        for i, (core, combo) in enumerate(cores):
-            if core_masks[i] is None:
-                core_masks[i] = 0
-                for p in combo:
-                    core_masks[i] ^= mask(p)
-            for sgn in signs:
-                score = core_masks[i] ^ q_mask ^ (mask(-1) if sgn < 0 else 0)
-                if score != want:
-                    continue
-                a = sgn * core * q
-                a_primes = combo + ((q,) if q > 1 else ())
-                if support_at(a, minus_det.n, a_primes + det_primes) != target:
-                    raise RuntimeError(
-                        "rank-2 bilinear score disagrees with the support "
-                        "(bug)")
-                ca = SquareClass(a, frozenset(a_primes))
-                classes = head + [ca, ca * det]
-                return QuadraticForm.make([c.n for c in head] + [a, a * det.n],
-                                          classes)
+        core, combo, sgn = hit
+        a = sgn * core * q
+        a_primes = combo + ((q,) if q > 1 else ())
+        if support_at(a, minus_det.n, a_primes + det_primes) != target:
+            raise RuntimeError(
+                "rank-2 bilinear score disagrees with the support (bug)")
+        ca = SquareClass(a, frozenset(a_primes))
+        classes = head + [ca, ca * det]
+        return QuadraticForm.make([c.n for c in head] + [a, a * det.n],
+                                  classes)
     raise RuntimeError("rank-2 construction search exhausted (bug)")
 
 
@@ -515,15 +552,12 @@ def split_complement(v: QuadraticForm, u: QuadraticForm) -> SplitResult:
 
 def hyperbolic_bit(t: int, place) -> int:
     """Hasse bit of a sum of t hyperbolic planes at a place."""
-    if place == INF or place == 2:
-        return 1 if t % 4 in (2, 3) else 0
-    return 0
+    return 1 if place in (2, INF) and t % 4 in (2, 3) else 0
 
 
 def is_locally_hyperbolic(f: QuadraticForm, place) -> bool:
     """Is f isomorphic to a sum of hyperbolic planes over the completion?"""
-    fi = invariants(f)
-    return _locally_hyperbolic_inv(fi, place)
+    return _locally_hyperbolic_inv(invariants(f), place)
 
 
 def _locally_hyperbolic_inv(fi: FormInvariants, place) -> bool:
@@ -552,12 +586,10 @@ def _locally_isotropic_inv(fi: FormInvariants, place) -> bool:
     if n == 2:
         return is_square_at(-fi.det, place)
     if n == 3:
-        want = hilbert_symbol(-1, -fi.det.n, place)
-        return fi.hasse_bit(place) == want
+        return fi.hasse_bit(place) == hilbert_symbol(-1, -fi.det.n, place)
     if n == 4:
-        if not is_square_at(fi.det, place):
-            return True
-        return fi.hasse_bit(place) == hilbert_symbol(-1, -1, place)
+        return (not is_square_at(fi.det, place)
+                or fi.hasse_bit(place) == hilbert_symbol(-1, -1, place))
     return True
 
 
