@@ -99,10 +99,10 @@ def parse_form_obj(obj, what="form") -> QuadraticForm:
         raise SchemaError(f"{what}: {err}") from err
 
 
-def parse_budget(budget: int) -> int:
-    if budget < 0:
-        raise SchemaError(f"budget: must be nonnegative, got {budget}")
-    return budget
+def parse_nonnegative(value: int, what: str) -> int:
+    if value < 0:
+        raise SchemaError(f"{what}: must be nonnegative, got {value}")
+    return value
 
 
 def parse_field(raw: str):
@@ -302,7 +302,7 @@ def render_table(rows, fmt: str) -> str:
 
 def cmd_form_invariants(args) -> dict:
     f = parse_form(args.form)
-    fi = invariants(f, budget=parse_budget(args.budget))
+    fi = invariants(f, budget=parse_nonnegative(args.budget, "budget"))
     return invariants_to_json(fi)
 
 
@@ -329,8 +329,9 @@ def cmd_form_split(args) -> dict:
 
 def cmd_represents_zero(args) -> dict:
     f = parse_form(args.form)
-    verdict = represents_zero(f, height=args.height,
-                              budget=parse_budget(args.budget))
+    verdict = represents_zero(
+        f, height=parse_nonnegative(args.height, "height"),
+        budget=parse_nonnegative(args.budget, "budget"))
     out = {"isotropic": verdict.isotropic}
     if verdict.witness is not None:
         out["witness"] = [rational_str(x) for x in verdict.witness]

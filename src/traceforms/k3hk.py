@@ -20,6 +20,7 @@ from .numfields import (
     RealQuadratic,
     desc_from_json,
     field_invariants,
+    json_int,
     lambda_plus_quadratic,
 )
 from .qforms import (
@@ -156,7 +157,7 @@ def _family_dimension(mode: str, m: int):
 
 
 def _bounds_report(mode: str, reason: str, detail: str) -> RealizabilityReport:
-    verdict = TransferVerdict("infeasible", obstruction={
+    verdict = TransferVerdict("infeasible", None, {
         "condition": reason, "detail": detail})
     return RealizabilityReport(mode, 0, None, None, (detail,), verdict)
 
@@ -291,7 +292,7 @@ def picard_compatible(L, E, m: int, mode: str,
 
     if mode == "rm":
         if m < 3:
-            return TransferVerdict("infeasible", obstruction={
+            return TransferVerdict("infeasible", None, {
                 "condition": "multiplicity",
                 "detail": f"rank {m} over the field is below 3"})
         amb = ambient("k3")
@@ -305,22 +306,22 @@ def picard_compatible(L, E, m: int, mode: str,
 
     want = finv.disc_class if m % 2 else SquareClass(1)
     if li.disc() != want:
-        return TransferVerdict("infeasible", obstruction={
+        return TransferVerdict("infeasible", None, {
             "condition": "disc",
             "detail": f"disc class {li.disc().n} differs from the m-th power "
                       f"of the field discriminant class ({want.n})"})
     hard, pending = split_prime_scan(
         E, bad_set(E, L), lambda p: not is_locally_hyperbolic(L, p))
     if hard is not None:
-        return TransferVerdict("infeasible", obstruction={
+        return TransferVerdict("infeasible", None, {
             "condition": "split-prime-hyperbolic", "place": hard,
             "detail": f"Picard form is not hyperbolic over Q_{hard}"})
     if pending:
-        return TransferVerdict("needs_witness", obstruction={
+        return TransferVerdict("needs_witness", None, {
             "reason": "split-set-unknown", "primes": pending})
-    return TransferVerdict("feasible", certificate={
+    return TransferVerdict("feasible", {
         "m": m, "degree": d,
-        "picard_invariants": invariants_to_json(li)})
+        "picard_invariants": invariants_to_json(li)}, None)
 
 
 def _attach_shortcut_warning(verdict: TransferVerdict, E: RealQuadratic,
@@ -337,12 +338,10 @@ def _attach_shortcut_warning(verdict: TransferVerdict, E: RealQuadratic,
     if verdict.certificate is not None:
         cert = dict(verdict.certificate)
         cert.setdefault("warnings", []).append(warning)
-        return TransferVerdict(verdict.status, certificate=cert,
-                               obstruction=verdict.obstruction)
+        return TransferVerdict(verdict.status, cert, verdict.obstruction)
     obs = dict(verdict.obstruction or {})
     obs.setdefault("warnings", []).append(warning)
-    return TransferVerdict(verdict.status, certificate=verdict.certificate,
-                           obstruction=obs)
+    return TransferVerdict(verdict.status, verdict.certificate, obs)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +360,7 @@ def elliptic_fibration_verdict(context: dict) -> dict:
         raise ValueError("context must be an object with 'case'")
     case = context["case"]
     if case == "small-degree":
-        deg = int(context["degree"])
+        deg = json_int(context["degree"], "degree")
         if deg in (2, 10):
             return {"verdict": "yes",
                     "reason": "rank-2 algebraic part is rationally hyperbolic "
@@ -384,7 +383,7 @@ def elliptic_fibration_verdict(context: dict) -> dict:
         finv = field_invariants(E)
         if not finv.is_cm or finv.degree != 4:
             raise ValueError("degree-4 case needs a CM field of degree 4")
-        rho = int(context["rho"])
+        rho = json_int(context["rho"], "rho")
         if rho >= 6:
             return {"verdict": "yes",
                     "reason": "indefinite algebraic part of rank >= 6 "

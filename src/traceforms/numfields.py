@@ -359,26 +359,48 @@ def desc_to_json(E) -> dict:
     raise DescriptorError(f"unknown descriptor {E!r}")
 
 
+def json_int(value, what: str) -> int:
+    """`value` as an integer: a JSON integer, or a string of one, as large
+    numbers are written.  A float, a bool or any other string raises
+    TypeError instead of being truncated or read as a number."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
+def _se_pair(pair) -> tuple:
+    """One entry of a split-set table: an integer prime and a boolean."""
+    if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+            or type(pair[1]) is not bool):
+        raise TypeError(f"se entries are [prime, boolean] pairs, got {pair!r}")
+    return json_int(pair[0], "se prime"), pair[1]
+
+
 def desc_from_json(obj) -> object:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DescriptorError("field descriptor must be an object with 'kind'")
     kind = obj["kind"]
     try:
         if kind == "real_quadratic":
-            return RealQuadratic(int(obj["d"]))
+            return RealQuadratic(json_int(obj["d"], "d"))
         if kind == "imag_quadratic":
-            return ImagQuadratic(int(obj["D"]))
+            return ImagQuadratic(json_int(obj["D"], "D"))
         if kind == "cyclotomic":
-            return Cyclotomic(int(obj["n"]))
+            return Cyclotomic(json_int(obj["n"], "n"))
         if kind == "general_tr":
             return GeneralTotallyReal(
                 tuple(Fraction(c) for c in obj["minpoly"]),
-                int(obj["disc"]) if "disc" in obj else None)
+                json_int(obj["disc"], "disc") if "disc" in obj else None)
         if kind == "general_cm":
             return GeneralCM(
                 tuple(Fraction(c) for c in obj["minpoly"]),
-                int(obj["disc"]),
-                tuple((int(p), bool(f)) for p, f in obj.get("se", ())))
+                json_int(obj["disc"], "disc"),
+                tuple(_se_pair(pair) for pair in obj.get("se", ())))
     except (KeyError, TypeError) as err:
         raise DescriptorError(f"malformed {kind} descriptor: {err}") from err
     raise DescriptorError(f"unknown field kind {kind!r}")

@@ -108,8 +108,10 @@ class QuadraticForm(Record):
         return kept[1]
 
     def direct_sum(self, other: "QuadraticForm") -> "QuadraticForm":
-        return QuadraticForm(self.diagonal + other.diagonal,
-                             self.known_classes + other.known_classes)
+        # each summand carries the classes it knows or has computed
+        a, b = (getattr(f, "_classes", (0, f.known_classes))[1]
+                for f in (self, other))
+        return QuadraticForm(self.diagonal + other.diagonal, a + b)
 
     def evaluate(self, vector: Sequence[Rational]) -> Fraction:
         if len(vector) != self.dim:

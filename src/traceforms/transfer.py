@@ -10,7 +10,6 @@ question over a field of even degree above 2 with no certificate supplied).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -89,13 +88,12 @@ class QuadFieldElement(Record):
         return 1 if b > 0 else -1
 
 
-# The one dataclass of the library: tests compare verdicts through
-# `dataclasses.asdict`, so importing this module imports `dataclasses`.
-@dataclass(frozen=True)
-class TransferVerdict:
-    status: str                      # feasible | infeasible | needs_witness
-    certificate: Optional[dict] = None
-    obstruction: Optional[dict] = None
+class TransferVerdict(Record):
+    """`status` is feasible, infeasible or needs_witness; `certificate` and
+    `obstruction` are dicts or None."""
+
+    __slots__ = _fields = ("status", "certificate", "obstruction")
+    _defaults = (None, None)
 
     @property
     def feasible(self) -> bool:
@@ -278,11 +276,11 @@ def cm_transfer_feasible(E, U) -> TransferVerdict:
         obstruction = {"condition": cond,
                        "all_violated": [c for c, _ in violated]}
         obstruction.update(extra)
-        return TransferVerdict("infeasible", obstruction=obstruction)
+        return TransferVerdict("infeasible", None, obstruction)
     if pending:
-        return TransferVerdict("needs_witness", obstruction={
+        return TransferVerdict("needs_witness", None, {
             "reason": "split-set-unknown", "primes": pending})
-    return TransferVerdict("feasible", certificate={"m": m, "degree": d})
+    return TransferVerdict("feasible", {"m": m, "degree": d}, None)
 
 
 def rm_transfer_feasible(E, U: QuadraticForm,
@@ -307,27 +305,27 @@ def rm_transfer_feasible(E, U: QuadraticForm,
     if ui.signature != (2, ui.dim - 2):
         raise ValueError(f"signature must be (2, {ui.dim - 2})")
     if d % 2 == 1:
-        return TransferVerdict("feasible", certificate={
-            "m": m, "degree": d, "route": "odd-degree-transfer"})
+        return TransferVerdict("feasible", {
+            "m": m, "degree": d, "route": "odd-degree-transfer"}, None)
     target = ui.det * (finv.disc_class if m % 2 else SquareClass(1))
     if isinstance(E, RealQuadratic):
         place = norm_obstruction(finv.disc_class, target, True)
         if place is None:
-            return TransferVerdict("feasible", certificate={
+            return TransferVerdict("feasible", {
                 "m": m, "degree": d, "route": "even-degree-norm-class",
-                "norm_class": rational_str(target.n)})
-        return TransferVerdict("infeasible", obstruction={
+                "norm_class": rational_str(target.n)}, None)
+        return TransferVerdict("infeasible", None, {
             "condition": "norm-class",
             "place": place,
             "detail": f"{target.n} is not a totally positive norm class"})
     if witness is not None:
         if verify_lambda_plus_witness(E, m, ui.det, witness):
-            return TransferVerdict("feasible", certificate={
+            return TransferVerdict("feasible", {
                 "m": m, "degree": d, "route": "even-degree-norm-class",
-                "witness": [rational_str(c) for c in witness.coeffs]})
-        return TransferVerdict("needs_witness", obstruction={
+                "witness": [rational_str(c) for c in witness.coeffs]}, None)
+        return TransferVerdict("needs_witness", None, {
             "reason": "witness-rejected"})
-    return TransferVerdict("needs_witness", obstruction={
+    return TransferVerdict("needs_witness", None, {
         "reason": "norm-class-witness-needed"})
 
 
@@ -375,7 +373,7 @@ def split_transfer_feasible(V: QuadraticForm, E, m: int, mode: str,
     if vi.signature[0] < 2:
         raise ValueError("ambient needs at least two positive squares")
     if vi.signature[1] < md - 2:
-        return TransferVerdict("infeasible", obstruction={
+        return TransferVerdict("infeasible", None, {
             "condition": "signature",
             "detail": "ambient has too few negative squares"})
     if complement_hint is not None and codim != 1:
@@ -466,7 +464,7 @@ def _choose_complement(vi, det_u, md, extra_primes, want_items):
 
 def _split_rm(vi, E, finv, m, md, complement_hint):
     if m < 3:
-        return TransferVerdict("infeasible", obstruction={
+        return TransferVerdict("infeasible", None, {
             "condition": "multiplicity",
             "detail": "real multiplication needs rank at least 3"})
     d = finv.degree
@@ -478,16 +476,16 @@ def _split_rm(vi, E, finv, m, md, complement_hint):
         det_c_wanted = squarefree_class(Fraction(complement_hint))
         t = vi.det * det_c_wanted * disc_m
         if t.sign() != want_sign:
-            return TransferVerdict("infeasible", obstruction={
+            return TransferVerdict("infeasible", None, {
                 "condition": "signature",
                 "detail": "complement sign incompatible with the split"})
         if d % 2 == 0:
             if not isinstance(E, RealQuadratic):
-                return TransferVerdict("needs_witness", obstruction={
+                return TransferVerdict("needs_witness", None, {
                     "reason": "norm-class-witness-needed"})
             place = norm_obstruction(finv.disc_class, t, True)
             if place is not None:
-                return TransferVerdict("infeasible", obstruction={
+                return TransferVerdict("infeasible", None, {
                     "condition": "norm-class",
                     "place": place,
                     "detail": f"required norm class {t.n} is not a "
@@ -504,8 +502,8 @@ def _split_rm(vi, E, finv, m, md, complement_hint):
     if d % 2 == 0:
         route = "even-degree-norm-class"
         extra["norm_class"] = rational_str(t.n)
-    return TransferVerdict("feasible", certificate=_split_certificate(
-        finv, m, route, *found, extra))
+    return TransferVerdict("feasible", _split_certificate(
+        finv, m, route, *found, extra), None)
 
 
 def _split_cm(vi, E, finv, m, md, codim):
@@ -530,9 +528,9 @@ def _split_cm(vi, E, finv, m, md, codim):
     if found is None:
         unknowns = [p for p, st in statuses.items() if st == UNKNOWN]
         if unknowns and solve(IN) is not None:
-            return TransferVerdict("needs_witness", obstruction={
+            return TransferVerdict("needs_witness", None, {
                 "reason": "split-set-unknown", "primes": unknowns})
-        return TransferVerdict("infeasible", obstruction={
+        return TransferVerdict("infeasible", None, {
             "condition": "(iii)",
             "detail": "no complement leaves the transfer side hyperbolic "
                       "at the asserted split primes"})
@@ -542,7 +540,7 @@ def _split_cm(vi, E, finv, m, md, codim):
     if codim == 2:
         cert["complement_count"] = ("unique-hyperbolic" if det_c == SquareClass(-1)
                                     else "infinite-family")
-    return TransferVerdict("feasible", certificate=cert)
+    return TransferVerdict("feasible", cert, None)
 
 
 def _split_certificate(finv, m, route, ci, ui, extra) -> dict:
@@ -591,14 +589,14 @@ def validate_cm_rank2_complement(E, a, twisted: bool) -> TransferVerdict:
     pool.update(p for p in support if p != INF)
     hard, pending = split_prime_scan(E, sorted(pool), support.__contains__)
     if hard is not None:
-        return TransferVerdict("infeasible", obstruction={
+        return TransferVerdict("infeasible", None, {
             "condition": "split-prime-symbol", "place": hard})
     if pending:
-        return TransferVerdict("needs_witness", obstruction={
+        return TransferVerdict("needs_witness", None, {
             "reason": "split-set-unknown", "primes": pending})
-    return TransferVerdict("feasible", certificate={
+    return TransferVerdict("feasible", {
         "entry": rational_str(a),
-        "symbol": [rational_str(sym[0]), rational_str(sym[1])]})
+        "symbol": [rational_str(sym[0]), rational_str(sym[1])]}, None)
 
 
 # ---------------------------------------------------------------------------

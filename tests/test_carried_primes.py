@@ -7,8 +7,9 @@ primes with `sympy.factorint`, check that the carried data never takes part
 in equality or hashing, and run reciprocity, the invariants round trip and
 the splitting of a form at heights where a determinant is a product of two
 primes in (1e9, 2e9), beyond trial division.  Counting checks show that
-the split-prime queries factor each class once, the norm test none, and
-the witness construction each entry and d once.
+the split-prime queries factor each class once, the norm test none, the
+witness construction each entry and d once, and a direct sum none of the
+classes its summands hold.
 """
 
 from fractions import Fraction
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from sympy import factorint, nextprime
 
 from conftest import reference_invariants
-from traceforms import exact, numfields
+from traceforms import exact, numfields, qforms
 from traceforms.exact import (
     INF, SquareClass, hilbert_symbol, squarefree_class, support_at,
 )
@@ -26,7 +27,8 @@ from traceforms.numfields import (
     ImagQuadratic, RealQuadratic, _field_invariants,
 )
 from traceforms.qforms import (
-    QuadraticForm, form_from_invariants, invariants, split_complement,
+    QuadraticForm, form_from_invariants, invariants, is_isomorphic,
+    split_complement,
 )
 from traceforms.transfer import (
     WitnessResult, construct_witness_quadratic, rm_transfer_feasible,
@@ -209,3 +211,21 @@ def test_witness_construction_factors_d_once(monkeypatch):
     assert res == WitnessResult("not_found", obstruction={
         "condition": "determinant-norm", "place": 7})
     assert calls == [1, 1, 1, 7, 7]
+
+
+def test_direct_sum_carries_the_classes_of_its_summands(monkeypatch):
+    # a split classifies u and builds w with known classes; checking u + w
+    # against v reads both, where it once classified 3 and -5 again
+    invariants.cache_clear()
+    v = QuadraticForm.make([3, -5, 7, 11, -13])
+    u = QuadraticForm.make([3, -5])
+    w = split_complement(v, u).complement
+    calls = []
+
+    def counting(n, *args):
+        calls.append(n)
+        return squarefree_class(n, *args)
+
+    monkeypatch.setattr(qforms, "squarefree_class", counting)
+    assert is_isomorphic(u.direct_sum(w), v)
+    assert calls == []

@@ -11,7 +11,6 @@ blocks a complement, and the `(iii)` obstruction when an asserted one does.
 """
 
 import collections
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -46,8 +45,10 @@ def _sweep():
                 V = ambient(family, n).rational_form
                 m = 1
                 while 4 * m < V.dim:
-                    v = dataclasses.asdict(split_transfer_feasible(V, E, m, "cm"))
-                    rows.append([disc, table, family, n, m, v])
+                    v = split_transfer_feasible(V, E, m, "cm")
+                    rows.append([disc, table, family, n, m, {
+                        "status": v.status, "certificate": v.certificate,
+                        "obstruction": v.obstruction}])
                     m += 1
     return rows
 

@@ -1,13 +1,18 @@
-"""Arguments that used to be dropped or doubled without a word: a
-complement hint in cm mode, which only the rm engine reads, and a family
-listed twice in a grid request, which printed each of its rows twice."""
+"""Arguments that used to be dropped, doubled or truncated without a word:
+a complement hint in cm mode, which only the rm engine reads; a family
+listed twice in a grid request, which printed each of its rows twice; and
+numbers of the wrong JSON type in field descriptors and elliptic contexts,
+or a negative search height, which were truncated, read as true or run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-from traceforms.cli import EXIT_SCHEMA, SchemaError, main, parse_families
+from traceforms.cli import (
+    EXIT_OK, EXIT_SCHEMA, SchemaError, main, parse_families,
+)
 from traceforms.numfields import ImagQuadratic
 from traceforms.qforms import QuadraticForm
 from traceforms.transfer import split_transfer_feasible
@@ -60,3 +65,73 @@ def test_grid_script_rejects_a_repeated_family(capsys):
     with pytest.raises(SchemaError, match="repeats an earlier family"):
         script.main(["--families", "k3,kummer:2,k3", "--format", "csv"])
     assert capsys.readouterr().out == ""
+
+
+CM_FIELD = {"kind": "general_cm", "minpoly": [-2, 0, 1], "disc": 5}
+U_SPLIT = json.dumps({"diagonal": [3, 11, -15, -11]})
+
+
+def _cm_query(**field):
+    return ["transfer-feasible", "--mode", "cm", "--form", U_SPLIT,
+            "--field", json.dumps(dict(CM_FIELD, **field))]
+
+
+def _k3_query(field):
+    return ["k3", "--field", json.dumps(field), "--m", "3", "--mode", "rm"]
+
+
+def _elliptic_query(context):
+    return ["elliptic", "--context", json.dumps(context)]
+
+
+MALFORMED = [
+    # Q(sqrt 5.9) was answered as Q(sqrt 5)
+    (_k3_query({"kind": "real_quadratic", "d": 5.9}),
+     "d must be an integer, got 5.9"),
+    (_k3_query({"kind": "real_quadratic", "d": True}),
+     "d must be an integer, got True"),
+    (_k3_query({"kind": "real_quadratic", "d": "5.9"}),
+     "d must be an integer, got '5.9'"),
+    (_k3_query({"kind": "general_tr", "minpoly": [-5, 0, 1], "disc": 5.5}),
+     "disc must be an integer, got 5.5"),
+    (["transfer-feasible", "--mode", "cm", "--form", U_SPLIT, "--field",
+      json.dumps({"kind": "imag_quadratic", "D": 1.5})],
+     "D must be an integer, got 1.5"),
+    (["k3", "--field", json.dumps({"kind": "cyclotomic", "n": 5.0}),
+      "--m", "5", "--mode", "cm"], "n must be an integer, got 5.0"),
+    (_cm_query(disc=5.5), "disc must be an integer, got 5.5"),
+    # the prime 3.7 was read as 3, and the string "false" as true
+    (_cm_query(se=[[3.7, True]]), "se prime must be an integer, got 3.7"),
+    (_cm_query(se=[[3, "false"]]), "got [3, 'false']"),
+    (_cm_query(se=[[3, 1]]), "got [3, 1]"),
+    (_cm_query(se=[[3]]), "got [3]"),
+    (_cm_query(se=3), "'int' object is not iterable"),
+    # 2.9 was truncated to the decided degree 2, and rho 5.9 to 5
+    (_elliptic_query({"case": "small-degree", "degree": 2.9}),
+     "degree must be an integer, got 2.9"),
+    (_elliptic_query({"case": "degree-4", "rho": 5.9,
+                      "field": {"kind": "cyclotomic", "n": 5}}),
+     "rho must be an integer, got 5.9"),
+    # a negative height ran no triple scan and answered
+    (["represents-zero", "--height", "-3", "--form",
+      json.dumps({"diagonal": [1, 1, 1]})],
+     "height: must be nonnegative, got -3"),
+]
+
+
+@pytest.mark.parametrize("argv, error", MALFORMED,
+                         ids=[f"{argv[0]}-{i}" for i, (argv, _) in
+                              enumerate(MALFORMED)])
+def test_malformed_numbers_exit_with_a_schema_error(capsys, argv, error):
+    assert main(argv) == EXIT_SCHEMA
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "schema" and error in doc["error"]
+
+
+def test_split_flags_are_read_as_json_booleans(capsys):
+    assert main(_cm_query(se=[[3, True]])) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["status"], doc["obstruction"]["place"]) == ("infeasible", "3")
+    assert main(_cm_query(se=[[3, False]])) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "needs_witness"
