@@ -311,9 +311,22 @@ def squarefree_class(r: Rational, budget: int = DEFAULT_FACTOR_BUDGET) -> Square
 
 def rational_str(x) -> str:
     """A rational as text: "p/q", or the integer alone."""
+    if type(x) is int:
+        return str(x)
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)     # ints and Fractions already carry both parts
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+
+
+def rational_from(s) -> Fraction:
+    """An integer, a Fraction or a "p/q" string as a Fraction.  Anything
+    else (a bool included) and a zero denominator raise ValueError."""
+    if isinstance(s, bool) or not isinstance(s, (int, Fraction, str)):
+        raise ValueError(f"not a rational: {s!r}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {s!r}") from None
 
 
 def legendre(a: int, p: int) -> int:

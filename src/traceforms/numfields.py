@@ -24,6 +24,7 @@ from .exact import (
     is_square_at,
     norm_via_resultant,
     poly_gcd,
+    rational_from,
     rational_str,
     signs_at_real_roots,
     squarefree_class,
@@ -146,8 +147,8 @@ def poly_disc_class(f: Poly) -> SquareClass:
 def field_invariants(E) -> FieldInvariants:
     """Degree, discriminant square class, CM flag.
 
-    Memoized per descriptor: descriptors and the returned
-    invariants are both frozen.  Errors are raised afresh on every call.
+    Memoized on the descriptor's class and field values, a key that
+    hashes and compares in C.  Errors are raised afresh on every call.
 
     >>> field_invariants(RealQuadratic(5)).disc_class
     SquareClass(5)
@@ -156,11 +157,12 @@ def field_invariants(E) -> FieldInvariants:
     """
     if not isinstance(E, NumberFieldDesc):
         raise DescriptorError(f"unknown field descriptor {E!r}")
-    return _field_invariants(E)
+    return _field_invariants(E.__class__, E._values(E))
 
 
 @lru_cache(maxsize=1024)
-def _field_invariants(E) -> FieldInvariants:
+def _field_invariants(kind, values) -> FieldInvariants:
+    E = kind(*values)
     if isinstance(E, RealQuadratic):
         if E.d < 2:
             raise DescriptorError("real quadratic needs d >= 2")
@@ -217,9 +219,18 @@ def in_SE(E, p: int) -> str:
     p prime to n that group is generated by p in (Z/n)*; for p | n it is the
     full inertia factor times the same Frobenius data modulo the prime-to-p
     part.  General CM descriptors answer from their assertion table only.
+    Memoized on the field's class and values, as `field_invariants` is.
     """
     if not (isinstance(p, int) and is_prime(p)):
         raise ValueError(f"not a finite prime: {p!r}")
+    if not isinstance(E, (ImagQuadratic, Cyclotomic, GeneralCM)):
+        raise ValueError("split-prime sets only make sense for CM fields")
+    return _in_SE(E.__class__, E._values(E), p)
+
+
+@lru_cache(maxsize=4096)
+def _in_SE(kind, values, p: int) -> str:
+    E = kind(*values)
     if isinstance(E, ImagQuadratic):
         # -D is the field's discriminant class
         return IN if is_square_at(field_invariants(E).disc_class, p) else OUT
@@ -237,12 +248,11 @@ def in_SE(E, p: int) -> str:
             seen.add(x)
             x = x * p % n
         return OUT if (n - 1) in seen else IN
-    if isinstance(E, GeneralCM):
-        for q, flag in E.se_assertions:
-            if q == p:
-                return IN if flag else OUT
-        return UNKNOWN
-    raise ValueError("split-prime sets only make sense for CM fields")
+    # a general CM field answers from its assertion table
+    for q, flag in E.se_assertions:
+        if q == p:
+            return IN if flag else OUT
+    return UNKNOWN
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +404,13 @@ def desc_from_json(obj) -> object:
             return Cyclotomic(json_int(obj["n"], "n"))
         if kind == "general_tr":
             return GeneralTotallyReal(
-                tuple(Fraction(c) for c in obj["minpoly"]),
+                tuple(map(rational_from, obj["minpoly"])),
                 json_int(obj["disc"], "disc") if "disc" in obj else None)
         if kind == "general_cm":
             return GeneralCM(
-                tuple(Fraction(c) for c in obj["minpoly"]),
+                tuple(map(rational_from, obj["minpoly"])),
                 json_int(obj["disc"], "disc"),
                 tuple(_se_pair(pair) for pair in obj.get("se", ())))
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise DescriptorError(f"malformed {kind} descriptor: {err}") from err
     raise DescriptorError(f"unknown field kind {kind!r}")

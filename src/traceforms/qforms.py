@@ -30,6 +30,7 @@ from .exact import (
     is_square_at,
     local_characters,
     primes_below,
+    rational_from,
     rational_str,
     squarefree_class,
     support_at,
@@ -56,7 +57,7 @@ class QuadraticForm(Record):
     the diagonal, computed once: forms are cache keys of `invariants`.
     """
 
-    __slots__ = ("diagonal", "known_classes", "_hash", "_classes")
+    __slots__ = ("diagonal", "known_classes", "_hash", "_classes", "_text")
     _fields = ("diagonal",)
 
     def __init__(self, diagonal: tuple, known_classes: Optional[tuple] = None):
@@ -158,9 +159,10 @@ def hyperbolic_sum(t: int) -> QuadraticForm:
     return QuadraticForm.make([1, -1] * t)
 
 
+@lru_cache(maxsize=256)
 def hyperbolic_invariants(t: int) -> FormInvariants:
     """The invariants of a sum of t hyperbolic planes, written down: they
-    equal `invariants(hyperbolic_sum(t))`."""
+    equal `invariants(hyperbolic_sum(t))`.  Memoized."""
     if t < 1:
         raise ValueError("need at least one plane")
     return FormInvariants(2 * t, SquareClass((-1) ** t), (t, t),
@@ -816,17 +818,6 @@ def witt_add(a: WittClassQ, b: WittClassQ) -> WittClassQ:
 # serialization
 
 
-def rational_from(s) -> Fraction:
-    """An integer, a Fraction or a "p/q" string as a Fraction.  Anything
-    else (a bool included) and a zero denominator raise ValueError."""
-    if isinstance(s, bool) or not isinstance(s, (int, Fraction, str)):
-        raise ValueError(f"not a rational: {s!r}")
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {s!r}") from None
-
-
 def place_to_json(v):
     return "inf" if v == INF else v
 
@@ -845,7 +836,13 @@ def place_from_json(v):
 
 
 def form_to_json(f: QuadraticForm) -> dict:
-    return {"diagonal": [rational_str(e) for e in f.diagonal]}
+    """The diagonal as text, rendered once per form and kept on it, in a new
+    list on every call."""
+    text = getattr(f, "_text", None)
+    if text is None:
+        text = tuple(rational_str(e) for e in f.diagonal)
+        object.__setattr__(f, "_text", text)
+    return {"diagonal": list(text)}
 
 
 def _json_array(obj, what: str) -> list:

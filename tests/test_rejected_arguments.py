@@ -135,3 +135,40 @@ def test_split_flags_are_read_as_json_booleans(capsys):
     assert main(_cm_query(se=[[3, False]])) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "needs_witness"
+
+
+#: a query with the given minpoly coefficients, per general field kind
+MINPOLY_QUERIES = {
+    "general_tr": lambda coeffs: _k3_query({"kind": "general_tr",
+                                            "minpoly": coeffs}),
+    "general_cm": lambda coeffs: _cm_query(minpoly=coeffs),
+}
+
+
+@pytest.mark.parametrize("kind", MINPOLY_QUERIES)
+@pytest.mark.parametrize("coeffs, error", [
+    # x^2 - 2.9 was answered as x^2 - 6530219459687219/2251799813685248
+    ([-2.9, 0, 1], "not a rational: -2.9"),
+    ([-2.0, 0, 1], "not a rational: -2.0"),
+    # the leading true was read as 1
+    ([-2, 0, True], "not a rational: True"),
+    ([-2, False, 1], "not a rational: False"),
+    # these two ended in a traceback and in a criterion error (exit 3)
+    (["-2", "0", "1/0"], "zero denominator: '1/0'"),
+    (["-2", "x", "1"], "Invalid literal for Fraction: 'x'"),
+])
+def test_minpoly_coefficients_of_the_wrong_type_exit_2(capsys, kind, coeffs,
+                                                       error):
+    assert main(MINPOLY_QUERIES[kind](coeffs)) == EXIT_SCHEMA
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "schema" and error in doc["error"]
+
+
+@pytest.mark.parametrize("kind", MINPOLY_QUERIES)
+@pytest.mark.parametrize("coeffs", [["-2", "0", "1"], ["-4/2", 0, "2/2"]])
+def test_minpoly_rational_strings_read_as_integers(capsys, kind, coeffs):
+    query = MINPOLY_QUERIES[kind]
+    assert main(query([-2, 0, 1])) == EXIT_OK
+    expected = json.loads(capsys.readouterr().out)
+    assert main(query(coeffs)) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == expected
