@@ -180,22 +180,37 @@ def load_catalog(path=None) -> dict:
 
 
 def catalog_fields(cat: dict, mode: str):
-    """(label, descriptor) pairs for one mode, sorted by (degree, label)."""
+    """(label, descriptor) pairs for one mode, sorted by (degree, label).
+    An entry that is not a JSON integer (or, in `higher`, an object with a
+    name and a `minpoly` array of rationals) raises SchemaError naming it."""
     from .numfields import (Cyclotomic, GeneralTotallyReal, ImagQuadratic,
-                            RealQuadratic, field_invariants)
+                            RealQuadratic, field_invariants, json_int,
+                            json_minpoly)
     out = []
+
+    def read(section, key, label_and_field):
+        for entry in cat[section].get(key, ()):
+            try:
+                out.append(label_and_field(entry))
+            except (KeyError, TypeError, ValueError) as err:
+                raise SchemaError(f"catalog: {section}.{key} entry {entry!r}: "
+                                  f"{err}") from err
+
+    def integral(label, kind, what):
+        def label_and_field(entry):
+            value = json_int(entry, what)
+            return label.format(value), kind(value)
+        return label_and_field
+
     if mode == "rm":
-        for d in cat["totally_real"].get("quadratic", ()):
-            out.append((f"Q(sqrt {d})", RealQuadratic(int(d))))
-        for entry in cat["totally_real"].get("higher", ()):
-            desc = GeneralTotallyReal(
-                tuple(Fraction(c) for c in entry["minpoly"]))
-            out.append((entry["name"], desc))
+        read("totally_real", "quadratic",
+             integral("Q(sqrt {})", RealQuadratic, "d"))
+        read("totally_real", "higher", lambda entry: (
+            entry["name"], GeneralTotallyReal(json_minpoly(entry["minpoly"]))))
     else:
-        for D in cat["cm"].get("imag_quadratic", ()):
-            out.append((f"Q(sqrt -{D})", ImagQuadratic(int(D))))
-        for n in cat["cm"].get("cyclotomic", ()):
-            out.append((f"Q(zeta {n})", Cyclotomic(int(n))))
+        read("cm", "imag_quadratic",
+             integral("Q(sqrt -{})", ImagQuadratic, "D"))
+        read("cm", "cyclotomic", integral("Q(zeta {})", Cyclotomic, "n"))
     decorated = [(field_invariants(desc).degree, label, desc)
                  for label, desc in out]
     decorated.sort(key=lambda t: (t[0], t[1]))

@@ -329,6 +329,14 @@ def rational_from(s) -> Fraction:
         raise ValueError(f"zero denominator: {s!r}") from None
 
 
+def json_array(obj, what: str) -> list:
+    """`obj`, which must be a JSON array: a string would otherwise be read
+    one character at a time.  Anything else raises ValueError."""
+    if not isinstance(obj, (list, tuple)):
+        raise ValueError(f"{what} must be an array")
+    return obj
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for odd prime p, in {-1, 0, 1}."""
     a %= p
@@ -337,12 +345,16 @@ def legendre(a: int, p: int) -> int:
     return -1 if local_characters(a, p)[1] else 1
 
 
+@lru_cache(maxsize=4096)
 def local_characters(n: int, place) -> tuple:
     """The class of the nonzero integer n in Q_v^x / (Q_v^x)^2 as bits: the
     sign at INF; at 2 the parity of the valuation and the characters
     eps = (u - 1)/2 and omega = (u^2 - 1)/8 mod 2 of the unit part u; at an
     odd p the parity of the valuation and chi = 1 when u is not a square
     mod p.
+
+    Memoized: a pure function of two ints.  Zero is not cached, so it
+    raises again on every call.
 
     >>> local_characters(-12, INF), local_characters(-12, 2), local_characters(-12, 3)
     ((1,), (0, 0, 1), (1, 1))

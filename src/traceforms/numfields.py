@@ -22,6 +22,7 @@ from .exact import (
     factorize,
     is_prime,
     is_square_at,
+    json_array,
     norm_via_resultant,
     poly_gcd,
     rational_from,
@@ -383,6 +384,11 @@ def json_int(value, what: str) -> int:
     raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
+def json_minpoly(coeffs) -> tuple:
+    """The coefficients of a JSON `minpoly` array as rationals."""
+    return tuple(map(rational_from, json_array(coeffs, "minpoly")))
+
+
 def _se_pair(pair) -> tuple:
     """One entry of a split-set table: an integer prime and a boolean."""
     if (not isinstance(pair, (list, tuple)) or len(pair) != 2
@@ -404,11 +410,11 @@ def desc_from_json(obj) -> object:
             return Cyclotomic(json_int(obj["n"], "n"))
         if kind == "general_tr":
             return GeneralTotallyReal(
-                tuple(map(rational_from, obj["minpoly"])),
+                json_minpoly(obj["minpoly"]),
                 json_int(obj["disc"], "disc") if "disc" in obj else None)
         if kind == "general_cm":
             return GeneralCM(
-                tuple(map(rational_from, obj["minpoly"])),
+                json_minpoly(obj["minpoly"]),
                 json_int(obj["disc"], "disc"),
                 tuple(_se_pair(pair) for pair in obj.get("se", ())))
     except (KeyError, TypeError, ValueError) as err:

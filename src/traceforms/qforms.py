@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
+from itertools import chain
 from math import isqrt, prod
 from typing import Optional, Sequence, Tuple
 
@@ -28,6 +29,7 @@ from .exact import (
     hilbert_symbol,
     is_prime,
     is_square_at,
+    json_array,
     local_characters,
     primes_below,
     rational_from,
@@ -339,6 +341,11 @@ def _aux_primes(base, aux_limit):
     yield from (q for q in primes_below(aux_limit) if q not in base)
 
 
+#: the peeled head entries, shared by every constructed form
+_PLUS_ONE, _MINUS_ONE = SquareClass(1), SquareClass(-1)
+_UNIT_ENTRIES = {1: Fraction(1), -1: Fraction(-1)}
+
+
 @lru_cache(maxsize=4096)
 def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
     """Build a diagonal form realizing an admissible invariant tuple.
@@ -347,10 +354,11 @@ def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
     finishes with a rank-2 block <a, a*det> whose Hasse data is arranged
     through the symbol (a, -det).  Both last steps search sgn * core * q,
     walking the cores lazily; the rank-2 step skips by elimination over F2
-    each q that cannot hit.  The determinant is factored once, unless
-    it carries its primes; every later Hasse support is evaluated at known
-    primes.  The form carries the class of every entry.  Deterministic: the
-    same invariants always give the same form.
+    each q that cannot hit, and the rank-3 step, past its scan, takes an
+    entry the ternary form represents.  The determinant is factored once,
+    unless it carries its primes; every later Hasse support is evaluated at
+    known primes.  The form carries the class of every entry.
+    Deterministic: the same invariants always give the same form.
 
     Memoized: the invariants and the returned form are both frozen.  The memo
     key ignores the primes the determinant carries, so an equal tuple without
@@ -364,26 +372,43 @@ def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
     primes = det.primes()
     det = SquareClass(det.n, frozenset(primes))
     head = []
-    while n > 3:
-        # <e> + W with e = +-1: det W = e det, w(W) = w + (e, det W)
-        e = 1 if r > 0 else -1
-        det = det if e > 0 else -det
-        r, s = (r - 1, s) if e > 0 else (r, s - 1)
-        hasse = frozenset(hasse ^ support_at(e, det.n, primes))
-        n -= 1
-        validate_invariants(FormInvariants(n, det, (r, s), hasse))
-        head.append(SquareClass(e))
+    # <e> + W with e = +-1: det W = e det, w(W) = w + (e, det W).  The peel
+    # is forced: (1, x) is trivial, and a negative peel only negates det, so
+    # the Hasse set moves by S(-1, -det) and S(-1, det) in turn (Serre, A
+    # Course in Arithmetic, III.1.1); each is evaluated once.
+    negated = {}    # det.n -> (-det, S(-1, -det))
+    for _ in range(n - 3):
+        if r > 0:
+            r -= 1
+            # the empty set; tests/test_scan_proofs.py counts this call
+            hasse ^= support_at(1, det.n, primes)
+            head.append(_PLUS_ONE)
+        else:
+            s -= 1
+            if det.n not in negated:
+                minus = -det
+                negated[det.n] = minus, support_at(-1, minus.n, primes)
+            det, step = negated[det.n]
+            hasse ^= step
+            head.append(_MINUS_ONE)
+    if head:
+        # the input passed the battery on entry, and a peel keeps condition
+        # 1, the real bit and the parity of the support, so only the tuple
+        # handed on is checked
+        validate_invariants(FormInvariants(3, det, (r, s), hasse))
     if n == 2:
         return _rank2_from_invariants(head, det, (r, s), hasse)
 
     # the unit we peel must leave an admissible rank-2 tuple, which is a
-    # real constraint here (condition-3 can bite); scan small entries
+    # real constraint here (condition-3 can bite); scan small entries, and
+    # past them take an entry the ternary form is known to represent
     base = sorted({2, 3, 5, 7}.union(primes))
     signs = [sgn for sgn, k in ((1, r), (-1, s)) if k > 0]
     cores = _ascending_cores(base)
-    for q, (c, combo), sgn in ((q, core, sgn) for q in _aux_primes(base, 200)
-                               for core in cores() for sgn in signs):
-        e, e_primes = sgn * c * q, combo + ((q,) if q > 1 else ())
+    scan = ((sgn * c * q, combo + ((q,) if q > 1 else ()))
+            for q in _aux_primes(base, 200) for c, combo in cores()
+            for sgn in signs)
+    for e, e_primes in chain(scan, _represented_entry(det, hasse, signs[0])):
         ec = SquareClass(e, frozenset(e_primes))
         sub_det = det * ec
         sub_sig = (r - 1, s) if e > 0 else (r, s - 1)
@@ -395,6 +420,27 @@ def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
             continue
         return _rank2_from_invariants(head + [ec], sub_det, sub_sig, sub_hasse)
     raise RuntimeError("rank-3 construction search exhausted (bug)")
+
+
+def _represented_entry(det: SquareClass, hasse, sgn):
+    """Yield one entry, with its primes, that a ternary form with
+    determinant `det` (carrying its primes) and Hasse set `hasse`
+    represents: `sgn` times the primes of its anisotropic places that do
+    not divide det.  A generator, so a scan chained before it that hits
+    pays nothing.
+
+    The form is anisotropic at v exactly when its Hasse bit there differs
+    from (-1, -det), and then represents every class but that of -det
+    (Serre, A Course in Arithmetic, IV.2.2, Thm. 6).  The entry's
+    valuation has the other parity than that of -det at each such prime,
+    and at INF, where the form is then definite, `sgn` is its only sign.
+    """
+    primes = det.primes()
+    places = primes + tuple(v for v in hasse if v != INF and v not in primes)
+    anisotropic = hasse ^ support_at(-1, -det.n, places)
+    e_primes = tuple(sorted(p for p in anisotropic
+                            if p != INF and det.n % p))
+    yield sgn * prod(e_primes), e_primes
 
 
 def _rank2_from_invariants(head, det: SquareClass, sig,
@@ -495,9 +541,10 @@ def _rank2_from_invariants(head, det: SquareClass, sig,
             raise RuntimeError(
                 "rank-2 bilinear score disagrees with the support (bug)")
         ca = SquareClass(a, frozenset(a_primes))
-        classes = head + [ca, ca * det]
-        return QuadraticForm.make([c.n for c in head] + [a, a * det.n],
-                                  classes)
+        # every entry is a nonzero integer, so no check of `make` can fail
+        entries = [_UNIT_ENTRIES.get(c.n) or Fraction(c.n) for c in head]
+        return QuadraticForm(entries + [Fraction(a), Fraction(a * det.n)],
+                             head + [ca, ca * det])
     raise RuntimeError("rank-2 construction search exhausted (bug)")
 
 
@@ -845,22 +892,15 @@ def form_to_json(f: QuadraticForm) -> dict:
     return {"diagonal": list(text)}
 
 
-def _json_array(obj, what: str) -> list:
-    # a string would otherwise be read one character at a time
-    if not isinstance(obj, (list, tuple)):
-        raise ValueError(f"{what} must be an array")
-    return obj
-
-
 def form_from_json(obj) -> QuadraticForm:
     if not isinstance(obj, dict):
         raise ValueError("form must be an object")
     if "diagonal" in obj:
         return QuadraticForm.make(
-            [rational_from(e) for e in _json_array(obj["diagonal"], "diagonal")])
+            [rational_from(e) for e in json_array(obj["diagonal"], "diagonal")])
     if "gram" in obj:
-        return diagonalize([[rational_from(x) for x in _json_array(row, "gram row")]
-                            for row in _json_array(obj["gram"], "gram")])
+        return diagonalize([[rational_from(x) for x in json_array(row, "gram row")]
+                            for row in json_array(obj["gram"], "gram")])
     raise ValueError("form needs a 'diagonal' or 'gram' key")
 
 

@@ -1,8 +1,10 @@
 """Arguments that used to be dropped, doubled or truncated without a word:
 a complement hint in cm mode, which only the rm engine reads; a family
 listed twice in a grid request, which printed each of its rows twice; and
-numbers of the wrong JSON type in field descriptors and elliptic contexts,
-or a negative search height, which were truncated, read as true or run."""
+numbers of the wrong JSON type in field descriptors, field catalogs and
+elliptic contexts, or a negative search height, which were truncated, read
+as true or run; and a minpoly given as a string, which was read one
+character at a time."""
 
 import importlib.util
 import json
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from traceforms.cli import (
-    EXIT_OK, EXIT_SCHEMA, SchemaError, main, parse_families,
+    EXIT_OK, EXIT_SCHEMA, SchemaError, exit_code, main, parse_families,
 )
 from traceforms.numfields import ImagQuadratic
 from traceforms.qforms import QuadraticForm
@@ -172,3 +174,69 @@ def test_minpoly_rational_strings_read_as_integers(capsys, kind, coeffs):
     expected = json.loads(capsys.readouterr().out)
     assert main(query(coeffs)) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == expected
+
+
+@pytest.mark.parametrize("kind", MINPOLY_QUERIES)
+@pytest.mark.parametrize("coeffs", ["11", "-2,0,1", 5, {"0": 1}])
+def test_minpoly_that_is_not_an_array_exits_2(capsys, kind, coeffs):
+    # the string "11" was read one character at a time, as x + 1
+    assert main(MINPOLY_QUERIES[kind](coeffs)) == EXIT_SCHEMA
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "schema"
+    assert "minpoly must be an array" in doc["error"]
+
+
+#: a catalog entry of the wrong type, and the error that names it
+BAD_CATALOG_ENTRIES = [
+    # 5.9 was read as 5 and tabulated as "Q(sqrt 5.9)" with the rows of
+    # Q(sqrt 5)
+    ("rm", "totally_real", "quadratic", [2, 5.9],
+     "catalog: totally_real.quadratic entry 5.9: d must be an integer"),
+    ("rm", "totally_real", "quadratic", [True],
+     "catalog: totally_real.quadratic entry True: d must be an integer"),
+    ("rm", "totally_real", "higher", [{"name": "q5", "minpoly": "-501"}],
+     "catalog: totally_real.higher entry {'name': 'q5', 'minpoly': '-501'}: "
+     "minpoly must be an array"),
+    ("rm", "totally_real", "higher", [{"name": "q5", "minpoly": [-5.0, 0, 1]}],
+     "not a rational: -5.0"),
+    ("cm", "cm", "imag_quadratic", [1.5],
+     "catalog: cm.imag_quadratic entry 1.5: D must be an integer"),
+    ("cm", "cm", "cyclotomic", [5, "7.0"],
+     "catalog: cm.cyclotomic entry '7.0': n must be an integer"),
+]
+
+
+@pytest.mark.parametrize("mode, section, key, entries, error",
+                         BAD_CATALOG_ENTRIES,
+                         ids=[f"{key}-{i}" for i, (_, _, key, _, _) in
+                              enumerate(BAD_CATALOG_ENTRIES)])
+def test_catalog_entry_of_the_wrong_type_exits_2(capsys, tmp_path, mode,
+                                                section, key, entries, error):
+    catalog = {"totally_real": {"quadratic": [2]}, "cm": {"cyclotomic": [5]}}
+    catalog[section][key] = entries
+    path = tmp_path / "fields.json"
+    path.write_text(json.dumps(catalog))
+    assert main(["tabulate", "--mode", mode, "--catalog", str(path)]) \
+        == EXIT_SCHEMA
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "schema" and error in doc["error"]
+    spec = importlib.util.spec_from_file_location(
+        "run_realizability_grids", ROOT / "scripts" / "run_realizability_grids.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert exit_code(script.main, ["--mode", mode, "--catalog", str(path)]) \
+        == EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().out) == doc
+
+
+def test_catalog_of_integers_still_tabulates(capsys, tmp_path):
+    # a JSON string of an integer reads as that integer, as in descriptors
+    rows = {}
+    for quadratic in ([5], ["5"]):
+        path = tmp_path / "fields.json"
+        path.write_text(json.dumps({"totally_real": {"quadratic": quadratic},
+                                    "cm": {}}))
+        assert main(["tabulate", "--mode", "rm", "--catalog", str(path),
+                     "--format", "csv"]) == EXIT_OK
+        rows[str(quadratic)] = capsys.readouterr().out
+    assert rows["[5]"] == rows["['5']"] and "Q(sqrt 5)" in rows["[5]"]
