@@ -427,10 +427,11 @@ def cmd_elliptic(args) -> dict:
 
 
 def cmd_tabulate(args) -> str:
+    md_bound = parse_nonnegative(args.md_bound, "md-bound")
     cat = load_catalog(args.catalog)
     fields = catalog_fields(cat, args.mode)
     families = parse_families(args.families)
-    rows = tabulate_rows(args.mode, families, fields, args.md_bound)
+    rows = tabulate_rows(args.mode, families, fields, md_bound)
     return render_table(rows, args.format)
 
 

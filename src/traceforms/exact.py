@@ -157,7 +157,10 @@ class Record:
 
     - the constructor takes the `_fields` by position or keyword, fills in
       the defaults, and raises TypeError on a missing, surplus, unknown or
-      repeated argument, as a written-out signature would;
+      repeated argument, as a written-out signature would.  It stores each
+      value through the slot's own setter, which `__init_subclass__` looks
+      up once per class; the common call, every field by position, checks
+      one length and runs one loop over them;
     - assigning or deleting an attribute raises AttributeError;
     - `==` holds only between instances of the same class whose `_fields`
       are equal; against any other class it returns NotImplemented, so
@@ -188,6 +191,9 @@ class Record:
         cls._get = get = attrgetter(*cls._fields)
         cls._values = (staticmethod(lambda x: (get(x),))
                        if len(cls._fields) == 1 else get)
+        # the slots' own setters, which skip the frozen __setattr__
+        cls._setters = tuple(getattr(cls, name).__set__
+                             for name in cls._fields)
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -210,8 +216,8 @@ class Record:
                 raise TypeError(f"{what} missing required arguments: "
                                 + ", ".join(missing))
             args = [values[name] for name in fields]
-        for name, value in zip(fields, args):
-            object.__setattr__(self, name, value)
+        for store, value in zip(self._setters, args):
+            store(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -454,10 +460,20 @@ def support_at(a: Rational, b: Rational, places: Iterable[int]) -> frozenset:
     """The places among {2, INF} and `places` where (a, b) is nontrivial.
 
     Factors nothing: the caller passes every odd prime that divides the
-    square classes of a and b, so this is the whole support.
+    square classes of a and b, so this is the whole support.  The support
+    of (1, b) is empty; it is returned without a symbol, after the checks
+    that the symbols would make.
     """
     candidates = {2, INF}
     candidates.update(places)
+    if a == 1 or b == 1:
+        if a == 0 or b == 0:
+            raise ValueError("Hilbert symbol needs nonzero entries")
+        for p in candidates:
+            if p != INF and not (isinstance(p, int) and p >= 2
+                                 and is_prime(p)):
+                raise ValueError(f"not a place of Q: {p!r}")
+        return frozenset()
     out = frozenset(v for v in candidates if hilbert_symbol(a, b, v) == 1)
     if len(out) % 2:
         raise RuntimeError("Hilbert reciprocity violated (bug)")

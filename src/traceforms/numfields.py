@@ -385,8 +385,12 @@ def json_int(value, what: str) -> int:
 
 
 def json_minpoly(coeffs) -> tuple:
-    """The coefficients of a JSON `minpoly` array as rationals."""
-    return tuple(map(rational_from, json_array(coeffs, "minpoly")))
+    """The coefficients of a JSON `minpoly` array as rationals, the
+    integral ones as ints: they compare and hash as the equal Fractions
+    do, but in C, so a descriptor read again finds its memo entries
+    without a Python-level comparison."""
+    return tuple(c.numerator if c.denominator == 1 else c
+                 for c in map(rational_from, json_array(coeffs, "minpoly")))
 
 
 def _se_pair(pair) -> tuple:

@@ -129,9 +129,11 @@ class QuadraticForm(Record):
 class FormInvariants(Record):
     """The classifying invariants of a form: dimension, determinant class,
     signature (r, s) and the places where the Hasse invariant is
-    nontrivial."""
+    nontrivial.  `_text` and `_shape` keep renderings (`invariants_to_json`,
+    `transfer`) out of equality and hashing."""
 
-    __slots__ = _fields = ("dim", "det", "signature", "hasse")
+    __slots__ = ("dim", "det", "signature", "hasse", "_text", "_shape")
+    _fields = __slots__[:4]
 
     def __init__(self, dim: int, det: SquareClass, signature: Tuple[int, int],
                  hasse: frozenset):
@@ -141,6 +143,8 @@ class FormInvariants(Record):
         object.__setattr__(self, "det", det)
         object.__setattr__(self, "signature", tuple(signature))
         object.__setattr__(self, "hasse", frozenset(hasse))
+        for kept in ("_text", "_shape"):     # a read of an unset slot raises
+            object.__setattr__(self, kept, None)
 
     def hasse_bit(self, place) -> int:
         return 1 if place in self.hasse else 0
@@ -905,12 +909,14 @@ def form_from_json(obj) -> QuadraticForm:
 
 
 def invariants_to_json(fi: FormInvariants) -> dict:
-    return {
-        "dim": fi.dim,
-        "det": rational_str(fi.det.n),
-        "signature": list(fi.signature),
-        "hasse": [place_to_json(v) for v in sorted(fi.hasse)],
-    }
+    """Rendered once and kept, as in `form_to_json`; new lists each call."""
+    text = fi._text
+    if text is None:
+        text = (rational_str(fi.det.n),
+                tuple([place_to_json(v) for v in sorted(fi.hasse)]))
+        object.__setattr__(fi, "_text", text)
+    return {"dim": fi.dim, "det": text[0], "signature": list(fi.signature),
+            "hasse": list(text[1])}
 
 
 def invariants_from_json(obj) -> FormInvariants:

@@ -25,7 +25,6 @@ from .exact import (
     support_at,
 )
 from .numfields import (
-    IN,
     OUT,
     UNKNOWN,
     FieldInvariants,
@@ -403,6 +402,15 @@ def _hasse_candidates(vi, det_u, det_c, extra_primes=()):
     return tuple(sorted(pool))
 
 
+def _class_key(c: SquareClass) -> tuple:
+    """A square class as a memo key that hashes and compares in C: its
+    representative and its primes, which the representative determines, so
+    the key is one-to-one with the class.  `SquareClass(*key)` rebuilds it
+    carrying its primes."""
+    primes = c.known_primes
+    return c.n, frozenset(c.primes()) if primes is None else primes
+
+
 def _first_complement(vi, det_u: SquareClass, md: int, extra_primes=(),
                       want=None):
     """The (complement invariants, transfer invariants) pair that adds up to
@@ -414,15 +422,18 @@ def _first_complement(vi, det_u: SquareClass, md: int, extra_primes=(),
     candidate primes to the Hasse bit the transfer side must carry), or else
     free; the parity of the set is then fixed with the smallest free prime.
     """
-    return _choose_complement(vi, det_u, md, tuple(extra_primes),
+    return _choose_complement(vi, _class_key(det_u), md, tuple(extra_primes),
                               tuple(sorted((want or {}).items())))
 
 
 @lru_cache(maxsize=4096)
-def _choose_complement(vi, det_u, md, extra_primes, want_items):
-    """`_first_complement` on a hashable key, `want` as sorted (prime, bit)
-    pairs.  Memoized: the key and the returned pair are frozen, and a grid
-    pass asks the same question of each ambient again and again."""
+def _choose_complement(vi, ukey, md, extra_primes, want_items):
+    """`_first_complement` on a hashable key: V's invariants, which a grid
+    pass takes from the `invariants` memo, the key of det_u, which each row
+    builds afresh, and `want` as sorted (prime, bit) pairs.  Memoized: the
+    returned pair is frozen, and a grid pass asks the same question of each
+    ambient again and again."""
+    det_u = SquareClass(*ukey)
     dim_c, det_c, sig_c = _complement_target(vi, det_u, md)
     if sig_c[0] < 0 or sig_c[1] < 0:
         return None
@@ -506,39 +517,57 @@ def _split_rm(vi, E, finv, m, md, complement_hint):
         finv, m, route, *found, extra), None)
 
 
-def _split_cm(vi, E, finv, m, md, codim):
-    tw = cm_twist_class(finv)
-    det_u = tw if m % 2 else SquareClass(1)
+@lru_cache(maxsize=4096)
+def _cm_split_plan(vi, kind, values, md):
+    """What a cm split asks of the complement choice.  It depends only on
+    the ambient's invariants, the field's class and values (as its `_get`
+    gives them, so that they hash in C) and md, and is memoized; the
+    choice itself is not memoized here, so that every split still asks
+    `_choose_complement`.
+
+    The transfer side must be hyperbolic at every split prime where its
+    Hasse set could be nontrivial.  Unknown primes are first taken as split;
+    if that fails where the asserted ones alone pass, the verdict waits on
+    the unknown primes.  Returns the key of the forced determinant det_u,
+    the field's discriminant primes, the `want` items with the unknown
+    primes taken as split and with the asserted ones alone, the unknown
+    primes, det_u as text, and whether det(V) det_u is the class -1."""
+    E = kind(*values) if len(kind._fields) > 1 else kind(values)
+    finv = field_invariants(E)
+    det_u = cm_twist_class(finv) if md // finv.degree % 2 else SquareClass(1)
     det_c = vi.det * det_u
     disc_primes = finv.disc_class.primes()
+    want, want_in, unknowns = [], [], []
+    for p in _hasse_candidates(vi, det_u, det_c, disc_primes):
+        status = in_SE(E, p)
+        if status != OUT:
+            pair = (p, hyperbolic_bit(md // 2, p))
+            want.append(pair)
+            if status == UNKNOWN:
+                unknowns.append(p)
+            else:
+                want_in.append(pair)
+    return (_class_key(det_u), disc_primes, tuple(want), tuple(want_in),
+            tuple(unknowns), rational_str(det_u.n), det_c.n == -1)
 
-    # the transfer side must be hyperbolic at every split prime where its
-    # Hasse set could be nontrivial.  Unknown primes are first taken as split;
-    # if that fails where the asserted ones alone pass, the verdict waits on
-    # the unknown primes
-    statuses = {p: in_SE(E, p)
-                for p in _hasse_candidates(vi, det_u, det_c, disc_primes)}
 
-    def solve(*kept):
-        return _first_complement(vi, det_u, md, extra_primes=disc_primes, want={
-            p: hyperbolic_bit(md // 2, p)
-            for p, st in statuses.items() if st in kept})
-
-    found = solve(IN, UNKNOWN)
+def _split_cm(vi, E, finv, m, md, codim):
+    ukey, disc_primes, want, want_in, unknowns, forced, minus_one = \
+        _cm_split_plan(vi, E.__class__, E._get(E), md)
+    found = _choose_complement(vi, ukey, md, disc_primes, want)
     if found is None:
-        unknowns = [p for p, st in statuses.items() if st == UNKNOWN]
-        if unknowns and solve(IN) is not None:
+        if unknowns and _choose_complement(vi, ukey, md, disc_primes,
+                                           want_in) is not None:
             return TransferVerdict("needs_witness", None, {
-                "reason": "split-set-unknown", "primes": unknowns})
+                "reason": "split-set-unknown", "primes": list(unknowns)})
         return TransferVerdict("infeasible", None, {
             "condition": "(iii)",
             "detail": "no complement leaves the transfer side hyperbolic "
                       "at the asserted split primes"})
-    ci, ui = found
-    cert = _split_certificate(finv, m, "split-prime-hyperbolic-pattern", ci, ui,
-                              {"forced_determinant": rational_str(det_u.n)})
+    cert = _split_certificate(finv, m, "split-prime-hyperbolic-pattern",
+                              *found, {"forced_determinant": forced})
     if codim == 2:
-        cert["complement_count"] = ("unique-hyperbolic" if det_c == SquareClass(-1)
+        cert["complement_count"] = ("unique-hyperbolic" if minus_one
                                     else "infinite-family")
     return TransferVerdict("feasible", cert, None)
 
@@ -546,7 +575,13 @@ def _split_cm(vi, E, finv, m, md, codim):
 def _split_certificate(finv, m, route, ci, ui, extra) -> dict:
     """The certificate of a feasible split: both sides' invariants, a
     complement diagonal, the mode's own keys, and the complement's shape
-    where it is distinguished."""
+    where it is distinguished.  Each part is rendered once, and kept on
+    the record it renders (the shape on `ci`); every call hands out new
+    dicts and lists."""
+    shape = ci._shape
+    if shape is None:
+        shape = _complement_shape(ci)
+        object.__setattr__(ci, "_shape", shape)
     cert = {
         "m": m,
         "degree": finv.degree,
@@ -556,12 +591,19 @@ def _split_certificate(finv, m, route, ci, ui, extra) -> dict:
         "complement_diagonal": form_to_json(form_from_invariants(ci))["diagonal"],
         **extra,
     }
-    if ci.dim == 1:
-        cert["complement_shape"] = "forced-line"
-        cert["forced_complement"] = rational_str(ci.det.n)
-    elif ci.dim % 2 == 0 and ci == hyperbolic_invariants(ci.dim // 2):
-        cert["complement_shape"] = "hyperbolic"
+    cert.update(shape)
     return cert
+
+
+def _complement_shape(ci) -> tuple:
+    """The certificate items that name the complement's shape, if it is
+    distinguished."""
+    if ci.dim == 1:
+        return (("complement_shape", "forced-line"),
+                ("forced_complement", rational_str(ci.det.n)))
+    if ci.dim % 2 == 0 and ci == hyperbolic_invariants(ci.dim // 2):
+        return (("complement_shape", "hyperbolic"),)
+    return ()
 
 
 # ---------------------------------------------------------------------------

@@ -377,3 +377,44 @@ def test_squareclass_zero_rejected_under_optimize():
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode != 0
     assert "zero has no square class" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the support of (1, x) without a symbol
+
+
+def test_support_of_one_evaluates_no_symbol(monkeypatch):
+    from traceforms import exact
+
+    def no_symbol(*args):
+        raise AssertionError("(1, x) is trivial everywhere")
+
+    monkeypatch.setattr(exact, "hilbert_symbol", no_symbol)
+    assert exact.support_at(1, -35, (5, 7)) == frozenset()
+    assert exact.support_at(-6, 1, (3,)) == frozenset()
+    assert exact.support_at(Fraction(1), 3, (3,)) == frozenset()
+
+
+def test_support_of_one_checks_what_the_symbols_check():
+    from traceforms.exact import support_at
+    for a, b in ((1, 0), (0, 1), (1, Fraction(0))):
+        with pytest.raises(ValueError, match="nonzero entries"):
+            support_at(a, b, (3,))
+    for place in (4, 1, -3, 2.5, "3"):
+        with pytest.raises(ValueError, match="not a place of Q"):
+            support_at(1, 5, (5, place))
+    # the same checks as on a nontrivial pair
+    with pytest.raises(ValueError, match="not a place of Q"):
+        support_at(3, 5, (5, 9))
+
+
+@given(st.integers(-300, 300).filter(bool), st.sets(
+    st.sampled_from((3, 5, 7, 11, 13)), max_size=3))
+@settings(max_examples=100, derandomize=True)
+def test_support_of_one_is_empty_as_the_symbols_say(b, places):
+    from traceforms.exact import support_at
+    b_class = squarefree_class(b)
+    primes = tuple(places) + b_class.primes()
+    assert support_at(1, b_class.n, primes) == frozenset()
+    assert not any(hilbert_symbol(1, b_class.n, v)
+                   for v in {2, INF, *primes})

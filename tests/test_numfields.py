@@ -313,3 +313,22 @@ def test_norm_multiplicativity(d):
         for b in norms:
             if a * b != 0:
                 assert is_norm_quadratic(d, a * b)
+
+
+def test_integral_minpoly_coefficients_read_as_ints():
+    # ints compare and hash as the equal Fractions, in C: a descriptor read
+    # again finds its memo entries without Fraction.__eq__ or __hash__
+    E = desc_from_json({"kind": "general_tr", "minpoly": [-1, -3, 0, 1]})
+    built = GeneralTotallyReal(tuple(Fraction(c) for c in (-1, -3, 0, 1)))
+    assert [type(c) for c in E.minpoly] == [int] * 4
+    assert E == built and hash(E) == hash(built)
+    assert desc_to_json(E) == desc_to_json(built)
+    assert field_invariants(E) == field_invariants(built)
+    # a fraction keeps its Fraction, and "4/2" reads as the int 2
+    half = desc_from_json({"kind": "general_tr",
+                           "minpoly": ["-1/2", "4/2", 0, 1]})
+    assert half.minpoly == (Fraction(-1, 2), 2, 0, 1)
+    assert [type(c) for c in half.minpoly] == [Fraction, int, int, int]
+    cm = desc_from_json({"kind": "general_cm", "minpoly": ["-2", 0, 1],
+                         "disc": 5})
+    assert [type(c) for c in cm.real_minpoly] == [int] * 3

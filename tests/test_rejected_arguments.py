@@ -3,11 +3,14 @@ a complement hint in cm mode, which only the rm engine reads; a family
 listed twice in a grid request, which printed each of its rows twice; and
 numbers of the wrong JSON type in field descriptors, field catalogs and
 elliptic contexts, or a negative search height, which were truncated, read
-as true or run; and a minpoly given as a string, which was read one
-character at a time."""
+as true or run; a minpoly given as a string, which was read one
+character at a time; and a negative md bound, which printed an empty grid."""
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -240,3 +243,41 @@ def test_catalog_of_integers_still_tabulates(capsys, tmp_path):
                      "--format", "csv"]) == EXIT_OK
         rows[str(quadratic)] = capsys.readouterr().out
     assert rows["[5]"] == rows["['5']"] and "Q(sqrt 5)" in rows["[5]"]
+
+
+def _grid_script():
+    spec = importlib.util.spec_from_file_location(
+        "run_realizability_grids", ROOT / "scripts" / "run_realizability_grids.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+@pytest.mark.parametrize("bound", ["-1", "-5"])
+def test_negative_md_bound_exits_2(capsys, bound):
+    # it printed an empty table and exited 0
+    error = f"md-bound: must be nonnegative, got {bound}"
+    assert main(["tabulate", "--mode", "rm", "--families", "k3",
+                 "--md-bound", bound]) == EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "error", "kind": "schema", "error": error}
+    assert exit_code(_grid_script().main, ["--md-bound", bound]) == EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().out)["error"] == error
+
+
+def test_negative_md_bound_exits_2_from_the_command_line():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_realizability_grids.py"),
+         "--md-bound", "-5"], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == EXIT_SCHEMA
+    assert json.loads(proc.stdout)["error"] == \
+        "md-bound: must be nonnegative, got -5"
+
+
+def test_zero_md_bound_is_an_empty_grid(capsys):
+    assert main(["tabulate", "--mode", "cm", "--md-bound", "0",
+                 "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"rows": [], "count": 0}
