@@ -250,8 +250,7 @@ def parse_families(raw: str):
 # tabulate
 
 
-def _row_criterion(rep) -> str:
-    v = rep.verdict
+def _row_criterion(v) -> str:
     if v.status == "feasible":
         cert = v.certificate or {}
         return cert.get("route", "within-bounds")
@@ -260,14 +259,15 @@ def _row_criterion(rep) -> str:
 
 
 def tabulate_rows(mode: str, families, fields, md_bound: int):
-    from .k3hk import hk_realizable
+    from .k3hk import hk_reports
     rows = []
     min_m = 3 if mode == "rm" else 1
     for label, fam, n in sorted(families, key=lambda t: t[0]):
         for field_label, desc, degree in fields:
-            m = min_m
-            while m * degree <= md_bound:
-                rep = hk_realizable(fam, n, desc, m, mode)
+            ms = range(min_m, md_bound // degree + 1)
+            for m, rep in zip(ms, hk_reports(fam, n, desc, mode, ms)):
+                v = rep.verdict
+                feasible = v.status == "feasible"
                 rows.append({
                     "family": label,
                     "field": field_label,
@@ -275,13 +275,12 @@ def tabulate_rows(mode: str, families, fields, md_bound: int):
                     "m": m,
                     "md": m * degree,
                     "mode": mode,
-                    "feasible": rep.feasible,
-                    "status": rep.status,
-                    "family_dim": rep.family_dimension if rep.feasible else None,
+                    "feasible": feasible,
+                    "status": v.status,
+                    "family_dim": rep.family_dimension if feasible else None,
                     "pic_rank": rep.pic_rank,
-                    "criterion": _row_criterion(rep),
+                    "criterion": _row_criterion(v),
                 })
-                m += 1
     return rows
 
 

@@ -155,12 +155,12 @@ class Record:
     its value in `_fields` (in order), and the defaults of the trailing
     fields in `_defaults`.  Then:
 
-    - the constructor takes the `_fields` by position or keyword, fills in
-      the defaults, and raises TypeError on a missing, surplus, unknown or
-      repeated argument, as a written-out signature would.  It stores each
-      value through the slot's own setter, which `__init_subclass__` looks
-      up once per class; the common call, every field by position, checks
-      one length and runs one loop over them;
+    - the constructor has the native signature `(self, *_fields)`, with
+      `_defaults` as the defaults of the trailing fields, so a missing,
+      surplus, unknown or repeated argument raises the interpreter's own
+      TypeError.  It is written once per class, at its first construction
+      (so importing pays nothing), and stores each value through the
+      slot's own setter;
     - assigning or deleting an attribute raises AttributeError;
     - `==` holds only between instances of the same class whose `_fields`
       are equal; against any other class it returns NotImplemented, so
@@ -176,8 +176,9 @@ class Record:
     Only the six classes that normalize or check their arguments write an
     `__init__` (storing with `object.__setattr__`): `SquareClass`,
     `Cyclotomic`, `GeneralTotallyReal`, `GeneralCM`, `QuadraticForm` and
-    `FormInvariants`.  `QuadraticForm` also hashes its diagonal once, as the
-    cache key of `invariants`, in its own `__eq__` and `__hash__`.
+    `FormInvariants`.  `QuadraticForm` also hashes its diagonal, once at its
+    first use, as the cache key of `invariants`, in its own `__eq__` and
+    `__hash__`.
     """
 
     __slots__ = ()
@@ -191,33 +192,21 @@ class Record:
         cls._get = get = attrgetter(*cls._fields)
         cls._values = (staticmethod(lambda x: (get(x),))
                        if len(cls._fields) == 1 else get)
-        # the slots' own setters, which skip the frozen __setattr__
-        cls._setters = tuple(getattr(cls, name).__set__
-                             for name in cls._fields)
+        if "__init__" not in cls.__dict__:
+            # a subclass writes its own, not inheriting its parent's
+            cls.__init__ = Record.__init__
 
     def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
-            what = self.__class__.__qualname__ + "()"
-            if len(args) > len(fields):
-                raise TypeError(f"{what} takes at most {len(fields)} positional"
-                                f" arguments but {len(args)} were given")
-            given = dict(zip(fields, args))
-            for name in kwargs:
-                if name in given or name not in fields:
-                    raise TypeError(f"{what} got " + (
-                        "multiple values for argument" if name in given
-                        else "an unexpected keyword argument") + f" {name!r}")
-            # the defaults are those of the trailing fields
-            values = dict(zip(fields[len(fields) - len(self._defaults):],
-                              self._defaults), **given, **kwargs)
-            missing = [repr(name) for name in fields if name not in values]
-            if missing:
-                raise TypeError(f"{what} missing required arguments: "
-                                + ", ".join(missing))
-            args = [values[name] for name in fields]
-        for store, value in zip(self._setters, args):
-            store(self, value)
+        # the first construction of a class writes its constructor
+        cls, fields = self.__class__, self.__class__._fields
+        scope = {f"_{i}": getattr(cls, name).__set__
+                 for i, name in enumerate(fields)}
+        exec(f"def __init__(self, {', '.join(fields)}):\n" + "".join(
+            f"    _{i}(self, {name})\n" for i, name in enumerate(fields)), scope)
+        init = cls.__init__ = scope["__init__"]
+        init.__defaults__ = cls._defaults or None
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init(self, *args, **kwargs)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

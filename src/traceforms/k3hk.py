@@ -150,28 +150,10 @@ def _hodge_label(finv, m: int) -> str:
     return f"Res_{{E/Q}} {group}(W), m={m}"
 
 
-def _family_dimension(mode: str, m: int):
-    if mode == "rm":
-        return m - 2
-    return m - 1 if m >= 2 else "countable"
-
-
 def _bounds_report(mode: str, reason: str, detail: str) -> RealizabilityReport:
     verdict = TransferVerdict("infeasible", None, {
         "condition": reason, "detail": detail})
     return RealizabilityReport(mode, 0, None, None, (detail,), verdict)
-
-
-def _report_from_verdict(mode, finv, m, md, r, verdict,
-                         extra_notes=()) -> RealizabilityReport:
-    notes = list(extra_notes)
-    if verdict.status == "infeasible":
-        notes.append(str(verdict.obstruction))
-        return RealizabilityReport(mode, 0, None, None, tuple(notes), verdict)
-    if verdict.status == "needs_witness":
-        notes.append("undecided: " + str(verdict.obstruction))
-    return RealizabilityReport(mode, _family_dimension(mode, m), r - md,
-                               _hodge_label(finv, m), tuple(notes), verdict)
 
 
 class _FamilyText(Record):
@@ -208,44 +190,65 @@ def k3_realizable(E, m: int, mode: str) -> RealizabilityReport:
 def hk_realizable(family: str, n: Optional[int], E, m: int,
                   mode: str) -> RealizabilityReport:
     """Realizability of real (rm) or complex (cm) multiplication by E with
-    rank m on the ambient of a deformation type, K3 included.
+    rank m on the ambient of a deformation type, K3 included: the one
+    report of `hk_reports` for this m."""
+    return next(hk_reports(family, n, E, mode, (m,)))
+
+
+def hk_reports(family: str, n: Optional[int], E, mode: str, ms):
+    """Yield a fresh `hk_realizable` report for each rank m in `ms`.  The
+    mode, the field and the ambient are checked and looked up once, at the
+    first report; a rank below 1 raises when its turn comes.
 
     Bounds first (rank below 3 in rm, or md above b2 - 1, give infeasible
     reports, not errors); a projective member needs at least one positive
     algebraic class left over.  Then the splitting engine on the ambient
-    decides and certifies.
+    decides and certifies each rank.
     """
     mode, finv = check_mode(mode, E)
     amb = ambient(family, n)
-    if m < 1:
-        raise ValueError("rank must be positive")
     text = _FAMILY_TEXT.get(amb.family, _DEFAULT_TEXT)
     r = amb.b2
-    md = m * finv.degree
     bound = r - 1
     if mode == "cm" and text.cm_bound is not None:
         bound = text.cm_bound
-    if mode == "rm" and m < 3:
-        return _bounds_report(mode, "multiplicity",
-                              f"rank {m} over the field is below 3")
-    if md > bound:
-        return _bounds_report(mode, "dimension-bound",
-                              f"md = {md} > {bound}")
-    notes = []
+    cell_notes = []
     if mode == "cm" and text.even_b2_note and r % 2 == 0:
-        notes.append(f"even field degree tightens the bound to md <= {r - 2}")
+        cell_notes.append(
+            f"even field degree tightens the bound to md <= {r - 2}")
     if mode == "rm" and text.rm_note is not None:
-        notes.append(text.rm_note)
-    if (mode == "cm" and m == 1 and text.square_disc_note and md == bound
-            and finv.disc_class == SquareClass(1)):
-        notes.append("square discriminant at full dimension: the rank-2 "
-                     "algebraic part is rationally hyperbolic, realized by "
-                     "rescaled hyperbolic planes (infinitely many surfaces, "
-                     "all elliptic)")
-    if mode == "cm" and m == 1:
-        notes.append("rank 1 over the field: " + text.rank1_cm)
-    verdict = split_transfer_feasible(amb.rational_form, E, m, mode)
-    return _report_from_verdict(mode, finv, m, md, r, verdict, notes)
+        cell_notes.append(text.rm_note)
+    for m in ms:
+        if m < 1:
+            raise ValueError("rank must be positive")
+        md = m * finv.degree
+        if mode == "rm" and m < 3:
+            yield _bounds_report(mode, "multiplicity",
+                                 f"rank {m} over the field is below 3")
+            continue
+        if md > bound:
+            yield _bounds_report(mode, "dimension-bound",
+                                 f"md = {md} > {bound}")
+            continue
+        notes = list(cell_notes)
+        if (mode == "cm" and m == 1 and text.square_disc_note
+                and md == bound and finv.disc_class == SquareClass(1)):
+            notes.append("square discriminant at full dimension: the rank-2 "
+                         "algebraic part is rationally hyperbolic, realized "
+                         "by rescaled hyperbolic planes (infinitely many "
+                         "surfaces, all elliptic)")
+        if mode == "cm" and m == 1:
+            notes.append("rank 1 over the field: " + text.rank1_cm)
+        verdict = split_transfer_feasible(amb.rational_form, E, m, mode)
+        if verdict.status == "infeasible":
+            notes.append(str(verdict.obstruction))
+            yield RealizabilityReport(mode, 0, None, None, (*notes,), verdict)
+            continue
+        if verdict.status == "needs_witness":
+            notes.append("undecided: " + str(verdict.obstruction))
+        dim = m - 2 if mode == "rm" else m - 1 if m >= 2 else "countable"
+        yield RealizabilityReport(mode, dim, r - md, _hodge_label(finv, m),
+                                  tuple(notes), verdict)
 
 
 def report_to_json(rep: RealizabilityReport) -> dict:

@@ -401,11 +401,24 @@ def _se_pair(pair) -> tuple:
     return json_int(pair[0], "se prime"), pair[1]
 
 
+#: the keys besides "kind" of each descriptor kind; any other key is
+#: refused, so that a misspelled one is not dropped without a word
+_DESCRIPTOR_KEYS = {"real_quadratic": ("d",), "imag_quadratic": ("D",),
+                    "cyclotomic": ("n",), "general_tr": ("minpoly", "disc"),
+                    "general_cm": ("minpoly", "disc", "se")}
+
+
 def desc_from_json(obj) -> object:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DescriptorError("field descriptor must be an object with 'kind'")
     kind = obj["kind"]
+    keys = _DESCRIPTOR_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise DescriptorError(f"unknown field kind {kind!r}")
     try:
+        unknown = [key for key in obj if key != "kind" and key not in keys]
+        if unknown:
+            raise ValueError("unknown key " + ", ".join(map(repr, unknown)))
         if kind == "real_quadratic":
             return RealQuadratic(json_int(obj["d"], "d"))
         if kind == "imag_quadratic":
@@ -416,11 +429,9 @@ def desc_from_json(obj) -> object:
             return GeneralTotallyReal(
                 json_minpoly(obj["minpoly"]),
                 json_int(obj["disc"], "disc") if "disc" in obj else None)
-        if kind == "general_cm":
-            return GeneralCM(
-                json_minpoly(obj["minpoly"]),
-                json_int(obj["disc"], "disc"),
-                tuple(_se_pair(pair) for pair in obj.get("se", ())))
+        return GeneralCM(
+            json_minpoly(obj["minpoly"]),
+            json_int(obj["disc"], "disc"),
+            tuple(_se_pair(pair) for pair in obj.get("se", ())))
     except (KeyError, TypeError, ValueError) as err:
         raise DescriptorError(f"malformed {kind} descriptor: {err}") from err
-    raise DescriptorError(f"unknown field kind {kind!r}")

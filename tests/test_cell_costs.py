@@ -1,0 +1,156 @@
+"""What a grid pass costs once each cell is answered by one realizability
+pass and each rank-3 core is built once, counted in operations that do not
+depend on the machine, with every memo of the package cleared first.
+
+`k3hk.hk_reports` checks a cell's mode and field and looks up its ambient
+once, and yields a report per rank; the splitting engine still checks the
+mode once per split.  `qforms.form_from_invariants` peels unit entries down
+to a rank-3 tuple, and that tuple fixes the rest of the form, so
+`qforms._rank3_form` builds it once per distinct tuple.  Its memo is cleared
+with `form_from_invariants.cache_clear()`, so the construction pins of
+`tests/test_scan_proofs.py` and `tests/test_core_walk.py` hold after a grid
+pass too.
+"""
+
+import importlib.util
+import random
+import sys
+from collections import Counter
+from pathlib import Path
+
+from traceforms import cli, exact, k3hk, numfields, qforms, transfer
+from traceforms.exact import primes_below
+from traceforms.qforms import QuadraticForm, form_from_invariants, invariants
+
+GRID_FAMILIES = "k3,kummer:2,kummer:3,og6,hilbk3:2,hilbk3:3,og10"
+GRID_MD_BOUND = 23
+MODULES = (exact, qforms, numfields, transfer, k3hk, cli)
+
+#: at most, on one warm pass of 1015 rows: 29,143 when each row checked its
+#: mode twice and read its verdict through four properties; 20,566 after
+WARM_CALLS_BOUND = 21_000
+#: at most, on one cold pass: 3,383 when every construction scanned its own
+#: rank-3 core; 2,067 after
+COLD_SYMBOLS_BOUND = 2_100
+#: the rank-3 tuples a cold pass hands on, and their distinct values
+RANK3_TUPLES, RANK3_CORES = 173, 37
+
+
+def _clear_memos():
+    for module in MODULES:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def _grid_pass():
+    """One pass as the `grid` benchmark workload makes it: fresh
+    descriptors from the catalog, then one cell (mode, family, field) at a
+    time.  Returns the number of cells."""
+    cat = cli.load_catalog()
+    fields = {mode: cli.catalog_fields(cat, mode) for mode in ("rm", "cm")}
+    families = cli.parse_families(GRID_FAMILIES)
+    cells = 0
+    for mode in ("rm", "cm"):
+        for family in families:
+            for field in fields[mode]:
+                cli.tabulate_rows(mode, [family], [field], GRID_MD_BOUND)
+                cells += 1
+    return cells
+
+
+def _profiled_pass():
+    """The "call" events of one grid pass, by code object, and its cells."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        cells = _grid_pass()
+    finally:
+        sys.setprofile(None)
+    return calls, cells
+
+
+def test_grid_pass_costs():
+    _clear_memos()
+    cold, cells = _profiled_pass()
+    cores = qforms._rank3_form.cache_info()
+    warm, _ = _profiled_pass()
+    assert 0 < cold[exact.hilbert_symbol.__code__] <= COLD_SYMBOLS_BOUND
+    assert (cores.misses, cores.hits + cores.misses) == (RANK3_CORES,
+                                                        RANK3_TUPLES)
+    assert sum(warm.values()) <= WARM_CALLS_BOUND
+    # one check per cell, and the splitting engine's own per split
+    splits = warm[transfer.split_transfer_feasible.__code__]
+    assert cells == 196 and splits == 638
+    assert warm[transfer.check_mode.__code__] <= cells + splits
+    # a warm pass builds no core
+    assert qforms._rank3_form.cache_info().misses == RANK3_CORES
+
+
+# ---------------------------------------------------------------------------
+# the construction pins, after a grid pass
+
+
+def _count_support_at(monkeypatch):
+    calls = [0]
+    original = exact.support_at
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    for module in (exact, qforms):
+        monkeypatch.setattr(module, "support_at", counting)
+    return calls
+
+
+def _pool_entry_142():
+    """Operation 142 of the `forms` pool, whose construction
+    tests/test_scan_proofs.py pins at 39 supports."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    entries, query, _ = module.forms_pool()[142]
+    assert query == "round_trip"
+    return entries
+
+
+def _wide_rank4(k):
+    """As in tests/test_core_walk.py: <e_1, ..., e_4> with k distinct primes
+    below 400, drawn with random.Random(7), dealt round the four entries,
+    and random signs."""
+    rng = random.Random(7)
+    primes = rng.sample(primes_below(400), k)
+    entries = []
+    for i in range(4):
+        e = rng.choice((1, -1))
+        for p in primes[i::4]:
+            e *= p
+        entries.append(e)
+    return entries
+
+
+def test_construction_pins_hold_after_a_grid_pass(monkeypatch):
+    # the grid pass and one build of each form fill both construction
+    # memos with these very cores; the one clear must empty them again
+    _grid_pass()
+    case_142 = invariants(QuadraticForm.make(_pool_entry_142()))
+    wide = invariants(QuadraticForm.make(_wide_rank4(24)))
+    for fi in (case_142, wide):
+        form_from_invariants(fi)
+    form_from_invariants.cache_clear()
+    calls = _count_support_at(monkeypatch)
+    g = form_from_invariants(case_142)
+    assert g.diagonal[:6] == (1, 1, 1, -1, -1, -7910)
+    assert calls[0] == 39
+    calls[0] = 0
+    g = form_from_invariants(wide)
+    assert calls[0] <= 29
+    monkeypatch.undo()
+    assert invariants(QuadraticForm.make(g.diagonal)) == wide

@@ -4,7 +4,8 @@ listed twice in a grid request, which printed each of its rows twice; and
 numbers of the wrong JSON type in field descriptors, field catalogs and
 elliptic contexts, or a negative search height, which were truncated, read
 as true or run; a minpoly given as a string, which was read one
-character at a time; and a negative md bound, which printed an empty grid."""
+character at a time; a negative md bound, which printed an empty grid; and
+a descriptor key its kind does not read, which was ignored."""
 
 import importlib.util
 import json
@@ -281,3 +282,40 @@ def test_zero_md_bound_is_an_empty_grid(capsys):
     assert main(["tabulate", "--mode", "cm", "--md-bound", "0",
                  "--format", "json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == {"rows": [], "count": 0}
+
+
+#: the split-set assertions under which x^2 - 2, disc 5, m = 4 is feasible
+SE_OUT = [[2, False], [3, False], [5, False]]
+K3_CM_QUERY = ["k3", "--m", "4", "--mode", "cm", "--field"]
+
+
+@pytest.mark.parametrize("argv, key", [
+    # answered as if "extra" were absent, with exit 0
+    (["k3", "--field", json.dumps({"kind": "real_quadratic", "d": 5,
+                                    "extra": 1}),
+      "--m", "3", "--mode", "rm"], "'extra'"),
+    # the misspelled assertions were dropped: needs_witness, exit 0
+    (K3_CM_QUERY + [json.dumps(dict(CM_FIELD, SE=SE_OUT))], "'SE'"),
+    (_k3_query({"kind": "general_tr", "minpoly": [-5, 0, 1], "se": []}),
+     "'se'"),
+    (["elliptic", "--context", json.dumps({
+        "case": "degree-20", "field": {"kind": "cyclotomic", "n": 44,
+                                       "d": 1}})], "'d'"),
+])
+def test_unknown_descriptor_keys_exit_2(capsys, argv, key):
+    assert main(argv) == EXIT_SCHEMA
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "schema"
+    assert "descriptor: unknown key " + key in doc["error"]
+
+
+def test_the_read_keys_still_answer(capsys):
+    assert main(K3_CM_QUERY + [json.dumps(dict(CM_FIELD, se=SE_OUT))]) == \
+        EXIT_OK
+    assert json.loads(capsys.readouterr().out)["status"] == "feasible"
+
+
+def test_an_unknown_kind_is_named_before_its_keys(capsys):
+    assert main(_k3_query({"kind": "martian", "x": 1})) == EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().out)["error"] == \
+        "field: unknown field kind 'martian'"
