@@ -19,8 +19,8 @@ from pathlib import Path
 from .exact import DEFAULT_FACTOR_BUDGET, FactorizationBudgetError, Poly
 from .qforms import (
     WITNESS_BUDGET, QuadraticForm, form_from_json, form_to_json, invariants,
-    invariants_to_json, is_isomorphic, place_str, place_to_json, rational_str,
-    represents_zero, split_complement,
+    invariants_to_json, is_isomorphic, place_str, place_to_json, rational_from,
+    rational_str, represents_zero, split_complement,
 )
 
 EXIT_OK = 0
@@ -86,17 +86,21 @@ def parse_json_arg(raw: str, what: str):
         raise SchemaError(f"{what}: invalid JSON ({err})") from err
 
 
-def parse_form(raw: str, what="form") -> QuadraticForm:
-    return parse_form_obj(parse_json_arg(raw, what), what)
-
-
-def parse_form_obj(obj, what="form") -> QuadraticForm:
+def read(what: str, reader, obj, errors=(KeyError, TypeError, ValueError)):
+    """`reader(obj)`, the one gate between outside input and the library:
+    an error of `errors` that the reader raises becomes the schema error
+    that names `what`.  A SchemaError or a budget error passes through
+    unchanged."""
     try:
-        return form_from_json(obj)
-    except (KeyError, TypeError, ValueError) as err:
-        if isinstance(err, FactorizationBudgetError):
-            raise
+        return reader(obj)
+    except (SchemaError, FactorizationBudgetError):
+        raise
+    except errors as err:
         raise SchemaError(f"{what}: {err}") from err
+
+
+def parse_form(raw: str, what="form") -> QuadraticForm:
+    return read(what, form_from_json, parse_json_arg(raw, what))
 
 
 def parse_nonnegative(value: int, what: str) -> int:
@@ -106,12 +110,16 @@ def parse_nonnegative(value: int, what: str) -> int:
 
 
 def parse_field(raw: str):
-    from .numfields import DescriptorError, desc_from_json
-    obj = parse_json_arg(raw, "field")
-    try:
-        return desc_from_json(obj)
-    except DescriptorError as err:
-        raise SchemaError(f"field: {err}") from err
+    from .numfields import desc_from_json
+    return read("field", desc_from_json, parse_json_arg(raw, "field"))
+
+
+def _quadratic_element(pair):
+    """An [a, b] pair of JSON rationals as a + b*sqrt(d)."""
+    from .transfer import QuadFieldElement
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ValueError(f"expected an [a, b] pair, got {pair!r}")
+    return QuadFieldElement(rational_from(pair[0]), rational_from(pair[1]))
 
 
 def parse_entries(E, raw: str):
@@ -119,42 +127,29 @@ def parse_entries(E, raw: str):
     over a real quadratic field, plain rationals over an imaginary quadratic
     one."""
     from .numfields import ImagQuadratic, RealQuadratic
-    from .transfer import QuadFieldElement
     obj = parse_json_arg(raw, "entries")
     if not isinstance(obj, list) or not obj:
         raise SchemaError("entries: need a nonempty JSON array")
-    try:
-        if isinstance(E, RealQuadratic):
-            out = []
-            for item in obj:
-                if not (isinstance(item, list) and len(item) == 2):
-                    raise SchemaError("entries: expected [a, b] pairs")
-                out.append(QuadFieldElement.make(Fraction(str(item[0])),
-                                                 Fraction(str(item[1]))))
-            return out
-        if isinstance(E, ImagQuadratic):
-            return [Fraction(str(x)) for x in obj]
-    except (ValueError, ZeroDivisionError) as err:
-        raise SchemaError(f"entries: {err}") from err
-    raise SchemaError("entries: explicit transfer needs a real or imaginary "
-                      "quadratic field")
+    if isinstance(E, RealQuadratic):
+        entry = _quadratic_element
+    elif isinstance(E, ImagQuadratic):
+        entry = rational_from
+    else:
+        raise SchemaError("entries: explicit transfer needs a real or "
+                          "imaginary quadratic field")
+    return read("entries", lambda items: list(map(entry, items)), obj)
 
 
 def parse_witness(E, raw: str):
+    """[a, b] over a real quadratic field, else polynomial coefficients."""
     from .numfields import RealQuadratic
-    from .transfer import QuadFieldElement
     obj = parse_json_arg(raw, "witness")
     if not isinstance(obj, list):
         raise SchemaError("witness: need a JSON array")
-    try:
-        if isinstance(E, RealQuadratic):
-            if len(obj) != 2:
-                raise SchemaError("witness: [a, b] over a quadratic field")
-            return QuadFieldElement.make(Fraction(str(obj[0])),
-                                         Fraction(str(obj[1])))
-        return Poly.make([Fraction(str(c)) for c in obj])
-    except (ValueError, ZeroDivisionError) as err:
-        raise SchemaError(f"witness: {err}") from err
+    if isinstance(E, RealQuadratic):
+        return read("witness", _quadratic_element, obj)
+    return read("witness",
+                lambda coeffs: Poly.make(list(map(rational_from, coeffs))), obj)
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +183,10 @@ def catalog_fields(cat: dict, mode: str):
                             json_minpoly)
     out = []
 
-    def read(section, key, label_and_field):
-        for entry in cat[section].get(key, ()):
-            try:
-                out.append(label_and_field(entry))
-            except (KeyError, TypeError, ValueError) as err:
-                raise SchemaError(f"catalog: {section}.{key} entry {entry!r}: "
-                                  f"{err}") from err
+    def section(name, key, label_and_field):
+        for entry in cat[name].get(key, ()):
+            out.append(read(f"catalog: {name}.{key} entry {entry!r}",
+                            label_and_field, entry))
 
     def integral(label, kind, what):
         def label_and_field(entry):
@@ -203,14 +195,14 @@ def catalog_fields(cat: dict, mode: str):
         return label_and_field
 
     if mode == "rm":
-        read("totally_real", "quadratic",
-             integral("Q(sqrt {})", RealQuadratic, "d"))
-        read("totally_real", "higher", lambda entry: (
+        section("totally_real", "quadratic",
+                integral("Q(sqrt {})", RealQuadratic, "d"))
+        section("totally_real", "higher", lambda entry: (
             entry["name"], GeneralTotallyReal(json_minpoly(entry["minpoly"]))))
     else:
-        read("cm", "imag_quadratic",
-             integral("Q(sqrt -{})", ImagQuadratic, "D"))
-        read("cm", "cyclotomic", integral("Q(zeta {})", Cyclotomic, "n"))
+        section("cm", "imag_quadratic",
+                integral("Q(sqrt -{})", ImagQuadratic, "D"))
+        section("cm", "cyclotomic", integral("Q(zeta {})", Cyclotomic, "n"))
     decorated = [(field_invariants(desc).degree, label, desc)
                  for label, desc in out]
     decorated.sort(key=lambda t: (t[0], t[1]))
@@ -233,10 +225,7 @@ def parse_families(raw: str):
                 raise SchemaError(f"families: bad n in {token!r}") from err
         else:
             fam, n = token, None
-        try:
-            amb = ambient(fam, n)
-        except ValueError as err:
-            raise SchemaError(f"families: {err}") from err
+        amb = read("families", lambda n: ambient(fam, n), n)
         if (amb.family, amb.n) in seen:
             raise SchemaError(f"families: {token!r} repeats an earlier family")
         seen.add((amb.family, amb.n))
@@ -398,7 +387,7 @@ def cmd_picard(args) -> dict:
 
 def cmd_elliptic(args) -> dict:
     from .k3hk import elliptic_fibration_verdict, famous_examples
-    from .numfields import DescriptorError, desc_from_json
+    from .numfields import desc_from_json
     if (args.case is None) == (args.context is None):
         raise SchemaError("elliptic: pass exactly one of --case, --context")
     if args.case is not None:
@@ -413,16 +402,14 @@ def cmd_elliptic(args) -> dict:
     else:
         ctx = parse_json_arg(args.context, "context")
         if isinstance(ctx, dict) and isinstance(ctx.get("field"), dict):
-            try:
-                ctx = dict(ctx, field=desc_from_json(ctx["field"]))
-            except DescriptorError as err:
-                raise SchemaError(f"context field: {err}") from err
+            ctx = dict(ctx, field=read("context field", desc_from_json,
+                                       ctx["field"]))
         if isinstance(ctx, dict) and "form" in ctx:
-            ctx = dict(ctx, form=parse_form_obj(ctx["form"], "context form"))
-    try:
-        return jsonable(elliptic_fibration_verdict(ctx))
-    except (KeyError, TypeError) as err:
-        raise SchemaError(f"context: {err}") from err
+            ctx = dict(ctx, form=read("context form", form_from_json,
+                                      ctx["form"]))
+    # the verdict's own ValueErrors are criterion errors, not the context's
+    return jsonable(read("context", elliptic_fibration_verdict, ctx,
+                         (KeyError, TypeError)))
 
 
 def cmd_tabulate(args) -> str:

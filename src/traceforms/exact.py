@@ -332,6 +332,14 @@ def json_array(obj, what: str) -> list:
     return obj
 
 
+def json_keys(obj: dict, known) -> None:
+    """Refuse the keys of the JSON object `obj` outside `known` in one
+    ValueError, so that a misspelled key is not dropped without a word."""
+    unknown = [key for key in obj if key not in known]
+    if unknown:
+        raise ValueError("unknown key " + ", ".join(map(repr, unknown)))
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for odd prime p, in {-1, 0, 1}."""
     a %= p

@@ -26,11 +26,11 @@ from .numfields import (
 from .qforms import (
     QuadraticForm,
     complement_invariants,
-    form_from_invariants,
     hyperbolic_sum,
     invariants,
     is_locally_hyperbolic,
     represents_zero,
+    validate_invariants,
     form_from_json,
     invariants_to_json,
     place_str,
@@ -41,7 +41,7 @@ from .transfer import (
     bad_set,
     check_mode,
     rm_transfer_feasible,
-    split_prime_scan,
+    split_prime_verdict,
     split_transfer_feasible,
     verdict_to_json,
 )
@@ -273,10 +273,10 @@ def picard_compatible(L, E, m: int, mode: str,
     transcendental side?  The caller asserts that an integral model of L
     embeds primitively into the K3 lattice.
 
-    rm: the complement of L is materialized and run through the totally real
-    transfer criterion.  Over real quadratic fields the literal published
-    phrasing of the even-degree condition disagrees in sign with the derived
-    one; when that happens the derived route wins and a warning is attached.
+    rm: the complement's invariants run through the totally real transfer
+    criterion, with no form built.  Over real quadratic fields the literal
+    published phrasing of the even-degree condition disagrees in sign with
+    the derived one; then the derived route wins and a warning is attached.
 
     cm: the discriminant of L must be the m-th power of the field
     discriminant's class and L must be hyperbolic over Q_p at every asserted
@@ -298,11 +298,9 @@ def picard_compatible(L, E, m: int, mode: str,
             return TransferVerdict("infeasible", None, {
                 "condition": "multiplicity",
                 "detail": f"rank {m} over the field is below 3"})
-        amb = ambient("k3")
-        vi = invariants(amb.rational_form)
-        ci = complement_invariants(vi, li)
-        U = form_from_invariants(ci)
-        verdict = rm_transfer_feasible(E, U, witness=witness)
+        ci = complement_invariants(invariants(ambient("k3").rational_form), li)
+        validate_invariants(ci)
+        verdict = rm_transfer_feasible(E, ci, witness=witness)
         if d % 2 == 0 and isinstance(E, RealQuadratic):
             verdict = _attach_shortcut_warning(verdict, E, li)
         return verdict
@@ -313,18 +311,11 @@ def picard_compatible(L, E, m: int, mode: str,
             "condition": "disc",
             "detail": f"disc class {li.disc().n} differs from the m-th power "
                       f"of the field discriminant class ({want.n})"})
-    hard, pending = split_prime_scan(
-        E, bad_set(E, L), lambda p: not is_locally_hyperbolic(L, p))
-    if hard is not None:
-        return TransferVerdict("infeasible", None, {
-            "condition": "split-prime-hyperbolic", "place": hard,
-            "detail": f"Picard form is not hyperbolic over Q_{hard}"})
-    if pending:
-        return TransferVerdict("needs_witness", None, {
-            "reason": "split-set-unknown", "primes": pending})
-    return TransferVerdict("feasible", {
-        "m": m, "degree": d,
-        "picard_invariants": invariants_to_json(li)}, None)
+    return split_prime_verdict(
+        E, bad_set(E, L), lambda p: not is_locally_hyperbolic(L, p),
+        lambda p: {"condition": "split-prime-hyperbolic", "place": p,
+                   "detail": f"Picard form is not hyperbolic over Q_{p}"},
+        {"m": m, "degree": d, "picard_invariants": invariants_to_json(li)})
 
 
 def _attach_shortcut_warning(verdict: TransferVerdict, E: RealQuadratic,

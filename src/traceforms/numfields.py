@@ -23,6 +23,7 @@ from .exact import (
     is_prime,
     is_square_at,
     json_array,
+    json_keys,
     norm_via_resultant,
     poly_gcd,
     rational_from,
@@ -148,8 +149,8 @@ def poly_disc_class(f: Poly) -> SquareClass:
 def field_invariants(E) -> FieldInvariants:
     """Degree, discriminant square class, CM flag.
 
-    Memoized on the descriptor's class and field values, a key that
-    hashes and compares in C.  Errors are raised afresh on every call.
+    Memoized on the descriptor's class and field values (see
+    `desc_from_values`).  Errors are raised afresh on every call.
 
     >>> field_invariants(RealQuadratic(5)).disc_class
     SquareClass(5)
@@ -158,12 +159,18 @@ def field_invariants(E) -> FieldInvariants:
     """
     if not isinstance(E, NumberFieldDesc):
         raise DescriptorError(f"unknown field descriptor {E!r}")
-    return _field_invariants(E.__class__, E._values(E))
+    return _field_invariants(E.__class__, E._get(E))
+
+
+def desc_from_values(kind, values):
+    """The descriptor of class `kind` whose `_get` gives `values`: field
+    memos key on (class, `_get`), which hash and compare in C."""
+    return kind(*values) if len(kind._fields) > 1 else kind(values)
 
 
 @lru_cache(maxsize=1024)
 def _field_invariants(kind, values) -> FieldInvariants:
-    E = kind(*values)
+    E = desc_from_values(kind, values)
     if isinstance(E, RealQuadratic):
         if E.d < 2:
             raise DescriptorError("real quadratic needs d >= 2")
@@ -226,12 +233,12 @@ def in_SE(E, p: int) -> str:
         raise ValueError(f"not a finite prime: {p!r}")
     if not isinstance(E, (ImagQuadratic, Cyclotomic, GeneralCM)):
         raise ValueError("split-prime sets only make sense for CM fields")
-    return _in_SE(E.__class__, E._values(E), p)
+    return _in_SE(E.__class__, E._get(E), p)
 
 
 @lru_cache(maxsize=4096)
 def _in_SE(kind, values, p: int) -> str:
-    E = kind(*values)
+    E = desc_from_values(kind, values)
     if isinstance(E, ImagQuadratic):
         # -D is the field's discriminant class
         return IN if is_square_at(field_invariants(E).disc_class, p) else OUT
@@ -416,9 +423,7 @@ def desc_from_json(obj) -> object:
     if keys is None:
         raise DescriptorError(f"unknown field kind {kind!r}")
     try:
-        unknown = [key for key in obj if key != "kind" and key not in keys]
-        if unknown:
-            raise ValueError("unknown key " + ", ".join(map(repr, unknown)))
+        json_keys(obj, ("kind", *keys))
         if kind == "real_quadratic":
             return RealQuadratic(json_int(obj["d"], "d"))
         if kind == "imag_quadratic":

@@ -30,6 +30,7 @@ from .exact import (
     is_prime,
     is_square_at,
     json_array,
+    json_keys,
     local_characters,
     primes_below,
     rational_from,
@@ -937,6 +938,7 @@ def form_to_json(f: QuadraticForm) -> dict:
 def form_from_json(obj) -> QuadraticForm:
     if not isinstance(obj, dict):
         raise ValueError("form must be an object")
+    json_keys(obj, ("diagonal", "gram"))
     if "diagonal" in obj:
         return QuadraticForm.make(
             [rational_from(e) for e in json_array(obj["diagonal"], "diagonal")])

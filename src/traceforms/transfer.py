@@ -32,6 +32,7 @@ from .numfields import (
     ImagQuadratic,
     RealQuadratic,
     _check_squarefree,
+    desc_from_values,
     field_invariants,
     in_SE,
     norm_obstruction,
@@ -227,6 +228,19 @@ def split_prime_scan(E, primes, fails) -> tuple:
     return hard, pending
 
 
+def split_prime_verdict(E, primes, fails, obstruction, certificate):
+    """The verdict of a criterion whose last condition is a split-prime
+    scan: infeasible with `obstruction(p)` at the scan's hard prime p, else
+    needs_witness on its pending primes, else feasible with `certificate`."""
+    hard, pending = split_prime_scan(E, primes, fails)
+    if hard is not None:
+        return TransferVerdict("infeasible", None, obstruction(hard))
+    if pending:
+        return TransferVerdict("needs_witness", None, {
+            "reason": "split-set-unknown", "primes": pending})
+    return TransferVerdict("feasible", certificate, None)
+
+
 # ---------------------------------------------------------------------------
 # feasibility for a fully specified rational form
 
@@ -242,9 +256,7 @@ def cm_transfer_feasible(E, U) -> TransferVerdict:
     U may also be a bare invariant tuple; that allows probing invariants
     no genuine form can have (a lone odd-signature violation, say).
     """
-    finv = field_invariants(E)
-    if not finv.is_cm:
-        raise ValueError("cm_transfer_feasible needs a CM field")
+    finv = check_mode("cm", E)[1]
     ui = U if isinstance(U, FormInvariants) else invariants(U)
     d = finv.degree
     if ui.dim % d != 0 or ui.dim == 0:
@@ -282,19 +294,18 @@ def cm_transfer_feasible(E, U) -> TransferVerdict:
     return TransferVerdict("feasible", {"m": m, "degree": d}, None)
 
 
-def rm_transfer_feasible(E, U: QuadraticForm,
+def rm_transfer_feasible(E, U,
                          witness: Optional[Poly] = None) -> TransferVerdict:
     """Is U (of signature (2, md-2), m >= 3) the transfer of a rank-m form
     over the totally real field E?
 
     Odd degree: always.  Even degree: exactly when det(U) * disc^m is the
     norm class of a totally positive element; decidable outright over
-    quadratic fields, certificate-driven beyond.
+    quadratic fields, certificate-driven beyond.  U may be a form or its
+    invariants, as in `cm_transfer_feasible`.
     """
-    finv = field_invariants(E)
-    if finv.is_cm:
-        raise ValueError("rm_transfer_feasible needs a totally real field")
-    ui = invariants(U)
+    finv = check_mode("rm", E)[1]
+    ui = U if isinstance(U, FormInvariants) else invariants(U)
     d = finv.degree
     if ui.dim % d != 0:
         raise ValueError(f"dimension {ui.dim} is not a multiple of the degree {d}")
@@ -532,7 +543,7 @@ def _cm_split_plan(vi, kind, values, md):
     the field's discriminant primes, the `want` items with the unknown
     primes taken as split and with the asserted ones alone, the unknown
     primes, det_u as text, and whether det(V) det_u is the class -1."""
-    E = kind(*values) if len(kind._fields) > 1 else kind(values)
+    E = desc_from_values(kind, values)
     finv = field_invariants(E)
     det_u = cm_twist_class(finv) if md // finv.degree % 2 else SquareClass(1)
     det_c = vi.det * det_u
@@ -615,9 +626,7 @@ def validate_cm_rank2_complement(E, a, twisted: bool) -> TransferVerdict:
     <a, 3a*disc> (twisted=True) against the split-prime symbol condition:
     (-1, -a) respectively (-3, -2a) must vanish at every asserted split
     prime of the bad set."""
-    finv = field_invariants(E)
-    if not finv.is_cm:
-        raise ValueError("rank-2 complement validation is a CM check")
+    finv = check_mode("cm", E)[1]
     a = Fraction(a)
     if a == 0:
         raise ValueError("zero entry")
@@ -629,16 +638,11 @@ def validate_cm_rank2_complement(E, a, twisted: bool) -> TransferVerdict:
     pool.update(primes_a)
     pool.update(finv.disc_class.primes())
     pool.update(p for p in support if p != INF)
-    hard, pending = split_prime_scan(E, sorted(pool), support.__contains__)
-    if hard is not None:
-        return TransferVerdict("infeasible", None, {
-            "condition": "split-prime-symbol", "place": hard})
-    if pending:
-        return TransferVerdict("needs_witness", None, {
-            "reason": "split-set-unknown", "primes": pending})
-    return TransferVerdict("feasible", {
-        "entry": rational_str(a),
-        "symbol": [rational_str(sym[0]), rational_str(sym[1])]}, None)
+    return split_prime_verdict(
+        E, sorted(pool), support.__contains__,
+        lambda p: {"condition": "split-prime-symbol", "place": p},
+        {"entry": rational_str(a),
+         "symbol": [rational_str(sym[0]), rational_str(sym[1])]})
 
 
 # ---------------------------------------------------------------------------

@@ -114,3 +114,84 @@ def test_sources_found():
     names = {p.name for p in SOURCES}
     if not {"exact.py", "qforms.py", "transfer.py"} <= names:
         pytest.fail(f"library sources not found: {sorted(names)}")
+
+
+# ---------------------------------------------------------------------------
+# one boundary for outside input
+
+#: the errors a JSON reader raises on malformed input
+READER_ERRORS = {"KeyError", "TypeError", "ValueError", "ZeroDivisionError",
+                 "DescriptorError"}
+
+
+def _source(name: str) -> Path:
+    return next(p for p in SOURCES if p.name == name)
+
+
+def _caught_names(handler: ast.ExceptHandler) -> set:
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) \
+        else [handler.type]
+    return {t.id for t in types if isinstance(t, ast.Name)}
+
+
+def _relabels(handler: ast.ExceptHandler) -> bool:
+    """Does the handler raise a SchemaError whose text holds the caught
+    error's?"""
+    for node in ast.walk(handler):
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "SchemaError"):
+            if any(isinstance(n, ast.Name) and n.id == handler.name
+                   for arg in node.exc.args for n in ast.walk(arg)):
+                return True
+    return False
+
+
+def test_cli_relabels_reader_errors_only_inside_read():
+    tree = _tree(_source("cli.py"))
+    gates = [f for f in tree.body
+             if isinstance(f, ast.FunctionDef) and f.name == "read"]
+    if len(gates) != 1:
+        pytest.fail("cli.py has no top-level `read` gate")
+    inside = {id(node) for node in ast.walk(gates[0])}
+    stray = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.ExceptHandler) and id(node) not in inside
+             and _caught_names(node) & READER_ERRORS and _relabels(node)]
+    if stray:
+        pytest.fail(f"cli.py relabels reader errors outside `read` at lines "
+                    f"{stray}")
+
+
+def test_no_second_rational_reader():
+    """Every JSON rational is read by `exact.rational_from`: `Fraction(str(x))`
+    would also take a JSON float."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "Fraction"
+                    and node.args and isinstance(node.args[0], ast.Call)
+                    and getattr(node.args[0].func, "id", None) == "str"):
+                found.append(f"{path.name}:{node.lineno}")
+    if found:
+        pytest.fail("Fraction(str(...)) at " + ", ".join(found))
+
+
+#: the fixed-form criteria, whose field-kind check is `check_mode`'s
+CRITERIA = ("cm_transfer_feasible", "rm_transfer_feasible",
+            "validate_cm_rank2_complement")
+
+
+def test_criteria_take_their_field_kind_check_from_check_mode():
+    funcs = {f.name: f for f in _tree(_source("transfer.py")).body
+             if isinstance(f, ast.FunctionDef) and f.name in CRITERIA}
+    if set(funcs) != set(CRITERIA):
+        pytest.fail(f"criteria not found: {sorted(set(CRITERIA) - set(funcs))}")
+    for name, func in funcs.items():
+        nodes = list(ast.walk(func))
+        if any(isinstance(n, ast.Attribute) and n.attr == "is_cm"
+               for n in nodes):
+            pytest.fail(f"{name} tests the field kind itself")
+        if not any(isinstance(n, ast.Call)
+                   and getattr(n.func, "id", None) == "check_mode"
+                   for n in nodes):
+            pytest.fail(f"{name} does not call check_mode")
