@@ -16,7 +16,9 @@ from pathlib import Path
 # A cold `tf` query compiles and runs every module it imports, so only the
 # form layers load here; whatever needs numfields, transfer or k3hk imports
 # the names it uses inside the function.
-from .exact import DEFAULT_FACTOR_BUDGET, FactorizationBudgetError, Poly
+from .exact import (
+    DEFAULT_FACTOR_BUDGET, FactorizationBudgetError, Poly, json_array,
+)
 from .qforms import (
     WITNESS_BUDGET, QuadraticForm, form_from_json, form_to_json, invariants,
     invariants_to_json, is_isomorphic, place_str, place_to_json, rational_from,
@@ -169,8 +171,11 @@ def load_catalog(path=None) -> dict:
         raise SchemaError(f"catalog: {err}") from err
     except json.JSONDecodeError as err:
         raise SchemaError(f"catalog: invalid JSON ({err})") from err
-    if "totally_real" not in cat or "cm" not in cat:
+    if not (isinstance(cat, dict) and "totally_real" in cat and "cm" in cat):
         raise SchemaError("catalog: need totally_real and cm sections")
+    for name in ("totally_real", "cm"):
+        if not isinstance(cat[name], dict):
+            raise SchemaError(f"catalog: section {name} must be an object")
     return cat
 
 
@@ -184,7 +189,9 @@ def catalog_fields(cat: dict, mode: str):
     out = []
 
     def section(name, key, label_and_field):
-        for entry in cat[name].get(key, ()):
+        entries = read("catalog", lambda obj: json_array(obj, f"{name}.{key}"),
+                       cat[name].get(key, ()))
+        for entry in entries:
             out.append(read(f"catalog: {name}.{key} entry {entry!r}",
                             label_and_field, entry))
 
@@ -247,14 +254,21 @@ def _row_criterion(v) -> str:
     return obs.get("condition") or obs.get("reason") or "unknown"
 
 
+def _hk_reports(*args):
+    """`k3hk.hk_reports`.  The first call imports it and rebinds this name
+    to it, so a grid pass imports once and a form query never loads k3hk."""
+    global _hk_reports
+    from .k3hk import hk_reports as _hk_reports
+    return _hk_reports(*args)
+
+
 def tabulate_rows(mode: str, families, fields, md_bound: int):
-    from .k3hk import hk_reports
     rows = []
     min_m = 3 if mode == "rm" else 1
     for label, fam, n in sorted(families, key=lambda t: t[0]):
         for field_label, desc, degree in fields:
             ms = range(min_m, md_bound // degree + 1)
-            for m, rep in zip(ms, hk_reports(fam, n, desc, mode, ms)):
+            for m, rep in zip(ms, _hk_reports(fam, n, desc, mode, ms)):
                 v = rep.verdict
                 feasible = v.status == "feasible"
                 rows.append({
@@ -386,7 +400,8 @@ def cmd_picard(args) -> dict:
 
 
 def cmd_elliptic(args) -> dict:
-    from .k3hk import elliptic_fibration_verdict, famous_examples
+    from .k3hk import (ELLIPTIC_CASES, elliptic_fibration_verdict,
+                       famous_examples)
     from .numfields import desc_from_json
     if (args.case is None) == (args.context is None):
         raise SchemaError("elliptic: pass exactly one of --case, --context")
@@ -401,10 +416,16 @@ def cmd_elliptic(args) -> dict:
                 f"case {args.case!r} has no elliptic-fibration question")
     else:
         ctx = parse_json_arg(args.context, "context")
-        if isinstance(ctx, dict) and isinstance(ctx.get("field"), dict):
+        if not isinstance(ctx, dict):
+            raise SchemaError("context: must be an object with 'case'")
+        if ctx.get("case") not in ELLIPTIC_CASES:
+            raise SchemaError(f"context: case must be one of "
+                              f"{', '.join(ELLIPTIC_CASES)}; "
+                              f"got {ctx.get('case')!r}")
+        if isinstance(ctx.get("field"), dict):
             ctx = dict(ctx, field=read("context field", desc_from_json,
                                        ctx["field"]))
-        if isinstance(ctx, dict) and "form" in ctx:
+        if "form" in ctx:
             ctx = dict(ctx, form=read("context form", form_from_json,
                                       ctx["form"]))
     # the verdict's own ValueErrors are criterion errors, not the context's

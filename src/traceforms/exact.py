@@ -8,13 +8,14 @@ computation; the `INF` marker for the real place is never used arithmetically.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence, Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 #: marker for the real place of Q.  Sorts after every finite prime, which is
 #: exactly the order we want in serialized place lists.
@@ -32,6 +33,13 @@ DEFAULT_FACTOR_BUDGET = 1_000_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
+#: psi_1, ..., psi_12: psi_k is the least strong pseudoprime to the first k
+#: prime bases (OEIS A014233; Jaeschke, Math. Comp. 61, 1993)
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+          3474749660383, 341550071728321, 341550071728321,
+          3825123056546413051, 3825123056546413051, 3825123056546413051,
+          318665857834031151167461)
+
 #: psi_13, the least strong pseudoprime to all thirteen prime bases up to
 #: 41 (OEIS A014233): below it `is_prime` is a proof
 MR_PROVEN_BELOW = 3317044064679887385961981
@@ -39,10 +47,12 @@ MR_PROVEN_BELOW = 3317044064679887385961981
 
 @lru_cache(maxsize=4096, typed=True)
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the prime bases up to 41: a proof for n below
-    `MR_PROVEN_BELOW` (about 3.3e24), a probable-prime test above it.
-    Memoized: the places of Hilbert symbols are the same few primes again
-    and again."""
+    """Trial division by the thirteen primes up to 41, then Miller-Rabin to
+    the first k of them, for the least k with n < psi_k (`_MR_PSI`), and to
+    all thirteen from psi_12 on: a proof for n below `MR_PROVEN_BELOW`
+    (about 3.3e24), a probable-prime test above it.  Below psi_4, about
+    3.2e9, four bases suffice.  Memoized: the places of Hilbert symbols are
+    the same few primes again and again."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -53,7 +63,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -246,7 +256,7 @@ class SquareClass(Record):
     __slots__ = ("n", "known_primes")
     _fields = ("n",)
 
-    def __init__(self, n: int, known_primes: Optional[frozenset] = None):
+    def __init__(self, n: int, known_primes: frozenset | None = None):
         if n == 0:
             raise ValueError("zero has no square class")
         if known_primes is None and abs(n) == 1:
@@ -292,15 +302,18 @@ def squarefree_class(r: Rational, budget: int = DEFAULT_FACTOR_BUDGET) -> Square
     >>> squarefree_class(Fraction(45, 7))
     SquareClass(35)
     """
-    r = Fraction(r)
-    if r == 0:
+    # an int or a Fraction is read as it is; p/q and p*q differ by the
+    # square q^2
+    if type(r) is int:
+        n = r
+    else:
+        if type(r) is not Fraction:
+            r = Fraction(r)
+        n = r.numerator * r.denominator
+    if n == 0:
         raise ValueError("zero has no square class")
-    # p/q and p*q differ by the square q^2
-    n = r.numerator * r.denominator
     odd = [p for p, e in factorize(abs(n), budget).items() if e % 2]
-    out = 1
-    for p in odd:
-        out *= p
+    out = prod(odd)
     return SquareClass(out if n > 0 else -out, frozenset(odd))
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .exact import Record, SquareClass
 from .numfields import (
@@ -59,7 +58,7 @@ class AmbientSpace(Record):
                            "integral_label")
 
     @property
-    def scaled_line(self) -> Optional[int]:
+    def scaled_line(self) -> int | None:
         """The 2k of a trailing <-2k> line, where the family has one."""
         if self.family == "kummer":
             return 2 * self.n + 2
@@ -73,7 +72,7 @@ def _negatives(count: int) -> QuadraticForm:
 
 
 @lru_cache(maxsize=256, typed=True)
-def ambient(family: str, n: Optional[int] = None) -> AmbientSpace:
+def ambient(family: str, n: int | None = None) -> AmbientSpace:
     """The rational second-cohomology form of one of the known deformation
     types, by family name.  Kummer and hilbk3 need the half-dimension n >= 2.
 
@@ -187,7 +186,7 @@ def k3_realizable(E, m: int, mode: str) -> RealizabilityReport:
     return hk_realizable("k3", None, E, m, mode)
 
 
-def hk_realizable(family: str, n: Optional[int], E, m: int,
+def hk_realizable(family: str, n: int | None, E, m: int,
                   mode: str) -> RealizabilityReport:
     """Realizability of real (rm) or complex (cm) multiplication by E with
     rank m on the ambient of a deformation type, K3 included: the one
@@ -195,7 +194,7 @@ def hk_realizable(family: str, n: Optional[int], E, m: int,
     return next(hk_reports(family, n, E, mode, (m,)))
 
 
-def hk_reports(family: str, n: Optional[int], E, mode: str, ms):
+def hk_reports(family: str, n: int | None, E, mode: str, ms):
     """Yield a fresh `hk_realizable` report for each rank m in `ms`.  The
     mode, the field and the ambient are checked and looked up once, at the
     first report; a rank below 1 raises when its turn comes.
@@ -342,13 +341,20 @@ def _attach_shortcut_warning(verdict: TransferVerdict, E: RealQuadratic,
 # elliptic fibrations
 
 
+#: the cases of `elliptic_fibration_verdict`
+ELLIPTIC_CASES = ("small-degree", "degree-20", "degree-4", "picard-form")
+
+
 def elliptic_fibration_verdict(context: dict) -> dict:
     """Elliptic-fibration existence for the decided cases.
 
     Cases: {"case": "small-degree", "degree": 2|10} (rank-2 algebraic part,
     CM of degree 2 or 10); {"case": "degree-20", "field": desc};
     {"case": "degree-4", "field": desc, "rho": int}; {"case": "picard-form",
-    "form": form json}.  Everything else that parses is undetermined.
+    "form": form json}.  A small-degree context of another degree is
+    undetermined.  A context that is not an object with one of these cases,
+    a field that is not CM of the case's degree and a Picard form that is
+    not of rank 2 raise ValueError; a missing key raises KeyError.
     """
     if not isinstance(context, dict) or "case" not in context:
         raise ValueError("context must be an object with 'case'")

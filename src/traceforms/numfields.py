@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .exact import (
     INF,
@@ -67,7 +66,7 @@ class GeneralTotallyReal(Record):
 
     __slots__ = _fields = ("minpoly", "supplied_disc")
 
-    def __init__(self, minpoly: tuple, supplied_disc: Optional[int] = None):
+    def __init__(self, minpoly: tuple, supplied_disc: int | None = None):
         # tuples keep the descriptor hashable, as the field_invariants memo
         # needs
         object.__setattr__(self, "minpoly", tuple(minpoly))

@@ -11,12 +11,12 @@ makes reciprocity literally "the set has even size".
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain
 from math import isqrt, prod
-from typing import Optional, Sequence, Tuple
 
 from .exact import (
     INF,
@@ -67,7 +67,7 @@ class QuadraticForm(Record):
                  "_core")
     _fields = ("diagonal",)
 
-    def __init__(self, diagonal: tuple, known_classes: Optional[tuple] = None):
+    def __init__(self, diagonal: tuple, known_classes: tuple | None = None):
         # a list diagonal would make the form unhashable
         diagonal = tuple(diagonal)
         known = ((None,) * len(diagonal) if known_classes is None
@@ -92,8 +92,11 @@ class QuadraticForm(Record):
 
     @staticmethod
     def make(entries: Sequence[Rational],
-             known_classes: Optional[Sequence] = None) -> "QuadraticForm":
-        entries = tuple(Fraction(e) for e in entries)
+             known_classes: Sequence | None = None) -> "QuadraticForm":
+        # a Fraction is kept as it is, and an int takes Fraction's own fast
+        # path
+        entries = tuple(e if type(e) is Fraction else Fraction(e)
+                        for e in entries)
         if not entries:
             raise ValueError("forms here are nonzero dimensional")
         if any(e == 0 for e in entries):
@@ -144,7 +147,7 @@ class FormInvariants(Record):
     __slots__ = ("dim", "det", "signature", "hasse", "_text", "_shape")
     _fields = __slots__[:4]
 
-    def __init__(self, dim: int, det: SquareClass, signature: Tuple[int, int],
+    def __init__(self, dim: int, det: SquareClass, signature: tuple[int, int],
                  hasse: frozenset):
         # a set or list would make the invariants unhashable, and they are
         # cache keys of `form_from_invariants`
@@ -247,25 +250,30 @@ def invariants(f: QuadraticForm, budget: int = DEFAULT_FACTOR_BUDGET) -> FormInv
     bilinear in the local characters of its arguments, so the sum is a
     parity of their totals (`hasse_parity`): one character vector per entry
     and place, and no symbol.  Entries whose class the form carries are not
-    factored; the determinant class carries the primes of the entry classes.
+    factored.  The signature comes from the signs of the numerators, and
+    the determinant class, with its primes, from one pass over the prime
+    sets of the entry classes: the sign times the primes of odd
+    multiplicity.
 
     Memoized: forms and the returned invariants are both frozen.  The memo
     key ignores the carried classes, so an equal form built without them
     can hit the cache; the answer is the same either way.
     """
     classes = f.classes(budget)
-    r = sum(1 for e in f.diagonal if e > 0)
-    s = f.dim - r
-    places = {2, INF}
-    det = SquareClass(1)
+    s = [e.numerator < 0 for e in f.diagonal].count(True)
+    places, odd = {2, INF}, set()
     for c in classes:
-        places.update(c.primes(budget))
-        det = det * c
+        primes = c.known_primes
+        if primes is None:
+            primes = c.primes(budget)
+        places.update(primes)
+        odd.symmetric_difference_update(primes)
+    det = SquareClass(-prod(odd) if s % 2 else prod(odd), frozenset(odd))
     ns = [c.n for c in classes]
     support = frozenset(
         v for v in places
         if hasse_parity([local_characters(n, v) for n in ns], v))
-    return FormInvariants(f.dim, det, (r, s), support)
+    return FormInvariants(f.dim, det, (f.dim - s, s), support)
 
 
 def is_isomorphic(f: QuadraticForm, g: QuadraticForm) -> bool:
@@ -727,6 +735,18 @@ def _perfect_square_root(q: Fraction):
 
 
 def _isotropy_witness(f: QuadraticForm, height: int, budget: int):
+    """A nonzero rational vector on which f vanishes, or None.
+
+    Two entries whose negated product is a square give one at once.  Past
+    the pairs, each triple (i < j, k) is scanned row by row: for x = 1, ...,
+    `height`, the y in -height, ..., 0 for which d_i x^2 + d_j y^2 is -d_k
+    times a rational square.  Each step costs one unit of `budget`; a row
+    is charged 2 height + 1 steps, its y > 0 untaken, and a triple proved
+    anisotropic is charged its rows unscanned.  The b y^2 column of a
+    triple is computed once, and a row that fits in the budget left runs
+    without a test per step.  The first hit, and the step at which the
+    budget runs out (None), are those of a scan that tests every step.
+    """
     d = f.diagonal
     n = len(d)
     # pairs first: e_i x^2 + e_j y^2 = 0 has the exact solution below as soon
@@ -750,7 +770,8 @@ def _isotropy_witness(f: QuadraticForm, height: int, budget: int):
     ys = range(-height, 1)
     # a triple whose ternary subform is anisotropic cannot hit, so its steps
     # are charged without being taken; each unordered triple is decided once
-    triple_steps = height * (2 * height + 1)
+    row_steps = 2 * height + 1
+    triple_steps = height * row_steps
     classes = _entry_classes(f)
     anisotropic = {}
     work = 0
@@ -770,13 +791,15 @@ def _isotropy_witness(f: QuadraticForm, height: int, budget: int):
                 c = -nums[k] * dens[i] * dens[j] * dens[k]
                 a = nums[i] * dens[j] * c
                 b = nums[j] * dens[i] * c
+                row = [(y, b * y * y) for y in ys]
                 for x in range(1, height + 1):
                     ax2 = a * x * x
-                    for y in ys:
-                        work += 1
-                        if work > budget:
-                            return None
-                        m = ax2 + b * y * y
+                    # a row that fits in the budget runs without a test per
+                    # step; one that does not stops where the budget does
+                    left = budget - work
+                    for y, by2 in (row if left > height
+                                   else row[:max(left, 0)]):
+                        m = ax2 + by2
                         if (m < 0 or not _SQUARES_64[m & 63]
                                 or not _is_square(m)):
                             continue
@@ -791,7 +814,7 @@ def _isotropy_witness(f: QuadraticForm, height: int, budget: int):
                         vec[j] = Fraction(y)
                         vec[k] = t
                         return _checked_witness(f, vec)
-                    work += height
+                    work += row_steps
                     if work > budget:
                         return None
     return None

@@ -10,9 +10,9 @@ question over a field of even degree above 2 with no certificate supplied).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
 
 from .exact import (
     INF,
@@ -173,7 +173,7 @@ def cm_twist_class(finv: FieldInvariants) -> SquareClass:
     return -finv.disc_class if finv.half_degree % 2 else finv.disc_class
 
 
-def predicted_invariants(E, m: int, norm_det_class: Optional[SquareClass] = None):
+def predicted_invariants(E, m: int, norm_det_class: SquareClass | None = None):
     """(dimension, determinant class) of a rank-m transfer from E.
 
     Totally real fields need the norm class of the determinant of the form
@@ -295,7 +295,7 @@ def cm_transfer_feasible(E, U) -> TransferVerdict:
 
 
 def rm_transfer_feasible(E, U,
-                         witness: Optional[Poly] = None) -> TransferVerdict:
+                         witness: Poly | None = None) -> TransferVerdict:
     """Is U (of signature (2, md-2), m >= 3) the transfer of a rank-m form
     over the totally real field E?
 
