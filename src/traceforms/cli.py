@@ -10,7 +10,6 @@ import argparse
 import io
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 # A cold `tf` query compiles and runs every module it imports, so only the
@@ -21,7 +20,7 @@ from .exact import (
 )
 from .qforms import (
     WITNESS_BUDGET, QuadraticForm, form_from_json, form_to_json, invariants,
-    invariants_to_json, is_isomorphic, place_str, place_to_json, rational_from,
+    invariants_to_json, is_isomorphic, place_str, rational_from,
     rational_str, represents_zero, split_complement,
 )
 
@@ -40,14 +39,10 @@ class SchemaError(ValueError):
 
 
 def jsonable(obj):
-    """Recursively coerce library values into JSON-safe ones.  Places are
-    rendered as strings ("2", "inf") so documents stay type-stable."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return place_to_json(obj)
-    if isinstance(obj, Fraction):
-        return rational_str(obj)
+    """A library document with its places rendered as strings ("2", "inf"),
+    so documents stay type-stable: the values under `place`,
+    `obstruction_place` and `primes`.  Every other value is a str, int,
+    bool, None, list, tuple or dict already."""
     if isinstance(obj, dict):
         out = {}
         for k, v in obj.items():
@@ -60,9 +55,7 @@ def jsonable(obj):
         return out
     if isinstance(obj, (list, tuple)):
         return [jsonable(x) for x in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted((jsonable(x) for x in obj), key=str)
-    return str(obj)
+    return obj
 
 
 def verdict_json(v) -> dict:

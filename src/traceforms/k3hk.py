@@ -10,7 +10,6 @@ input is only which ambient form to use and how to count moduli.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact import Record, SquareClass
@@ -265,7 +264,7 @@ def report_to_json(rep: RealizabilityReport) -> dict:
 # Picard-lattice compatibility
 
 
-def picard_compatible(L, E, m: int, mode: str,
+def picard_compatible(L: QuadraticForm, E, m: int, mode: str,
                       witness=None) -> TransferVerdict:
     """Can a K3 surface with rational Picard form L (signature (1, rank-1),
     rank + m*degree = 22) have multiplication by E of rank m on the
@@ -282,8 +281,6 @@ def picard_compatible(L, E, m: int, mode: str,
     split prime of the bad set.
     """
     mode, finv = check_mode(mode, E)
-    if not isinstance(L, QuadraticForm):
-        L = QuadraticForm(tuple(Fraction(c) for c in L))
     li = invariants(L)
     d = finv.degree
     md = m * d

@@ -42,6 +42,9 @@ class RealQuadratic(Record):
 
     __slots__ = _fields = ("d",)
 
+    def poly(self) -> Poly:
+        return Poly.make([-self.d, 0, 1])
+
 
 class ImagQuadratic(Record):
     """Q(sqrt(-D)) for squarefree D >= 1.  D=1 is the Gaussian field."""
@@ -336,8 +339,7 @@ def verify_lambda_plus_witness(E, m: int, target: SquareClass,
     inv = field_invariants(E)
     if inv.is_cm:
         raise ValueError("witness verification is for totally real fields")
-    f = (E.poly() if isinstance(E, GeneralTotallyReal)
-         else Poly.make([-E.d, 0, 1]))
+    f = E.poly()
     red = alpha.rem(f)
     if red.is_zero():
         raise ValueError("witness is zero in the field")

@@ -71,22 +71,6 @@ class QuadFieldElement(Record):
     def norm(self, d: int) -> Fraction:
         return self.a * self.a - d * self.b * self.b
 
-    def sign_at(self, d: int, embedding: int) -> int:
-        """Sign of a + b*sqrt(d) (embedding 0) or a - b*sqrt(d) (embedding 1),
-        decided exactly by comparing a^2 with d b^2."""
-        b = self.b if embedding == 0 else -self.b
-        a = self.a
-        if b == 0:
-            return 1 if a > 0 else -1
-        if a == 0:
-            return 1 if b > 0 else -1
-        if (a > 0) == (b > 0):
-            return 1 if a > 0 else -1
-        # opposite signs: the larger square wins
-        if a * a > d * b * b:
-            return 1 if a > 0 else -1
-        return 1 if b > 0 else -1
-
 
 class TransferVerdict(Record):
     """`status` is feasible, infeasible or needs_witness; `certificate` and
@@ -318,25 +302,36 @@ def rm_transfer_feasible(E, U,
         return TransferVerdict("feasible", {
             "m": m, "degree": d, "route": "odd-degree-transfer"}, None)
     target = ui.det * (finv.disc_class if m % 2 else SquareClass(1))
-    if isinstance(E, RealQuadratic):
-        place = norm_obstruction(finv.disc_class, target, True)
-        if place is None:
-            return TransferVerdict("feasible", {
-                "m": m, "degree": d, "route": "even-degree-norm-class",
-                "norm_class": rational_str(target.n)}, None)
-        return TransferVerdict("infeasible", None, {
-            "condition": "norm-class",
-            "place": place,
-            "detail": f"{target.n} is not a totally positive norm class"})
-    if witness is not None:
+    if witness is not None and not isinstance(E, RealQuadratic):
         if verify_lambda_plus_witness(E, m, ui.det, witness):
             return TransferVerdict("feasible", {
                 "m": m, "degree": d, "route": "even-degree-norm-class",
                 "witness": [rational_str(c) for c in witness.coeffs]}, None)
         return TransferVerdict("needs_witness", None, {
             "reason": "witness-rejected"})
-    return TransferVerdict("needs_witness", None, {
-        "reason": "norm-class-witness-needed"})
+    blocked = _norm_class_verdict(E, finv, target)
+    if blocked is not None:
+        return blocked
+    return TransferVerdict("feasible", {
+        "m": m, "degree": d, "route": "even-degree-norm-class",
+        "norm_class": rational_str(target.n)}, None)
+
+
+def _norm_class_verdict(E, finv, t: SquareClass) -> TransferVerdict | None:
+    """What stops a transfer side of even degree that needs t to be the norm
+    class of a totally positive element.  Over Q(sqrt(d)): None when t is
+    one, else infeasible at the obstructing place.  Over any other field:
+    needs_witness, since no test decides it there."""
+    if not isinstance(E, RealQuadratic):
+        return TransferVerdict("needs_witness", None, {
+            "reason": "norm-class-witness-needed"})
+    place = norm_obstruction(finv.disc_class, t, True)
+    if place is None:
+        return None
+    return TransferVerdict("infeasible", None, {
+        "condition": "norm-class",
+        "place": place,
+        "detail": f"{t.n} is not a totally positive norm class"})
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +398,10 @@ def _complement_target(vi: FormInvariants, det_u: SquareClass, md: int):
 
 def _hasse_candidates(vi, det_u, det_c, extra_primes=()):
     """Finite places worth touching when choosing the complement's Hasse
-    set; everything outside is forced trivial."""
+    set.  Places outside are left trivial by choice, not by force, so when
+    parity needs one more place and every pool place is forced, no
+    complement is found: the cm verdict on Q(zeta_60), m = 1, is then
+    infeasible "(iii)", although the prime 59 would make it feasible."""
     pool = {2, 3, 5}
     pool.update(vi.det.primes())
     pool.update(det_u.primes())
@@ -502,16 +500,9 @@ def _split_rm(vi, E, finv, m, md, complement_hint):
                 "condition": "signature",
                 "detail": "complement sign incompatible with the split"})
         if d % 2 == 0:
-            if not isinstance(E, RealQuadratic):
-                return TransferVerdict("needs_witness", None, {
-                    "reason": "norm-class-witness-needed"})
-            place = norm_obstruction(finv.disc_class, t, True)
-            if place is not None:
-                return TransferVerdict("infeasible", None, {
-                    "condition": "norm-class",
-                    "place": place,
-                    "detail": f"required norm class {t.n} is not a "
-                              f"totally positive norm"})
+            blocked = _norm_class_verdict(E, finv, t)
+            if blocked is not None:
+                return blocked
     else:
         # 1 is a totally positive norm, and with it a complement always
         # exists: the rank >= 3 transfer side is constrained only by parity
@@ -652,23 +643,17 @@ def validate_cm_rank2_complement(E, a, twisted: bool) -> TransferVerdict:
 def condition_C_profile(E, entries) -> SignatureProfile:
     """Per-embedding signature of the transfer of a diagonal form.
 
-    Real quadratic fields take QuadFieldElement entries; imaginary quadratic
-    fields take nonzero rationals (hermitian diagonal); general totally real
-    fields take polynomials in the generator, with signs read off from one
-    Sturm-Tarski chain per entry.  condition_ok reports the distinguished
-    shape: exactly one embedding of signature (2, m-2), every other one
-    negative definite, and m at least 3 in the totally real case.
+    Imaginary quadratic fields take nonzero rationals (hermitian diagonal).
+    Totally real fields read the signs of their entries from one
+    Sturm-Tarski chain per entry: general ones take polynomials in the
+    generator, real quadratic ones nonzero QuadFieldElements, with
+    a + b*sqrt(d) first.  condition_ok reports the distinguished shape:
+    exactly one embedding of signature (2, m-2), every other one negative
+    definite, and m at least 3 in the totally real case.
     """
     if not entries:
         raise ValueError("empty form")
     m = len(entries)
-    if isinstance(E, RealQuadratic):
-        per = []
-        for emb in range(2):
-            pos = sum(1 for e in entries if e.sign_at(E.d, emb) > 0)
-            per.append((pos, m - pos))
-        ok = _condition_shape(per, m)
-        return SignatureProfile(tuple(per), m, ok)
     if isinstance(E, ImagQuadratic):
         vals = [Fraction(x) for x in entries]
         if any(v == 0 for v in vals):
@@ -676,30 +661,25 @@ def condition_C_profile(E, entries) -> SignatureProfile:
         pos = sum(1 for v in vals if v > 0)
         per = ((2 * pos, 2 * (m - pos)),)
         return SignatureProfile(per, m, per[0][0] == 2)
-    if isinstance(E, GeneralTotallyReal):
-        f = E.poly()
-        sign_rows = []
-        for g in entries:
-            if not isinstance(g, Poly):
-                raise ValueError("general totally real entries are polynomials")
-            sign_rows.append(signs_at_real_roots(f, g))
-        nroots = len(sign_rows[0])
-        per = []
-        for i in range(nroots):
-            pos = sum(1 for row in sign_rows if row[i] > 0)
-            per.append((pos, m - pos))
-        ok = _condition_shape(per, m)
-        return SignatureProfile(tuple(per), m, ok)
-    raise ValueError("profiles need explicit real-embedding data; "
-                     "unsupported descriptor kind")
-
-
-def _condition_shape(per, m) -> bool:
-    twos = [p for p in per if p[0] == 2]
-    negdef = [p for p in per if p[0] == 0]
-    if m < 3:
-        return False
-    return len(twos) == 1 and len(negdef) == len(per) - 1
+    if not isinstance(E, (RealQuadratic, GeneralTotallyReal)):
+        raise ValueError("profiles need explicit real-embedding data; "
+                         "unsupported descriptor kind")
+    f = E.poly()
+    sign_rows = []
+    for g in entries:
+        if isinstance(E, RealQuadratic):
+            # a + b sqrt(d) is a - bx at the first root of x^2 - d, -sqrt(d)
+            g = Poly.make([g.a, -g.b])
+        elif not isinstance(g, Poly):
+            raise ValueError("general totally real entries are polynomials")
+        sign_rows.append(signs_at_real_roots(f, g))
+    per = []
+    for i in range(len(sign_rows[0])):
+        pos = sum(1 for row in sign_rows if row[i] > 0)
+        per.append((pos, m - pos))
+    ok = (m >= 3 and sum(1 for p in per if p[0] == 2) == 1
+          and sum(1 for p in per if p[0] == 0) == len(per) - 1)
+    return SignatureProfile(tuple(per), m, ok)
 
 
 # ---------------------------------------------------------------------------
