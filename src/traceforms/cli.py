@@ -17,6 +17,7 @@ from pathlib import Path
 # the names it uses inside the function.
 from .exact import (
     DEFAULT_FACTOR_BUDGET, FactorizationBudgetError, Poly, json_array,
+    json_keys,
 )
 from .qforms import (
     WITNESS_BUDGET, QuadraticForm, form_from_json, form_to_json, invariants,
@@ -166,9 +167,12 @@ def load_catalog(path=None) -> dict:
         raise SchemaError(f"catalog: invalid JSON ({err})") from err
     if not (isinstance(cat, dict) and "totally_real" in cat and "cm" in cat):
         raise SchemaError("catalog: need totally_real and cm sections")
-    for name in ("totally_real", "cm"):
+    for name, keys in (("totally_real", ("quadratic", "higher")),
+                       ("cm", ("imag_quadratic", "cyclotomic"))):
         if not isinstance(cat[name], dict):
             raise SchemaError(f"catalog: section {name} must be an object")
+        read(f"catalog: section {name}", lambda obj: json_keys(obj, keys),
+             cat[name])
     return cat
 
 
@@ -239,14 +243,6 @@ def parse_families(raw: str):
 # tabulate
 
 
-def _row_criterion(v) -> str:
-    if v.status == "feasible":
-        cert = v.certificate or {}
-        return cert.get("route", "within-bounds")
-    obs = v.obstruction or {}
-    return obs.get("condition") or obs.get("reason") or "unknown"
-
-
 def _hk_reports(*args):
     """`k3hk.hk_reports`.  The first call imports it and rebinds this name
     to it, so a grid pass imports once and a form query never loads k3hk."""
@@ -275,7 +271,7 @@ def tabulate_rows(mode: str, families, fields, md_bound: int):
                     "status": v.status,
                     "family_dim": rep.family_dimension if feasible else None,
                     "pic_rank": rep.pic_rank,
-                    "criterion": _row_criterion(v),
+                    "criterion": v.criterion,
                 })
     return rows
 
@@ -393,8 +389,8 @@ def cmd_picard(args) -> dict:
 
 
 def cmd_elliptic(args) -> dict:
-    from .k3hk import (ELLIPTIC_CASES, elliptic_fibration_verdict,
-                       famous_examples)
+    from .k3hk import (ELLIPTIC_CASES, ELLIPTIC_KEYS,
+                       elliptic_fibration_verdict, famous_examples)
     from .numfields import desc_from_json
     if (args.case is None) == (args.context is None):
         raise SchemaError("elliptic: pass exactly one of --case, --context")
@@ -415,6 +411,8 @@ def cmd_elliptic(args) -> dict:
             raise SchemaError(f"context: case must be one of "
                               f"{', '.join(ELLIPTIC_CASES)}; "
                               f"got {ctx.get('case')!r}")
+        read("context", lambda obj: json_keys(
+            obj, ("case", *ELLIPTIC_KEYS[obj["case"]])), ctx)
         if isinstance(ctx.get("field"), dict):
             ctx = dict(ctx, field=read("context field", desc_from_json,
                                        ctx["field"]))

@@ -38,6 +38,8 @@ from .transfer import (
     TransferVerdict,
     bad_set,
     check_mode,
+    infeasible,
+    rm_rank_verdict,
     rm_transfer_feasible,
     split_prime_verdict,
     split_transfer_feasible,
@@ -148,12 +150,6 @@ def _hodge_label(finv, m: int) -> str:
     return f"Res_{{E/Q}} {group}(W), m={m}"
 
 
-def _bounds_report(mode: str, reason: str, detail: str) -> RealizabilityReport:
-    verdict = TransferVerdict("infeasible", None, {
-        "condition": reason, "detail": detail})
-    return RealizabilityReport(mode, 0, None, None, (detail,), verdict)
-
-
 class _FamilyText(Record):
     """What a report prints differently from one family to the next:
     `cm_bound` is the md bound a CM report names (b2 - 1 when None),
@@ -221,12 +217,14 @@ def hk_reports(family: str, n: int | None, E, mode: str, ms):
             raise ValueError("rank must be positive")
         md = m * finv.degree
         if mode == "rm" and m < 3:
-            yield _bounds_report(mode, "multiplicity",
-                                 f"rank {m} over the field is below 3")
-            continue
-        if md > bound:
-            yield _bounds_report(mode, "dimension-bound",
-                                 f"md = {md} > {bound}")
+            verdict = rm_rank_verdict(m)
+        elif md > bound:
+            verdict = infeasible("dimension-bound", f"md = {md} > {bound}")
+        else:
+            verdict = None
+        if verdict is not None:
+            yield RealizabilityReport(mode, 0, None, None,
+                                      (verdict.obstruction["detail"],), verdict)
             continue
         notes = list(cell_notes)
         if (mode == "cm" and m == 1 and text.square_disc_note
@@ -291,9 +289,7 @@ def picard_compatible(L: QuadraticForm, E, m: int, mode: str,
 
     if mode == "rm":
         if m < 3:
-            return TransferVerdict("infeasible", None, {
-                "condition": "multiplicity",
-                "detail": f"rank {m} over the field is below 3"})
+            return rm_rank_verdict(m)
         ci = complement_invariants(invariants(ambient("k3").rational_form), li)
         validate_invariants(ci)
         verdict = rm_transfer_feasible(E, ci, witness=witness)
@@ -303,15 +299,14 @@ def picard_compatible(L: QuadraticForm, E, m: int, mode: str,
 
     want = finv.disc_class if m % 2 else SquareClass(1)
     if li.disc() != want:
-        return TransferVerdict("infeasible", None, {
-            "condition": "disc",
-            "detail": f"disc class {li.disc().n} differs from the m-th power "
-                      f"of the field discriminant class ({want.n})"})
+        return infeasible("disc", f"disc class {li.disc().n} differs from "
+                                  "the m-th power of the field discriminant "
+                                  f"class ({want.n})")
     return split_prime_verdict(
         E, bad_set(E, L), lambda p: not is_locally_hyperbolic(L, p),
-        lambda p: {"condition": "split-prime-hyperbolic", "place": p,
-                   "detail": f"Picard form is not hyperbolic over Q_{p}"},
-        {"m": m, "degree": d, "picard_invariants": invariants_to_json(li)})
+        "split-prime-hyperbolic",
+        {"m": m, "degree": d, "picard_invariants": invariants_to_json(li)},
+        lambda p: f"Picard form is not hyperbolic over Q_{p}")
 
 
 def _attach_shortcut_warning(verdict: TransferVerdict, E: RealQuadratic,
@@ -325,21 +320,22 @@ def _attach_shortcut_warning(verdict: TransferVerdict, E: RealQuadratic,
                "positive norm classes) evaluates to "
                f"{stated}; the derived complement route decides {derived} "
                "and is authoritative")
-    if verdict.certificate is not None:
-        cert = dict(verdict.certificate)
-        cert.setdefault("warnings", []).append(warning)
-        return TransferVerdict(verdict.status, cert, verdict.obstruction)
-    obs = dict(verdict.obstruction or {})
-    obs.setdefault("warnings", []).append(warning)
-    return TransferVerdict(verdict.status, verdict.certificate, obs)
+    # L has even rank and signature (1, odd), so det(L) * disc < 0 and
+    # `stated` is False: only a feasible verdict gets here
+    cert = dict(verdict.certificate)
+    cert.setdefault("warnings", []).append(warning)
+    return TransferVerdict(verdict.status, cert, verdict.obstruction)
 
 
 # ---------------------------------------------------------------------------
 # elliptic fibrations
 
 
-#: the cases of `elliptic_fibration_verdict`
-ELLIPTIC_CASES = ("small-degree", "degree-20", "degree-4", "picard-form")
+#: the cases of `elliptic_fibration_verdict`, each with the keys it reads
+#: besides "case"
+ELLIPTIC_KEYS = {"small-degree": ("degree",), "degree-20": ("field",),
+                 "degree-4": ("field", "rho"), "picard-form": ("form",)}
+ELLIPTIC_CASES = tuple(ELLIPTIC_KEYS)
 
 
 def elliptic_fibration_verdict(context: dict) -> dict:

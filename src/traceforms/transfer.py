@@ -73,8 +73,9 @@ class QuadFieldElement(Record):
 
 
 class TransferVerdict(Record):
-    """`status` is feasible, infeasible or needs_witness; `certificate` and
-    `obstruction` are dicts or None."""
+    """`status` is feasible, infeasible or needs_witness.  A feasible verdict
+    has a `certificate` dict, any other an `obstruction` dict that
+    `infeasible` or `undecided` builds afresh."""
 
     __slots__ = _fields = ("status", "certificate", "obstruction")
     _defaults = (None, None)
@@ -82,6 +83,38 @@ class TransferVerdict(Record):
     @property
     def feasible(self) -> bool:
         return self.status == "feasible"
+
+    @property
+    def criterion(self) -> str | None:
+        """A grid row's name for the verdict: a feasible one's route, else
+        the obstruction's condition or reason."""
+        if self.status == "feasible":
+            return self.certificate.get("route")
+        return self.obstruction.get("condition") or self.obstruction["reason"]
+
+
+def infeasible(condition, detail=None, place=None, **more) -> TransferVerdict:
+    """Refuted by `condition`: the obstruction holds it, then the `more`
+    items, then `place` and `detail` unless None."""
+    obstruction = {"condition": condition, **more}
+    if place is not None:
+        obstruction["place"] = place
+    if detail is not None:
+        obstruction["detail"] = detail
+    return TransferVerdict("infeasible", None, obstruction)
+
+
+def undecided(reason, primes=None) -> TransferVerdict:
+    """Waiting on `reason`, and on `primes` unless None."""
+    obstruction = {"reason": reason}
+    if primes is not None:
+        obstruction["primes"] = primes
+    return TransferVerdict("needs_witness", None, obstruction)
+
+
+def rm_rank_verdict(m: int) -> TransferVerdict:
+    """The refutation of real multiplication of rank m below 3."""
+    return infeasible("multiplicity", f"rank {m} over the field is below 3")
 
 
 def verdict_to_json(v: TransferVerdict) -> dict:
@@ -212,16 +245,17 @@ def split_prime_scan(E, primes, fails) -> tuple:
     return hard, pending
 
 
-def split_prime_verdict(E, primes, fails, obstruction, certificate):
+def split_prime_verdict(E, primes, fails, condition, certificate,
+                        detail=lambda p: None):
     """The verdict of a criterion whose last condition is a split-prime
-    scan: infeasible with `obstruction(p)` at the scan's hard prime p, else
-    needs_witness on its pending primes, else feasible with `certificate`."""
+    scan: infeasible by `condition` at the scan's hard prime p, detailed by
+    `detail(p)`, else needs_witness on its pending primes, else feasible
+    with `certificate`."""
     hard, pending = split_prime_scan(E, primes, fails)
     if hard is not None:
-        return TransferVerdict("infeasible", None, obstruction(hard))
+        return infeasible(condition, detail(hard), hard)
     if pending:
-        return TransferVerdict("needs_witness", None, {
-            "reason": "split-set-unknown", "primes": pending})
+        return undecided("split-set-unknown", pending)
     return TransferVerdict("feasible", certificate, None)
 
 
@@ -255,26 +289,20 @@ def cm_transfer_feasible(E, U) -> TransferVerdict:
     # in the (ii)-(iii)-(iv) order and lists every one that failed
     violated = []
     if ui.det != want_det:
-        violated.append(("(ii)", {
-            "detail": f"det class {ui.det.n} != required {want_det.n}"}))
+        violated.append(("(ii)", f"det class {ui.det.n} != required "
+                                 f"{want_det.n}", None))
     hard, pending = split_prime_scan(
         E, bad_set(E, U), lambda p: not _locally_hyperbolic_inv(ui, p))
     if hard is not None:
-        violated.append(("(iii)", {
-            "place": hard,
-            "detail": f"not hyperbolic over Q_{hard} at an asserted split prime"}))
+        violated.append(("(iii)", f"not hyperbolic over Q_{hard} at an "
+                                  "asserted split prime", hard))
     r, s = ui.signature
     if r % 2 or s % 2:
-        violated.append(("(iv)", {"detail": f"signature {ui.signature} not even"}))
+        violated.append(("(iv)", f"signature {ui.signature} not even", None))
     if violated:
-        cond, extra = violated[0]
-        obstruction = {"condition": cond,
-                       "all_violated": [c for c, _ in violated]}
-        obstruction.update(extra)
-        return TransferVerdict("infeasible", None, obstruction)
+        return infeasible(*violated[0], all_violated=[v[0] for v in violated])
     if pending:
-        return TransferVerdict("needs_witness", None, {
-            "reason": "split-set-unknown", "primes": pending})
+        return undecided("split-set-unknown", pending)
     return TransferVerdict("feasible", {"m": m, "degree": d}, None)
 
 
@@ -307,8 +335,7 @@ def rm_transfer_feasible(E, U,
             return TransferVerdict("feasible", {
                 "m": m, "degree": d, "route": "even-degree-norm-class",
                 "witness": [rational_str(c) for c in witness.coeffs]}, None)
-        return TransferVerdict("needs_witness", None, {
-            "reason": "witness-rejected"})
+        return undecided("witness-rejected")
     blocked = _norm_class_verdict(E, finv, target)
     if blocked is not None:
         return blocked
@@ -323,15 +350,12 @@ def _norm_class_verdict(E, finv, t: SquareClass) -> TransferVerdict | None:
     one, else infeasible at the obstructing place.  Over any other field:
     needs_witness, since no test decides it there."""
     if not isinstance(E, RealQuadratic):
-        return TransferVerdict("needs_witness", None, {
-            "reason": "norm-class-witness-needed"})
+        return undecided("norm-class-witness-needed")
     place = norm_obstruction(finv.disc_class, t, True)
     if place is None:
         return None
-    return TransferVerdict("infeasible", None, {
-        "condition": "norm-class",
-        "place": place,
-        "detail": f"{t.n} is not a totally positive norm class"})
+    return infeasible("norm-class",
+                      f"{t.n} is not a totally positive norm class", place)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +402,7 @@ def split_transfer_feasible(V: QuadraticForm, E, m: int, mode: str,
     if vi.signature[0] < 2:
         raise ValueError("ambient needs at least two positive squares")
     if vi.signature[1] < md - 2:
-        return TransferVerdict("infeasible", None, {
-            "condition": "signature",
-            "detail": "ambient has too few negative squares"})
+        return infeasible("signature", "ambient has too few negative squares")
     if complement_hint is not None and codim != 1:
         raise ValueError("complement hints are for rank-1 complements")
 
@@ -484,9 +506,7 @@ def _choose_complement(vi, ukey, md, extra_primes, want_items):
 
 def _split_rm(vi, E, finv, m, md, complement_hint):
     if m < 3:
-        return TransferVerdict("infeasible", None, {
-            "condition": "multiplicity",
-            "detail": "real multiplication needs rank at least 3"})
+        return rm_rank_verdict(m)
     d = finv.degree
     disc_m = finv.disc_class if m % 2 else SquareClass(1)
     want_sign = 1 if md % 2 == 0 else -1
@@ -496,9 +516,8 @@ def _split_rm(vi, E, finv, m, md, complement_hint):
         det_c_wanted = squarefree_class(Fraction(complement_hint))
         t = vi.det * det_c_wanted * disc_m
         if t.sign() != want_sign:
-            return TransferVerdict("infeasible", None, {
-                "condition": "signature",
-                "detail": "complement sign incompatible with the split"})
+            return infeasible("signature",
+                              "complement sign incompatible with the split")
         if d % 2 == 0:
             blocked = _norm_class_verdict(E, finv, t)
             if blocked is not None:
@@ -560,12 +579,9 @@ def _split_cm(vi, E, finv, m, md, codim):
     if found is None:
         if unknowns and _choose_complement(vi, ukey, md, disc_primes,
                                            want_in) is not None:
-            return TransferVerdict("needs_witness", None, {
-                "reason": "split-set-unknown", "primes": list(unknowns)})
-        return TransferVerdict("infeasible", None, {
-            "condition": "(iii)",
-            "detail": "no complement leaves the transfer side hyperbolic "
-                      "at the asserted split primes"})
+            return undecided("split-set-unknown", list(unknowns))
+        return infeasible("(iii)", "no complement leaves the transfer side "
+                                   "hyperbolic at the asserted split primes")
     cert = _split_certificate(finv, m, "split-prime-hyperbolic-pattern",
                               *found, {"forced_determinant": forced})
     if codim == 2:
@@ -630,8 +646,7 @@ def validate_cm_rank2_complement(E, a, twisted: bool) -> TransferVerdict:
     pool.update(finv.disc_class.primes())
     pool.update(p for p in support if p != INF)
     return split_prime_verdict(
-        E, sorted(pool), support.__contains__,
-        lambda p: {"condition": "split-prime-symbol", "place": p},
+        E, sorted(pool), support.__contains__, "split-prime-symbol",
         {"entry": rational_str(a),
          "symbol": [rational_str(sym[0]), rational_str(sym[1])]})
 
