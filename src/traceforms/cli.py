@@ -159,11 +159,12 @@ def default_catalog_path() -> Path:
 def load_catalog(path=None) -> dict:
     p = Path(path) if path else default_catalog_path()
     try:
-        with open(p) as fh:
+        # JSON text is UTF-8 (RFC 8259), whatever the locale
+        with open(p, encoding="utf-8") as fh:
             cat = json.load(fh)
     except OSError as err:
         raise SchemaError(f"catalog: {err}") from err
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise SchemaError(f"catalog: invalid JSON ({err})") from err
     if not (isinstance(cat, dict) and "totally_real" in cat and "cm" in cat):
         raise SchemaError("catalog: need totally_real and cm sections")
@@ -176,10 +177,18 @@ def load_catalog(path=None) -> dict:
     return cat
 
 
+#: the keys of a `higher` entry: the library reads `name` and `minpoly`, and
+#: tests/test_catalog_data.py checks the certified `degree`, `disc` and
+#: `disc_class` of the built-in catalog against the minimal polynomial
+HIGHER_ENTRY_KEYS = ("name", "minpoly", "degree", "disc", "disc_class",
+                     "comment")
+
+
 def catalog_fields(cat: dict, mode: str):
     """(label, descriptor) pairs for one mode, sorted by (degree, label).
     An entry that is not a JSON integer (or, in `higher`, an object with a
-    name and a `minpoly` array of rationals) raises SchemaError naming it."""
+    name, a `minpoly` array of rationals and no key outside
+    `HIGHER_ENTRY_KEYS`) raises SchemaError naming it."""
     from .numfields import (Cyclotomic, GeneralTotallyReal, ImagQuadratic,
                             RealQuadratic, field_invariants, json_int,
                             json_minpoly)
@@ -198,11 +207,16 @@ def catalog_fields(cat: dict, mode: str):
             return label.format(value), kind(value)
         return label_and_field
 
+    def higher(entry):
+        if not isinstance(entry, dict):
+            raise ValueError("must be an object with 'name' and 'minpoly'")
+        json_keys(entry, HIGHER_ENTRY_KEYS)
+        return entry["name"], GeneralTotallyReal(json_minpoly(entry["minpoly"]))
+
     if mode == "rm":
         section("totally_real", "quadratic",
                 integral("Q(sqrt {})", RealQuadratic, "d"))
-        section("totally_real", "higher", lambda entry: (
-            entry["name"], GeneralTotallyReal(json_minpoly(entry["minpoly"]))))
+        section("totally_real", "higher", higher)
     else:
         section("cm", "imag_quadratic",
                 integral("Q(sqrt -{})", ImagQuadratic, "D"))

@@ -374,10 +374,12 @@ def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
 
     The construction peels unit entries <1> / <-1> down to rank 3 and
     finishes with a rank-2 block <a, a*det> whose Hasse data is arranged
-    through the symbol (a, -det).  Both last steps search sgn * core * q,
-    walking the cores lazily; the rank-2 step skips by elimination over F2
-    each q that cannot hit, and the rank-3 step, past its scan, takes an
-    entry the ternary form represents.  The determinant is factored once,
+    through the symbol (a, -det).  Both last steps take the least fitting
+    sgn * core * q.  The rank-2 step solves for the core by elimination over
+    F2 and reads no core; the rank-3 step walks the cores lazily, skips each
+    (q, sgn) that elimination over the characters at the Hasse primes
+    outside its base rules out, and past its scan takes an entry the
+    ternary form represents.  The determinant is factored once,
     unless it carries its primes; every later Hasse support is evaluated at
     known primes.  The form carries the class of every entry.
     Deterministic: the same invariants always give the same form.
@@ -443,10 +445,36 @@ def _rank3_form(det_n: int, primes: tuple, sig, hasse) -> QuadraticForm:
     base = sorted({2, 3, 5, 7}.union(primes))
     signs = [sgn for sgn, k in ((1, r), (-1, s)) if k > 0]
     cores = _ascending_cores(base)
-    scan = ((sgn * c * q, combo + ((q,) if q > 1 else ()))
-            for q in _aux_primes(base, 200) for c, combo in cores()
-            for sgn in signs)
-    for e, e_primes in chain(scan, _represented_entry(det, hasse, signs[0])):
+    # At a Hasse prime v outside `base` the form is anisotropic, and e and
+    # -det are v-units unless v = q, so e is represented there only if their
+    # characters differ (Serre, A Course in Arithmetic, IV.2.2, Thm. 6): one
+    # equation over F2 in the characters of sgn, q and the core's primes.
+    # A (q, sgn) whose system, with the equation at q dropped, has no
+    # solution cannot hit, and its cores are not walked.
+    out = sorted(v for v in hasse if v != INF and v not in base)
+
+    def chars(n):
+        return sum(local_characters(n, v)[1] << i for i, v in enumerate(out))
+
+    rows = {}
+    for p in base:
+        v = _reduce(rows, chars(p))[0]
+        if v:
+            rows[v.bit_length()] = v, 0
+    goal = ((1 << len(out)) - 1) ^ chars(-det_n)
+
+    def scan():
+        for q in _aux_primes(base, 200):
+            free = 1 << out.index(q) if q in out else 0
+            q_signs = [sgn for sgn in signs
+                       if any(not _reduce(rows, goal ^ chars(sgn * q) ^ f)[0]
+                              for f in (0, free))]
+            for c, combo in cores() if q_signs else ():
+                for sgn in q_signs:
+                    yield sgn * c * q, combo + ((q,) if q > 1 else ())
+
+    for e, e_primes in chain(scan(), _represented_entry(det, hasse,
+                                                        signs[0])):
         ec = SquareClass(e, frozenset(e_primes))
         sub_det = det * ec
         sub_sig = (r - 1, s) if e > 0 else (r, s - 1)
@@ -490,22 +518,34 @@ def _represented_entry(det: SquareClass, hasse, sgn):
     yield sgn * prod(e_primes), e_primes
 
 
+def _reduce(rows, v, c=0):
+    """The vector `v` reduced by the echelon `rows` over F2, {top bit: (row,
+    set)}, with the sets of the rows it took XORed into `c`: the one
+    elimination of both last construction steps."""
+    while v and v.bit_length() in rows:
+        row, row_set = rows[v.bit_length()]
+        v, c = v ^ row, c ^ row_set
+    return v, c
+
+
 def _rank2_from_invariants(head, det: SquareClass, sig,
                            hasse) -> QuadraticForm:
     """The entries of `head` (square classes) followed by <a, a*det> with
     Hasse set `hasse`; det carries its primes.
 
-    The first a = sgn * core * q (q, then core, then sign ascending) whose
-    symbol (a, -det) has support `hasse` is taken.  The symbol is bilinear,
-    so that support is the symmetric difference of the supports of the
-    factors -1, the primes of the core and q (Serre, A Course in Arithmetic,
-    III.1.1): each factor's support is evaluated once, as a bit mask over
-    the places of `base` and INF, and a candidate costs one XOR.  At the
-    place q only the factor q can be nontrivial, and q is not in `hasse`, so
-    a q in its own support is skipped.  Once the walk for q = 1 has reached
-    every base prime, elimination over F2 of the base masks decides whether
-    a q can hit; if so, the walk reads as many cores as its solution cosets
-    have members, and lists the cosets if it has not hit by then.
+    The least a = sgn * core * q (by q, then core, then sign) whose symbol
+    (a, -det) has support `hasse` is taken.  The symbol is bilinear, so that
+    support is the symmetric difference of the supports of the factors -1,
+    the primes of the core and q (Serre, A Course in Arithmetic, III.1.1):
+    each factor's support is evaluated once, as a bit mask over the places
+    of `base` and INF, and the cores that hit are the solutions of a linear
+    system over F2.  A core below the base prime p_j is a product of the
+    base primes below p_j, so for q = 1 the base masks join the elimination
+    one at a time, and the solution cosets are listed, below the next base
+    prime, only when a sign's goal is in the span of the masks admitted;
+    past the last base prime, and for every q > 1, they are listed with no
+    bound.  At the place q only the factor q can be nontrivial, and q is not
+    in `hasse`, so a q in its own support is skipped.
     """
     r, s = sig
     minus_det = -det
@@ -515,7 +555,8 @@ def _rank2_from_invariants(head, det: SquareClass, sig,
     base = set(det_primes) | {2}
     base.update(v for v in target if v != INF)
     base = sorted(base)
-    bits = {v: 1 << i for i, v in enumerate(base + [INF])}
+    places = base + [INF]
+    bits = {v: 1 << i for i, v in enumerate(places)}
     masks = {}
 
     def mask(x):
@@ -530,60 +571,47 @@ def _rank2_from_invariants(head, det: SquareClass, sig,
         return masks[x]
 
     want = sum(bits[v] for v in target)
-    cores = _ascending_cores(base)
-    # the base masks in echelon form, {top bit: (row, set of base primes)},
-    # and a basis of the sets of base primes whose masks sum to 0
-    rows, kernel = {}, []
-
-    def reduce(v, c=0):
-        while v and v.bit_length() in rows:
-            row, row_set = rows[v.bit_length()]
-            v, c = v ^ row, c ^ row_set
-        return v, c
+    # the admitted base masks in echelon form, and every set of admitted
+    # base primes whose masks sum to 0
+    rows, kernel = {}, [0]
 
     def primes_of(c):
         return tuple(p for j, p in enumerate(base) if c >> j & 1)
 
-    def first_hit(q_mask):
-        stop = None  # where the walk gives way to listing the cosets
-        for i, (core, combo) in enumerate(cores()):
-            if stop is None and base[-1] in masks:
-                for j in range(len(rows) + len(kernel), len(base)):
-                    v, c = reduce(mask(base[j]), 1 << j)
-                    if v:
-                        rows[v.bit_length()] = v, c
-                    else:
-                        kernel.append(c)
-                goals = [(k, reduce(want ^ q_mask ^ (mask(-1) if sgn < 0
-                                                     else 0)))
-                         for k, sgn in enumerate(signs)]
-                goals = [(k, c) for k, (v, c) in goals if not v]
-                if not goals:
-                    return None
-                stop = i + (len(goals) << len(kernel))
-            if i == stop:
-                sets = [0]
-                for x in kernel:
-                    sets += [y ^ x for y in sets]
-                core, k, c = min((prod(primes_of(c ^ y)), k, c ^ y)
-                                 for k, c in goals for y in sets)
-                return core, primes_of(c), signs[k]
-            score = q_mask
-            for p in combo:
-                score ^= mask(p)
-            for sgn in signs:
-                if score ^ (mask(-1) if sgn < 0 else 0) == want:
-                    return core, combo, sgn
+    def least_hit(q_mask, first):
+        """The least (core, sign index, set of base primes) whose masks sum
+        with q_mask to `want`, or None; the masks of base[first:] are not
+        admitted yet."""
+        for j in range(first, len(base) + 1):
+            goals = []
+            for k, sgn in enumerate(signs):
+                v, c = _reduce(rows, want ^ q_mask
+                               ^ (mask(-1) if sgn < 0 else 0))
+                if not v:
+                    goals.append((k, c))
+                    if not c:   # the core 1 hits; mask(-1) is not needed
+                        break
+            hit = min(((prod(primes_of(c ^ y)), k, c ^ y)
+                       for k, c in goals for y in kernel), default=None)
+            if hit and hit[0] < places[j]:
+                return hit
+            if j < len(base):
+                v, c = _reduce(rows, mask(base[j]), 1 << j)
+                if v:
+                    rows[v.bit_length()] = v, c
+                else:
+                    kernel.extend([y ^ c for y in kernel])
         return None
 
     for q in _aux_primes(base, 2000):
         q_mask = 0 if q == 1 else mask(q)
-        hit = None if q_mask is None else first_hit(q_mask)
+        hit = None if q_mask is None else least_hit(
+            q_mask, 0 if q == 1 else len(base))
         if hit is None:
             continue
-        core, combo, sgn = hit
-        a = sgn * core * q
-        a_primes = combo + ((q,) if q > 1 else ())
+        core, k, c = hit
+        a = signs[k] * core * q
+        a_primes = primes_of(c) + ((q,) if q > 1 else ())
         if support_at(a, minus_det.n, a_primes + det_primes) != target:
             raise RuntimeError(
                 "rank-2 bilinear score disagrees with the support (bug)")
