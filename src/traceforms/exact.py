@@ -23,12 +23,26 @@ INF = float("inf")
 
 
 class FactorizationBudgetError(ValueError):
-    """Raised when the squarefree part of an input cannot be factored within
-    the configured trial-division budget."""
+    """Raised when an integer cannot be factored, with proof, within the
+    budget: a composite cofactor that resists trial division (and, through
+    `factor`, Brent's rho), or a probable prime at or above
+    `MR_PROVEN_BELOW`.
+
+    For a composite cofactor left by `factorize`, `found` is the
+    factorization found before it and `cofactor` the cofactor itself, so
+    that `factor` can go on from there; both are None otherwise."""
+
+    def __init__(self, message: str, found: dict | None = None,
+                 cofactor: int | None = None):
+        super().__init__(message)
+        self.found = found
+        self.cofactor = cofactor
 
 
-# default trial-division bound; enough for every integer this library meets
-# in practice while keeping worst-case behaviour predictable.
+# default factoring budget: the trial-division bound, and four times the
+# iteration cap of Brent's rho on a cofactor of up to 64 bits.  Enough for
+# every integer this library meets in practice while keeping worst-case
+# behaviour predictable.
 DEFAULT_FACTOR_BUDGET = 1_000_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -98,8 +112,9 @@ def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> dict:
     trial-divided as far as the budget allows, as without the test.
 
     Returns {prime: exponent}.  Raises FactorizationBudgetError when the
-    leftover cofactor is composite with no factor below the budget, or when
-    it (or its root, for a perfect power) passes `is_prime` at or above
+    leftover cofactor is composite with no factor below the budget (the
+    error carries the factors found and the cofactor, for `factor`), or
+    when it (or its root, for a perfect power) passes `is_prime` at or above
     `MR_PROVEN_BELOW`, where that test proves nothing.
     """
     if n <= 0:
@@ -110,9 +125,19 @@ def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> dict:
             n //= p
             out[p] = out.get(p, 0) + 1
     f = 5
-    # a cofactor below f^2 leaves the loop and is tested after it
+    # a cofactor below f^2 leaves the sweep and is tested after it
     proved = f * f <= n < MR_PROVEN_BELOW and is_prime(n)
-    while not proved and f * f <= n and f <= budget:
+    while not proved and f * f <= n:
+        # the divisors f and f + 2 for f = 5 mod 6 up to the budget and to
+        # the square root of n; the sweep restarts after each hit, with the
+        # bound of the new cofactor
+        sweep = range(f, min(budget, isqrt(n)) + 1, 6)
+        for f in sweep:
+            if n % f == 0 or n % (f + 2) == 0:
+                break
+        else:
+            f = sweep.start + 6 * len(sweep)    # the first divisor not tried
+            break
         for p in (f, f + 2):
             if n % p == 0:
                 while n % p == 0:
@@ -137,13 +162,93 @@ def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> dict:
         else:
             raise FactorizationBudgetError(f"cofactor {n} is composite and "
                                            f"resists trial division up to "
-                                           f"{budget}")
+                                           f"{budget}", out, n)
     if p >= MR_PROVEN_BELOW:
-        raise FactorizationBudgetError(
-            f"cofactor {p} is only a probable prime: is_prime is a proof "
-            f"below {MR_PROVEN_BELOW} only")
+        raise _probable_prime(p)
     out[p] = out.get(p, 0) + k
     return out
+
+
+def _probable_prime(p: int) -> FactorizationBudgetError:
+    return FactorizationBudgetError(
+        f"cofactor {p} is only a probable prime: is_prime is a proof "
+        f"below {MR_PROVEN_BELOW} only")
+
+
+def factor(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> dict:
+    """`factorize`, and when it leaves a composite cofactor, Brent's rho on
+    that cofactor (Brent, BIT 20, 1980; Pollard, BIT 15, 1975), whose
+    expected cost is O(p^1/2) in its least prime factor p, against O(p) for
+    trial division.  The form data of the library (entries, determinants,
+    Picard forms, elliptic contexts) is factored through this.
+
+    Rho runs x -> x^2 + c from x = 2 with c = 1, 2, 3, ... in turn, so every
+    result is reproducible.  All its attempts share an iteration cap of
+    budget // 4, scaled by (64 / bits)^2 for a cofactor of more than 64 bits
+    (an iteration costs more the wider the cofactor), so that a cofactor
+    that resists costs about what its trial division did; a budget below 4
+    runs no rho.  Every factor is proved prime with `is_prime` below
+    `MR_PROVEN_BELOW`.  Raises FactorizationBudgetError when the cap is
+    spent (the message of `factorize`'s error) or a factor is a probable
+    prime at or above `MR_PROVEN_BELOW`.
+    """
+    try:
+        return factorize(n, budget)
+    except FactorizationBudgetError as err:
+        if err.cofactor is None:
+            raise
+        cap = budget // 4 * 4096 // max(err.cofactor.bit_length(), 64) ** 2
+        out, left = dict(err.found), [err.cofactor]
+        while left:
+            m = left.pop()
+            d, cap = _rho(m, cap) if cap else (None, 0)
+            if d is None:
+                raise
+            for q in (d, m // d):
+                if not is_prime(q):
+                    left.append(q)
+                elif q >= MR_PROVEN_BELOW:
+                    raise _probable_prime(q) from err
+                else:
+                    out[q] = out.get(q, 0) + 1
+        return dict(sorted(out.items()))
+
+
+def _rho(n: int, cap: int) -> tuple:
+    """(a proper divisor of the composite n, or None once `cap` iterations
+    are spent; the iterations left), by Brent's cycle search, which takes
+    the product of up to 128 differences before each gcd."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if r > cap:
+                return None, 0
+            cap -= r
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys, run = y, min(128, r - k)
+                if run > cap:
+                    return None, 0
+                cap -= run
+                for _ in range(run):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += run
+            r *= 2
+        if g == n:
+            # the batch overshot: step through it again, one gcd a step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g, cap
 
 
 def _iroot(n: int, k: int) -> int:
@@ -282,10 +387,11 @@ class SquareClass(Record):
 
     def primes(self, budget: int = DEFAULT_FACTOR_BUDGET) -> tuple:
         """Every prime dividing the representative, 2 included, in
-        increasing order.  Factors only when the primes are not carried."""
+        increasing order.  Factors only when the primes are not carried,
+        by trial division and then Brent's rho (`factor`) under `budget`."""
         if self.known_primes is not None:
             return tuple(sorted(self.known_primes))
-        return tuple(sorted(factorize(abs(self.n), budget)))
+        return tuple(sorted(factor(abs(self.n), budget)))
 
     def __repr__(self):
         return f"SquareClass({self.n})"
@@ -293,7 +399,9 @@ class SquareClass(Record):
 
 def squarefree_class(r: Rational, budget: int = DEFAULT_FACTOR_BUDGET) -> SquareClass:
     """Squarefree representative of the square class of a nonzero rational,
-    carrying the primes found on the way.
+    carrying the primes found on the way.  numerator * denominator is
+    factored by trial division and then Brent's rho (`factor`) under
+    `budget`; FactorizationBudgetError when that does not finish.
 
     >>> squarefree_class(18)
     SquareClass(2)
@@ -312,7 +420,7 @@ def squarefree_class(r: Rational, budget: int = DEFAULT_FACTOR_BUDGET) -> Square
         n = r.numerator * r.denominator
     if n == 0:
         raise ValueError("zero has no square class")
-    odd = [p for p, e in factorize(abs(n), budget).items() if e % 2]
+    odd = [p for p, e in factor(abs(n), budget).items() if e % 2]
     out = prod(odd)
     return SquareClass(out if n > 0 else -out, frozenset(odd))
 

@@ -109,7 +109,10 @@ class FieldInvariants(Record):
 
 
 def _check_squarefree(n: int, what: str) -> frozenset:
-    """The primes of n, after checking that n is positive and squarefree."""
+    """The primes of n, after checking that n is positive and squarefree.
+    A field descriptor's integer is factored by trial division alone
+    (`factorize`, not `factor`), so one past trial division is a budget
+    error."""
     if n < 1:
         raise DescriptorError(f"{what} must be positive")
     fac = factorize(n)

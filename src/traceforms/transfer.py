@@ -749,8 +749,10 @@ def construct_witness_quadratic(U: QuadraticForm, d: int, height: int = 4,
     budget = [node_budget]
     found = _dfs_blocks(pool, 0, [], m, ui, budget)
     if found is None:
+        # a bounded search refutes nothing: its outcome is a reason, and
+        # `condition` stays the key of a proven obstruction
         reason = "budget-exhausted" if budget[0] <= 0 else "search-exhausted"
-        return WitnessResult("not_found", obstruction={"condition": reason})
+        return WitnessResult("not_found", obstruction={"reason": reason})
     entries = tuple(blk.entry for blk in found)
     if not is_isomorphic(transfer_quadratic(d, entries), U):
         raise RuntimeError("witness failed re-verification (bug)")

@@ -326,25 +326,39 @@ def test_represents_zero_past_trial_division(capsys):
     assert all(isotropic_at(p) for p in sorted(hasse - {INF}) if p < 1000003)
 
 
-def test_form_invariants_of_a_semiprime_entry_still_exceeds_the_budget(
+def test_form_invariants_of_a_semiprime_entry_is_factored_past_trial_division(
         capsys):
     # 1000000016000000063 = 1000000007 * 1000000009: the entry itself needs
-    # a factorization beyond trial division
-    code, doc = run_json(capsys, "form-invariants",
-                         "--form", '{"diagonal": ["1000000016000000063", 2]}')
+    # a factorization beyond trial division.  It was a budget error (exit
+    # 4) while trial division was the only route, and still is within a
+    # budget of 1000; Brent's rho splits it under the default budget
+    entry = '{"diagonal": ["1000000016000000063", 2]}'
+    code, doc = run_json(capsys, "form-invariants", "--form", entry,
+                         "--budget", "1000")
     assert code == EXIT_BUDGET
     assert doc["kind"] == "budget"
+    code, doc = run_json(capsys, "form-invariants", "--form", entry)
+    assert code == EXIT_OK
+    dim, det, signature, hasse = reference_invariants(
+        [1000000016000000063, 2])
+    assert (det, hasse) == (2 * 1000000007 * 1000000009, frozenset())
+    assert doc == {"det": str(det), "dim": dim, "hasse": [],
+                   "signature": list(signature)}
 
 
 def test_budget_errors_exit_4_from_every_handler(capsys):
-    """A number past trial division is a budget error (exit 4) wherever the
-    handler meets it, not a criterion error."""
-    n = "1000000016000000063"
+    """A number past trial division (and, in form data, past Brent's rho) is
+    a budget error (exit 4) wherever the handler meets it, not a criterion
+    error.  A field's d is factored by trial division only, so
+    1000000007 * 1000000009 still exits 4 there; in a form, rho splits it,
+    and the product of the two primes after 10^20 resists."""
+    d = "1000000016000000063"
+    n = str(100000000000000000039 * 100000000000000000129)
     queries = [
         ("transfer-feasible", "--field", '{"kind": "real_quadratic", "d": 2}',
          "--form", json.dumps({"diagonal": [n, 1, -1, -1, -1, -1]}),
          "--mode", "rm"),
-        ("k3", "--field", json.dumps({"kind": "real_quadratic", "d": n}),
+        ("k3", "--field", json.dumps({"kind": "real_quadratic", "d": d}),
          "--m", "3", "--mode", "rm"),
         ("picard", "--form", json.dumps({"diagonal": [n, -1]}),
          "--field", '{"kind": "imag_quadratic", "D": 1}',
@@ -355,7 +369,7 @@ def test_budget_errors_exit_4_from_every_handler(capsys):
     for argv in queries:
         code, doc = run_json(capsys, *argv)
         assert (code, doc["kind"]) == (EXIT_BUDGET, "budget"), argv[0]
-        assert n in doc["error"]
+        assert (d if argv[0] == "k3" else n) in doc["error"]
 
 
 # ---------------------------------------------------------------------------

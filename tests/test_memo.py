@@ -5,6 +5,7 @@ memoized answers equal fresh ones, errors are raised again on every call
 instead of being cached, and a form hashes as its diagonal."""
 
 import pytest
+from sympy import factorint
 
 from traceforms.exact import INF, FactorizationBudgetError, SquareClass
 from traceforms.k3hk import ambient
@@ -35,12 +36,20 @@ def test_form_from_a_list_is_a_cache_key():
 
 
 def test_budget_error_is_not_cached():
-    # 1009 * 1013: factored under the default budget, beyond a budget of 1000
+    # 1009 * 1013 was beyond a budget of 1000 while trial division was the
+    # only route; Brent's rho splits it within that budget now
     f = QuadraticForm.make([1009 * 1013, 1])
     assert invariants(f).det == SquareClass(1009 * 1013)
+    assert invariants(f, budget=1000).det == SquareClass(1009 * 1013)
+    assert factorint(1009 * 1013) == {1009: 1, 1013: 1}
+    # 10000019 * 10000079: factored under the default budget, beyond trial
+    # division and rho's cap under a budget of 1000
+    g = QuadraticForm.make([10000019 * 10000079, 1])
+    assert invariants(g).det == SquareClass(10000019 * 10000079)
+    assert factorint(10000019 * 10000079) == {10000019: 1, 10000079: 1}
     for _ in range(2):
         with pytest.raises(FactorizationBudgetError):
-            invariants(f, budget=1000)
+            invariants(g, budget=1000)
 
 
 def test_general_descriptors_from_lists():

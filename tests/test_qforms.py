@@ -9,6 +9,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_invariants
 from traceforms.exact import (
     INF, FactorizationBudgetError, SquareClass, hilbert_support,
     hilbert_symbol, primes_below, squarefree_class,
@@ -689,12 +690,24 @@ def test_construction_matches_recursive_construction(entries, at, wide):
 
 
 def test_construction_factors_the_determinant_once_from_rank_2():
-    # 1000003 * 1000033 is beyond trial division
+    # 1000003 * 1000033 is beyond trial division.  From rank 2 on it was a
+    # budget error while trial division was the only route; Brent's rho
+    # splits it now, and the construction is checked against the primes
+    # that sympy finds.  The product of the two primes after 10^20 resists
+    # rho as well
     det = SquareClass(1000003 * 1000033)
-    rank1 = FormInvariants(1, det, (1, 0), frozenset())
-    assert form_from_invariants(rank1).diagonal == (det.n,)
+    hard = SquareClass(100000000000000000039 * 100000000000000000129)
+    for d in (det, hard):
+        rank1 = FormInvariants(1, d, (1, 0), frozenset())
+        assert form_from_invariants(rank1).diagonal == (d.n,)
     for n in (2, 3, 4, 6):
         inv = FormInvariants(n, det, (n, 0), frozenset())
+        validate_invariants(inv)
+        g = form_from_invariants(inv)
+        assert g.diagonal == _ref_form_from_invariants(inv).diagonal
+        assert reference_invariants(g.diagonal) == (n, det.n, (n, 0),
+                                                    frozenset())
+        inv = FormInvariants(n, hard, (n, 0), frozenset())
         validate_invariants(inv)
         for construct in (form_from_invariants, _ref_form_from_invariants):
             with pytest.raises(FactorizationBudgetError):

@@ -58,6 +58,9 @@ def test_readme_command_runs(capsys, argv, answer):
 # one case per stated input rule
 
 N = "1000000016000000063"      # 1000000007 * 1000000009, past trial division
+# the product of the two primes after 10^20: past trial division and past
+# the iteration cap of Brent's rho, which splits N in form data
+W = str(100000000000000000039 * 100000000000000000129)
 RQ5 = {"kind": "real_quadratic", "d": 5}
 
 
@@ -131,17 +134,18 @@ RULES = [
                          '{"diagonal": [1, 1, 1]}'], EXIT_SCHEMA),
     ("negative budget", ["form-invariants", "--budget", "-1", "--form",
                          '{"diagonal": [1, 2]}'], EXIT_SCHEMA),
-    # exit 4 wherever a number is factored past the budget
-    ("budget: form entry", _form(N, 2), EXIT_BUDGET),
+    # exit 4 wherever a number is factored past the budget: form data by
+    # trial division and rho, a field's d or D by trial division only
+    ("budget: form entry", _form(W, 2), EXIT_BUDGET),
     ("budget: d", _k3({"kind": "real_quadratic", "d": N}), EXIT_BUDGET),
     ("budget: D", _k3({"kind": "imag_quadratic", "D": N}, "cm", 10),
      EXIT_BUDGET),
     ("budget: Picard form", ["picard", "--form",
-                             json.dumps({"diagonal": [N, -1]}), "--field",
+                             json.dumps({"diagonal": [W, -1]}), "--field",
                              '{"kind": "imag_quadratic", "D": 1}', "--m", "10",
                              "--mode", "cm"], EXIT_BUDGET),
     ("budget: elliptic context", _elliptic(
-        {"case": "picard-form", "form": {"diagonal": [N, -1]}}), EXIT_BUDGET),
+        {"case": "picard-form", "form": {"diagonal": [W, -1]}}), EXIT_BUDGET),
 ]
 
 
