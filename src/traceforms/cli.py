@@ -16,8 +16,8 @@ from pathlib import Path
 # form layers load here; whatever needs numfields, transfer or k3hk imports
 # the names it uses inside the function.
 from .exact import (
-    DEFAULT_FACTOR_BUDGET, FactorizationBudgetError, Poly, json_array,
-    json_keys,
+    DEFAULT_FACTOR_BUDGET, FactorizationBudgetError, Poly, SchemaError,
+    json_array, json_int, json_minpoly, json_object, json_str,
 )
 from .qforms import (
     WITNESS_BUDGET, QuadraticForm, form_from_json, form_to_json, invariants,
@@ -29,10 +29,6 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_CRITERION = 3
 EXIT_BUDGET = 4
-
-
-class SchemaError(ValueError):
-    """Input that fails to parse into a query."""
 
 
 # ---------------------------------------------------------------------------
@@ -82,16 +78,16 @@ def parse_json_arg(raw: str, what: str):
         raise SchemaError(f"{what}: invalid JSON ({err})") from err
 
 
-def read(what: str, reader, obj, errors=(KeyError, TypeError, ValueError)):
+def read(what: str, reader, obj):
     """`reader(obj)`, the one gate between outside input and the library:
-    an error of `errors` that the reader raises becomes the schema error
-    that names `what`.  A SchemaError or a budget error passes through
-    unchanged."""
+    a KeyError, TypeError or ValueError that the reader raises becomes the
+    schema error that names `what`.  A SchemaError or a budget error passes
+    through unchanged."""
     try:
         return reader(obj)
     except (SchemaError, FactorizationBudgetError):
         raise
-    except errors as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise SchemaError(f"{what}: {err}") from err
 
 
@@ -157,6 +153,7 @@ def default_catalog_path() -> Path:
 
 
 def load_catalog(path=None) -> dict:
+    """The catalog at `path`, the built-in one by default, read by its keys."""
     p = Path(path) if path else default_catalog_path()
     try:
         # JSON text is UTF-8 (RFC 8259), whatever the locale
@@ -168,86 +165,77 @@ def load_catalog(path=None) -> dict:
         raise SchemaError(f"catalog: invalid JSON ({err})") from err
     if not (isinstance(cat, dict) and "totally_real" in cat and "cm" in cat):
         raise SchemaError("catalog: need totally_real and cm sections")
-    for name, keys in (("totally_real", ("quadratic", "higher")),
-                       ("cm", ("imag_quadratic", "cyclotomic"))):
-        if not isinstance(cat[name], dict):
-            raise SchemaError(f"catalog: section {name} must be an object")
-        read(f"catalog: section {name}", lambda obj: json_keys(obj, keys),
-             cat[name])
-    return cat
+    return read("catalog", lambda obj: json_object(obj, CATALOG_KEYS), cat)
 
 
-#: the keys of a `higher` entry: the library reads `name` and `minpoly`, and
-#: tests/test_catalog_data.py checks the certified `degree`, `disc` and
-#: `disc_class` of the built-in catalog against the minimal polynomial
-HIGHER_ENTRY_KEYS = ("name", "minpoly", "degree", "disc", "disc_class",
-                     "comment")
+def _section(entries):
+    """A catalog section's reader; `entries` reads one entry of each key."""
+    def section(obj, name):
+        if not isinstance(obj, dict):
+            raise ValueError(f"section {name} must be an object")
+
+        def entry_list(items, key):
+            # an array and each of its entries name themselves as name.key
+            what = f"{name}.{key}"
+            items = read("catalog", lambda v: json_array(v, what), items)
+            return [read(f"catalog: {what} entry {e!r}", entries[key], e)
+                    for e in items]
+        return read(f"catalog: section {name}", lambda obj: json_object(
+            obj, dict.fromkeys(entries, entry_list)), obj)
+    return section
+
+
+#: a `higher` entry's keys and readers; the library uses `name` and `minpoly`
+HIGHER_ENTRY_KEYS = {"name": json_str, "minpoly": json_minpoly,
+                     "degree": json_int, "disc": json_int,
+                     "disc_class": json_int, "comment": json_str}
+
+#: the keys of a catalog and their readers
+CATALOG_KEYS = {
+    "version": json_int, "comment": json_str,
+    "totally_real": _section({
+        "quadratic": lambda d: json_int(d, "d"),
+        "higher": lambda e: json_object(e, HIGHER_ENTRY_KEYS,
+                                        ("name", "minpoly"))}),
+    "cm": _section({"imag_quadratic": lambda D: json_int(D, "D"),
+                    "cyclotomic": lambda n: json_int(n, "n")}),
+}
 
 
 def catalog_fields(cat: dict, mode: str):
-    """(label, descriptor) pairs for one mode, sorted by (degree, label).
-    An entry that is not a JSON integer (or, in `higher`, an object with a
-    name, a `minpoly` array of rationals and no key outside
-    `HIGHER_ENTRY_KEYS`) raises SchemaError naming it."""
+    """(label, descriptor, degree) triples of a catalog that `load_catalog`
+    read, for one mode, sorted by (degree, label)."""
     from .numfields import (Cyclotomic, GeneralTotallyReal, ImagQuadratic,
-                            RealQuadratic, field_invariants, json_int,
-                            json_minpoly)
-    out = []
-
-    def section(name, key, label_and_field):
-        entries = read("catalog", lambda obj: json_array(obj, f"{name}.{key}"),
-                       cat[name].get(key, ()))
-        for entry in entries:
-            out.append(read(f"catalog: {name}.{key} entry {entry!r}",
-                            label_and_field, entry))
-
-    def integral(label, kind, what):
-        def label_and_field(entry):
-            value = json_int(entry, what)
-            return label.format(value), kind(value)
-        return label_and_field
-
-    def higher(entry):
-        if not isinstance(entry, dict):
-            raise ValueError("must be an object with 'name' and 'minpoly'")
-        json_keys(entry, HIGHER_ENTRY_KEYS)
-        return entry["name"], GeneralTotallyReal(json_minpoly(entry["minpoly"]))
-
+                            RealQuadratic, field_invariants)
+    section = cat["totally_real" if mode == "rm" else "cm"]
     if mode == "rm":
-        section("totally_real", "quadratic",
-                integral("Q(sqrt {})", RealQuadratic, "d"))
-        section("totally_real", "higher", higher)
+        out = [(f"Q(sqrt {d})", RealQuadratic(d))
+               for d in section.get("quadratic", ())]
+        out += [(e["name"], GeneralTotallyReal(e["minpoly"]))
+                for e in section.get("higher", ())]
     else:
-        section("cm", "imag_quadratic",
-                integral("Q(sqrt -{})", ImagQuadratic, "D"))
-        section("cm", "cyclotomic", integral("Q(zeta {})", Cyclotomic, "n"))
-    decorated = [(field_invariants(desc).degree, label, desc)
-                 for label, desc in out]
-    decorated.sort(key=lambda t: (t[0], t[1]))
-    return [(label, desc, degree) for degree, label, desc in decorated]
+        out = [(f"Q(sqrt -{D})", ImagQuadratic(D))
+               for D in section.get("imag_quadratic", ())]
+        out += [(f"Q(zeta {n})", Cyclotomic(n))
+                for n in section.get("cyclotomic", ())]
+    return sorted(((label, desc, field_invariants(desc).degree)
+                   for label, desc in out), key=lambda t: (t[2], t[0]))
 
 
 def parse_families(raw: str):
-    """Comma list like "k3,kummer:2,og6,hilbk3:2,og10" into ambient family tokens."""
+    """Comma list like "k3,kummer:2,og6,hilbk3:2,og10" into ambient family
+    tokens, each family and n read as `tf hk` reads them."""
     from .k3hk import ambient
     out, seen = [], set()
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if ":" in token:
-            fam, _, num = token.partition(":")
-            try:
-                n = int(num)
-            except ValueError as err:
-                raise SchemaError(f"families: bad n in {token!r}") from err
-        else:
-            fam, n = token, None
+    for token in filter(None, map(str.strip, raw.split(","))):
+        fam, colon, n = token.partition(":")
+        n = read("families", lambda n: json_int(n, f"n in {token!r}"),
+                 n) if colon else None
         amb = read("families", lambda n: ambient(fam, n), n)
         if (amb.family, amb.n) in seen:
             raise SchemaError(f"families: {token!r} repeats an earlier family")
         seen.add((amb.family, amb.n))
-        out.append((token if n is None else f"{fam}:{n}", fam, n))
+        out.append((f"{fam}:{n}" if colon else token, fam, n))
     if not out:
         raise SchemaError("families: empty list")
     return out
@@ -387,8 +375,9 @@ def cmd_transfer_feasible(args) -> dict:
 
 
 def cmd_hk(args) -> dict:
-    from .k3hk import hk_realizable, report_to_json
+    from .k3hk import ambient, hk_realizable, report_to_json
     E = parse_field(args.field)
+    read("family", lambda n: ambient(args.family, n), args.n)
     rep = hk_realizable(args.family, args.n, E, args.m, args.mode)
     return jsonable(report_to_json(rep))
 
@@ -403,9 +392,8 @@ def cmd_picard(args) -> dict:
 
 
 def cmd_elliptic(args) -> dict:
-    from .k3hk import (ELLIPTIC_CASES, ELLIPTIC_KEYS,
-                       elliptic_fibration_verdict, famous_examples)
-    from .numfields import desc_from_json
+    from .k3hk import (elliptic_context, elliptic_fibration_verdict,
+                       famous_examples)
     if (args.case is None) == (args.context is None):
         raise SchemaError("elliptic: pass exactly one of --case, --context")
     if args.case is not None:
@@ -418,24 +406,9 @@ def cmd_elliptic(args) -> dict:
             raise ValueError(
                 f"case {args.case!r} has no elliptic-fibration question")
     else:
-        ctx = parse_json_arg(args.context, "context")
-        if not isinstance(ctx, dict):
-            raise SchemaError("context: must be an object with 'case'")
-        if ctx.get("case") not in ELLIPTIC_CASES:
-            raise SchemaError(f"context: case must be one of "
-                              f"{', '.join(ELLIPTIC_CASES)}; "
-                              f"got {ctx.get('case')!r}")
-        read("context", lambda obj: json_keys(
-            obj, ("case", *ELLIPTIC_KEYS[obj["case"]])), ctx)
-        if isinstance(ctx.get("field"), dict):
-            ctx = dict(ctx, field=read("context field", desc_from_json,
-                                       ctx["field"]))
-        if "form" in ctx:
-            ctx = dict(ctx, form=read("context form", form_from_json,
-                                      ctx["form"]))
-    # the verdict's own ValueErrors are criterion errors, not the context's
-    return jsonable(read("context", elliptic_fibration_verdict, ctx,
-                         (KeyError, TypeError)))
+        ctx = read("context", elliptic_context,
+                   parse_json_arg(args.context, "context"))
+    return jsonable(elliptic_fibration_verdict(ctx))
 
 
 def cmd_tabulate(args) -> str:

@@ -22,6 +22,10 @@ Rational = int | Fraction
 INF = float("inf")
 
 
+class SchemaError(ValueError):
+    """Input that fails to parse into a query, named where it failed."""
+
+
 class FactorizationBudgetError(ValueError):
     """Raised when an integer cannot be factored, with proof, within the
     budget: a composite cofactor that resists trial division (and, through
@@ -149,17 +153,15 @@ def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> dict:
         return out
     p, k = n, 1
     if not (proved or is_prime(n)):
-        # composite cofactor with all prime factors above the budget; a
-        # perfect power is still recoverable exactly.  Every prime factor is
-        # at least f, the first trial divisor not tried, so n = p^k has
-        # f^k <= n
-        k = 2
-        while f ** k <= n:
-            p = _iroot(n, k)
-            if p ** k == n and is_prime(p):
+        # a composite cofactor may still be a prime power p = r^q, f^q <= p
+        # for f the first divisor not tried; an (ab)-th power is an a-th
+        # power, so q runs over primes (few sieve limits), on each root again
+        for q in primes_below(1 << n.bit_length().bit_length()):
+            if f ** q > p:
                 break
-            k += 1
-        else:
+            while (r := _iroot(p, q)) ** q == p:
+                p, k = r, k * q
+        if k == 1 or not is_prime(p):
             raise FactorizationBudgetError(f"cofactor {n} is composite and "
                                            f"resists trial division up to "
                                            f"{budget}", out, n)
@@ -453,12 +455,48 @@ def json_array(obj, what: str) -> list:
     return obj
 
 
-def json_keys(obj: dict, known) -> None:
-    """Refuse the keys of the JSON object `obj` outside `known` in one
-    ValueError, so that a misspelled key is not dropped without a word."""
-    unknown = [key for key in obj if key not in known]
+def json_int(value, what: str) -> int:
+    """`value` as an integer: a JSON integer, or a string of one.  A float, a
+    bool or any other string raises TypeError, not truncated or misread."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
+def json_minpoly(coeffs, what: str) -> tuple:
+    """A nonempty JSON `minpoly` array as rationals, the integral ones as
+    ints, which hash in C: a descriptor read again finds its memos cheaply."""
+    if not json_array(coeffs, what):
+        raise ValueError(f"{what} must be a nonempty array")
+    return tuple(c.numerator if c.denominator == 1 else c
+                 for c in map(rational_from, coeffs))
+
+
+def json_str(value, what: str) -> str:
+    """`value`, which must be a JSON string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def json_object(obj, readers: dict, required=()) -> dict:
+    """The values of the JSON object `obj`, read in the order of `readers`,
+    which maps each key it may carry to `reader(value, key)`.  Unknown keys
+    are refused first, in one ValueError, so a misspelled key is named, not
+    reported missing; a missing key of `required` raises KeyError."""
+    if not isinstance(obj, dict):
+        need = " and ".join(map(repr, required))
+        raise ValueError("must be an object" + (f" with {need}" if need else ""))
+    unknown = [key for key in obj if key not in readers]
     if unknown:
         raise ValueError("unknown key " + ", ".join(map(repr, unknown)))
+    return {key: reader(obj[key], key) for key, reader in readers.items()
+            if key in obj or key in required}
 
 
 def legendre(a: int, p: int) -> int:

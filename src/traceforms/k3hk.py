@@ -10,15 +10,16 @@ input is only which ambient form to use and how to count moduli.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .exact import Record, SquareClass
+from .exact import (
+    Record, SchemaError, SquareClass, json_int, json_object, json_str,
+)
 from .numfields import (
     Cyclotomic,
     RealQuadratic,
     desc_from_json,
     field_invariants,
-    json_int,
     lambda_plus_quadratic,
 )
 from .qforms import (
@@ -331,67 +332,55 @@ def _attach_shortcut_warning(verdict: TransferVerdict, E: RealQuadratic,
 # elliptic fibrations
 
 
-#: the cases of `elliptic_fibration_verdict`, each with the keys it reads
-#: besides "case"
-ELLIPTIC_KEYS = {"small-degree": ("degree",), "degree-20": ("field",),
-                 "degree-4": ("field", "rho"), "picard-form": ("form",)}
+def _part(reader, value, key: str):
+    """`reader(value)` for a value of a context, its error named by the key."""
+    try:
+        return reader(value)
+    except (KeyError, TypeError, ValueError) as err:
+        raise SchemaError(f"context {key}: {err}") from err
+
+
+#: each case of an elliptic context, with the readers of the keys it needs
+ELLIPTIC_KEYS = {
+    "small-degree": {"degree": json_int},
+    "degree-20": {"field": partial(_part, desc_from_json)},
+    "degree-4": {"field": partial(_part, desc_from_json), "rho": json_int},
+    "picard-form": {"form": partial(_part, form_from_json)},
+}
 ELLIPTIC_CASES = tuple(ELLIPTIC_KEYS)
 
 
-def elliptic_fibration_verdict(context: dict) -> dict:
-    """Elliptic-fibration existence for the decided cases.
+def elliptic_context(context) -> dict:
+    """`context` read by the keys of its case, its field a descriptor and its
+    form a QuadraticForm; idempotent.  A bad field or form is a SchemaError."""
+    if not isinstance(context, dict):
+        raise ValueError("must be an object with 'case'")
+    case = context.get("case")
+    if case not in ELLIPTIC_CASES:
+        raise ValueError(f"case must be one of {', '.join(ELLIPTIC_CASES)}; "
+                         f"got {case!r}")
+    readers = ELLIPTIC_KEYS[case]
+    return json_object(context, {"case": json_str, **readers}, readers)
 
-    Cases: {"case": "small-degree", "degree": 2|10} (rank-2 algebraic part,
-    CM of degree 2 or 10); {"case": "degree-20", "field": desc};
-    {"case": "degree-4", "field": desc, "rho": int}; {"case": "picard-form",
-    "form": form json}.  A small-degree context of another degree is
-    undetermined.  A context that is not an object with one of these cases,
-    a field that is not CM of the case's degree and a Picard form that is
-    not of rank 2 raise ValueError; a missing key raises KeyError.
-    """
-    if not isinstance(context, dict) or "case" not in context:
-        raise ValueError("context must be an object with 'case'")
+
+def elliptic_fibration_verdict(context: dict) -> dict:
+    """Elliptic-fibration existence for the cases of `ELLIPTIC_KEYS`, read
+    by `elliptic_context`.  Small-degree (rank-2 algebraic part, CM of that
+    degree) decides degree 2 and 10 only.  A field that is not CM of the
+    case's degree or a Picard form not of rank 2 raises ValueError."""
+    context = elliptic_context(context)
     case = context["case"]
     if case == "small-degree":
-        deg = json_int(context["degree"], "degree")
+        deg = context["degree"]
         if deg in (2, 10):
             return {"verdict": "yes",
                     "reason": "rank-2 algebraic part is rationally hyperbolic "
                               "(field discriminant power is a square)"}
         return {"verdict": "undetermined",
                 "reason": f"no decided criterion for degree {deg} here"}
-    if case == "degree-20":
-        E = _field_from_context(context)
-        finv = field_invariants(E)
-        if not finv.is_cm or finv.degree != 20:
-            raise ValueError("degree-20 case needs a CM field of degree 20")
-        if finv.disc_class == SquareClass(1):
-            return {"verdict": "yes", "reason": "square discriminant"}
-        return {"verdict": "no",
-                "reason": f"discriminant class {finv.disc_class.n} is not a "
-                          "square, so the rank-2 algebraic part cannot "
-                          "represent zero"}
-    if case == "degree-4":
-        E = _field_from_context(context)
-        finv = field_invariants(E)
-        if not finv.is_cm or finv.degree != 4:
-            raise ValueError("degree-4 case needs a CM field of degree 4")
-        rho = json_int(context["rho"], "rho")
-        if rho >= 6:
-            return {"verdict": "yes",
-                    "reason": "indefinite algebraic part of rank >= 6 "
-                              "represents zero"}
-        if finv.disc_class == SquareClass(1):
-            return {"verdict": "yes", "reason": "square discriminant"}
-        return {"verdict": "no",
-                "reason": f"rank {rho} < 6 and discriminant class "
-                          f"{finv.disc_class.n} is not a square"}
     if case == "picard-form":
         f = context["form"]
-        if not isinstance(f, QuadraticForm):
-            f = form_from_json(f)
-        fi = invariants(f)
-        if fi.dim != 2:
+        if invariants(f).dim != 2:
             raise ValueError("picard-form case expects a rank-2 form")
         iso = represents_zero(f)
         if iso.isotropic:
@@ -403,14 +392,24 @@ def elliptic_fibration_verdict(context: dict) -> dict:
         return {"verdict": "no",
                 "reason": "algebraic part does not represent zero",
                 "obstruction_place": place_str(iso.obstruction)}
-    raise ValueError(f"unknown elliptic context {case!r}")
-
-
-def _field_from_context(context):
-    E = context["field"]
-    if isinstance(E, dict):
-        return desc_from_json(E)
-    return E
+    finv = field_invariants(context["field"])
+    degree = 20 if case == "degree-20" else 4
+    if not finv.is_cm or finv.degree != degree:
+        raise ValueError(f"{case} case needs a CM field of degree {degree}")
+    if degree == 4 and context["rho"] >= 6:
+        return {"verdict": "yes",
+                "reason": "indefinite algebraic part of rank >= 6 "
+                          "represents zero"}
+    if finv.disc_class == SquareClass(1):
+        return {"verdict": "yes", "reason": "square discriminant"}
+    if degree == 20:
+        return {"verdict": "no",
+                "reason": f"discriminant class {finv.disc_class.n} is not a "
+                          "square, so the rank-2 algebraic part cannot "
+                          "represent zero"}
+    return {"verdict": "no",
+            "reason": f"rank {context['rho']} < 6 and discriminant class "
+                      f"{finv.disc_class.n} is not a square"}
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,11 @@ from .exact import (
     is_prime,
     is_square_at,
     json_array,
-    json_keys,
+    json_int,
+    json_minpoly,
+    json_object,
     norm_via_resultant,
     poly_gcd,
-    rational_from,
     rational_str,
     signs_at_real_roots,
     squarefree_class,
@@ -381,66 +382,46 @@ def desc_to_json(E) -> dict:
     raise DescriptorError(f"unknown descriptor {E!r}")
 
 
-def json_int(value, what: str) -> int:
-    """`value` as an integer: a JSON integer, or a string of one, as large
-    numbers are written.  A float, a bool or any other string raises
-    TypeError instead of being truncated or read as a number."""
-    if type(value) is int:
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise TypeError(f"{what} must be an integer, got {value!r}")
+def _se_table(pairs, what: str) -> tuple:
+    """A split-set table: a JSON array of [prime, boolean] pairs."""
+    table = []
+    for pair in pairs:
+        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+                or type(pair[1]) is not bool):
+            raise TypeError(
+                f"se entries are [prime, boolean] pairs, got {pair!r}")
+        table.append((json_int(pair[0], "se prime"), pair[1]))
+    json_array(pairs, what)     # a string or an object iterates too
+    return tuple(table)
 
 
-def json_minpoly(coeffs) -> tuple:
-    """The coefficients of a JSON `minpoly` array as rationals, the
-    integral ones as ints: they compare and hash as the equal Fractions
-    do, but in C, so a descriptor read again finds its memo entries
-    without a Python-level comparison."""
-    return tuple(c.numerator if c.denominator == 1 else c
-                 for c in map(rational_from, json_array(coeffs, "minpoly")))
-
-
-def _se_pair(pair) -> tuple:
-    """One entry of a split-set table: an integer prime and a boolean."""
-    if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-            or type(pair[1]) is not bool):
-        raise TypeError(f"se entries are [prime, boolean] pairs, got {pair!r}")
-    return json_int(pair[0], "se prime"), pair[1]
-
-
-#: the keys besides "kind" of each descriptor kind; any other key is
-#: refused, so that a misspelled one is not dropped without a word
-_DESCRIPTOR_KEYS = {"real_quadratic": ("d",), "imag_quadratic": ("D",),
-                    "cyclotomic": ("n",), "general_tr": ("minpoly", "disc"),
-                    "general_cm": ("minpoly", "disc", "se")}
+#: each descriptor kind: its class, whose constructor takes the values read
+#: in order, the reader of each key besides "kind", and the keys it needs
+_DESCRIPTORS = {
+    "real_quadratic": (RealQuadratic, {"d": json_int}, ("d",)),
+    "imag_quadratic": (ImagQuadratic, {"D": json_int}, ("D",)),
+    "cyclotomic": (Cyclotomic, {"n": json_int}, ("n",)),
+    "general_tr": (GeneralTotallyReal, {"minpoly": json_minpoly,
+                                        "disc": json_int}, ("minpoly",)),
+    "general_cm": (GeneralCM, {"minpoly": json_minpoly, "disc": json_int,
+                               "se": _se_table}, ("minpoly", "disc")),
+}
 
 
 def desc_from_json(obj) -> object:
+    """The descriptor of a JSON field descriptor; a descriptor already read
+    is returned as it is."""
+    if isinstance(obj, NumberFieldDesc):
+        return obj
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DescriptorError("field descriptor must be an object with 'kind'")
-    kind = obj["kind"]
-    keys = _DESCRIPTOR_KEYS.get(kind) if isinstance(kind, str) else None
-    if keys is None:
+    obj = dict(obj)
+    kind = obj.pop("kind")
+    shape = _DESCRIPTORS.get(kind) if isinstance(kind, str) else None
+    if shape is None:
         raise DescriptorError(f"unknown field kind {kind!r}")
+    cls, readers, required = shape
     try:
-        json_keys(obj, ("kind", *keys))
-        if kind == "real_quadratic":
-            return RealQuadratic(json_int(obj["d"], "d"))
-        if kind == "imag_quadratic":
-            return ImagQuadratic(json_int(obj["D"], "D"))
-        if kind == "cyclotomic":
-            return Cyclotomic(json_int(obj["n"], "n"))
-        if kind == "general_tr":
-            return GeneralTotallyReal(
-                json_minpoly(obj["minpoly"]),
-                json_int(obj["disc"], "disc") if "disc" in obj else None)
-        return GeneralCM(
-            json_minpoly(obj["minpoly"]),
-            json_int(obj["disc"], "disc"),
-            tuple(_se_pair(pair) for pair in obj.get("se", ())))
+        return cls(*json_object(obj, readers, required).values())
     except (KeyError, TypeError, ValueError) as err:
         raise DescriptorError(f"malformed {kind} descriptor: {err}") from err

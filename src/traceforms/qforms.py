@@ -30,7 +30,7 @@ from .exact import (
     is_prime,
     is_square_at,
     json_array,
-    json_keys,
+    json_object,
     local_characters,
     primes_below,
     rational_from,
@@ -986,17 +986,26 @@ def form_to_json(f: QuadraticForm) -> dict:
     return {"diagonal": list(text)}
 
 
+def _rationals(values, what: str) -> list:
+    return [rational_from(x) for x in json_array(values, what)]
+
+
+#: the keys of a JSON form, of which it carries exactly one, and their readers
+_FORM_KEYS = {"diagonal": _rationals,
+              "gram": lambda rows, what: [_rationals(row, "gram row")
+                                          for row in json_array(rows, what)]}
+
+
 def form_from_json(obj) -> QuadraticForm:
-    if not isinstance(obj, dict):
-        raise ValueError("form must be an object")
-    json_keys(obj, ("diagonal", "gram"))
-    if "diagonal" in obj:
-        return QuadraticForm.make(
-            [rational_from(e) for e in json_array(obj["diagonal"], "diagonal")])
-    if "gram" in obj:
-        return diagonalize([[rational_from(x) for x in json_array(row, "gram row")]
-                            for row in json_array(obj["gram"], "gram")])
-    raise ValueError("form needs a 'diagonal' or 'gram' key")
+    """The form of a JSON form; a form already read is returned as it is."""
+    if isinstance(obj, QuadraticForm):
+        return obj
+    form = json_object(obj, _FORM_KEYS)
+    if len(form) != 1:
+        raise ValueError("form needs exactly one of 'diagonal' and 'gram'")
+    if "diagonal" in form:
+        return QuadraticForm.make(form["diagonal"])
+    return diagonalize(form["gram"])
 
 
 def invariants_to_json(fi: FormInvariants) -> dict:
