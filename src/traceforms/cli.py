@@ -245,21 +245,14 @@ def parse_families(raw: str):
 # tabulate
 
 
-def _hk_reports(*args):
-    """`k3hk.hk_reports`.  The first call imports it and rebinds this name
-    to it, so a grid pass imports once and a form query never loads k3hk."""
-    global _hk_reports
-    from .k3hk import hk_reports as _hk_reports
-    return _hk_reports(*args)
-
-
 def tabulate_rows(mode: str, families, fields, md_bound: int):
+    from .k3hk import hk_reports
     rows = []
     min_m = 3 if mode == "rm" else 1
     for label, fam, n in sorted(families, key=lambda t: t[0]):
         for field_label, desc, degree in fields:
             ms = range(min_m, md_bound // degree + 1)
-            for m, rep in zip(ms, _hk_reports(fam, n, desc, mode, ms)):
+            for m, rep in zip(ms, hk_reports(fam, n, desc, mode, ms)):
                 v = rep.verdict
                 feasible = v.status == "feasible"
                 rows.append({

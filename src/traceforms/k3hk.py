@@ -20,7 +20,6 @@ from .numfields import (
     RealQuadratic,
     desc_from_json,
     field_invariants,
-    lambda_plus_quadratic,
 )
 from .qforms import (
     QuadraticForm,
@@ -295,7 +294,7 @@ def picard_compatible(L: QuadraticForm, E, m: int, mode: str,
         validate_invariants(ci)
         verdict = rm_transfer_feasible(E, ci, witness=witness)
         if d % 2 == 0 and isinstance(E, RealQuadratic):
-            verdict = _attach_shortcut_warning(verdict, E, li)
+            verdict = _attach_shortcut_warning(verdict)
         return verdict
 
     want = finv.disc_class if m % 2 else SquareClass(1)
@@ -310,21 +309,16 @@ def picard_compatible(L: QuadraticForm, E, m: int, mode: str,
         lambda p: f"Picard form is not hyperbolic over Q_{p}")
 
 
-def _attach_shortcut_warning(verdict: TransferVerdict, E: RealQuadratic,
-                             li) -> TransferVerdict:
-    disc = field_invariants(E).disc_class
-    stated = lambda_plus_quadratic(disc, li.det * disc)
-    derived = verdict.status == "feasible"
-    if stated == derived:
+def _attach_shortcut_warning(verdict: TransferVerdict) -> TransferVerdict:
+    # L has even rank and signature (1, odd), so det(L) * disc < 0 and the
+    # published phrasing is always False: only a feasible verdict disagrees
+    if verdict.status != "feasible":
         return verdict
-    warning = ("published even-degree phrasing (det(L) * disc in the totally "
-               "positive norm classes) evaluates to "
-               f"{stated}; the derived complement route decides {derived} "
-               "and is authoritative")
-    # L has even rank and signature (1, odd), so det(L) * disc < 0 and
-    # `stated` is False: only a feasible verdict gets here
     cert = dict(verdict.certificate)
-    cert.setdefault("warnings", []).append(warning)
+    cert.setdefault("warnings", []).append(
+        "published even-degree phrasing (det(L) * disc in the totally "
+        "positive norm classes) evaluates to False; the derived complement "
+        "route decides True and is authoritative")
     return TransferVerdict(verdict.status, cert, verdict.obstruction)
 
 

@@ -30,6 +30,7 @@ from .exact import (
     is_prime,
     is_square_at,
     json_array,
+    json_int,
     json_object,
     local_characters,
     primes_below,
@@ -967,7 +968,7 @@ def place_str(v) -> str:
 def place_from_json(v):
     if v == "inf":
         return INF
-    if isinstance(v, int):
+    if type(v) is int and is_prime(v):
         return v
     raise ValueError(f"not a place: {v!r}")
 
@@ -1019,10 +1020,21 @@ def invariants_to_json(fi: FormInvariants) -> dict:
             "hasse": list(text[1])}
 
 
+def _signature(pair, what: str) -> tuple:
+    if len(json_array(pair, what)) != 2:
+        raise ValueError(f"{what} must have two entries")
+    return (json_int(pair[0], what), json_int(pair[1], what))
+
+
+#: the keys of JSON invariants, all of them required, and their readers
+_INVARIANT_KEYS = {
+    "dim": json_int,
+    "det": lambda value, what: squarefree_class(rational_from(value)),
+    "signature": _signature,
+    "hasse": lambda places, what: frozenset(
+        map(place_from_json, json_array(places, what))),
+}
+
+
 def invariants_from_json(obj) -> FormInvariants:
-    return FormInvariants(
-        dim=int(obj["dim"]),
-        det=squarefree_class(rational_from(obj["det"])),
-        signature=(int(obj["signature"][0]), int(obj["signature"][1])),
-        hasse=frozenset(place_from_json(v) for v in obj["hasse"]),
-    )
+    return FormInvariants(**json_object(obj, _INVARIANT_KEYS, _INVARIANT_KEYS))

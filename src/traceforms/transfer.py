@@ -31,7 +31,6 @@ from .numfields import (
     GeneralTotallyReal,
     ImagQuadratic,
     RealQuadratic,
-    _check_squarefree,
     desc_from_values,
     field_invariants,
     in_SE,
@@ -47,7 +46,6 @@ from .qforms import (
     hyperbolic_bit,
     hyperbolic_invariants,
     invariants,
-    is_isomorphic,
     validate_invariants,
     _locally_hyperbolic_inv,
     form_to_json,
@@ -695,120 +693,3 @@ def condition_C_profile(E, entries) -> SignatureProfile:
     ok = (m >= 3 and sum(1 for p in per if p[0] == 2) == 1
           and sum(1 for p in per if p[0] == 0) == len(per) - 1)
     return SignatureProfile(tuple(per), m, ok)
-
-
-# ---------------------------------------------------------------------------
-# witness search over real quadratic fields
-
-
-class WitnessResult(Record):
-    """`status` is found or not_found; `entries` are QuadFieldElements."""
-
-    __slots__ = _fields = ("status", "entries", "obstruction")
-    _defaults = (None, None)
-
-
-def construct_witness_quadratic(U: QuadraticForm, d: int, height: int = 4,
-                                node_budget: int = 60_000) -> WitnessResult:
-    """Search for a diagonal form W over Q(sqrt(d)) whose transfer is
-    isomorphic to U, trying entries a + b sqrt(d) of bounded height.
-
-    The determinant norm test runs first, so impossible inputs fail with the
-    obstructing place instead of burning the budget.  A found witness is
-    re-verified through the actual transfer before being returned.
-    """
-    if d < 2:
-        raise ValueError("need a real quadratic field")
-    ui = invariants(U)
-    if ui.dim % 2:
-        return WitnessResult("not_found", obstruction={
-            "condition": "(i)", "detail": "odd dimension"})
-    m = ui.dim // 2
-    disc = SquareClass(d, _check_squarefree(d, "d"))
-    target_norm = ui.det * disc if m % 2 else ui.det
-    place = norm_obstruction(disc, target_norm, False)
-    if place is not None:
-        return WitnessResult("not_found", obstruction={
-            "condition": "determinant-norm", "place": place})
-
-    # candidate entries, deduplicated by the invariants of their blocks
-    pool = []
-    seen = set()
-    for a in range(-height, height + 1):
-        for b in range(-height, height + 1):
-            if a == 0 and b == 0:
-                continue
-            e = QuadFieldElement.make(a, b)
-            blk = _block_data(e, d)
-            if blk.key in seen:
-                continue
-            seen.add(blk.key)
-            pool.append(blk)
-    pool.sort(key=lambda blk: blk.key)
-
-    budget = [node_budget]
-    found = _dfs_blocks(pool, 0, [], m, ui, budget)
-    if found is None:
-        # a bounded search refutes nothing: its outcome is a reason, and
-        # `condition` stays the key of a proven obstruction
-        reason = "budget-exhausted" if budget[0] <= 0 else "search-exhausted"
-        return WitnessResult("not_found", obstruction={"reason": reason})
-    entries = tuple(blk.entry for blk in found)
-    if not is_isomorphic(transfer_quadratic(d, entries), U):
-        raise RuntimeError("witness failed re-verification (bug)")
-    return WitnessResult("found", entries=entries)
-
-
-class _Block(Record):
-    __slots__ = _fields = ("entry", "inv", "key")
-
-
-def _block_data(e: QuadFieldElement, d: int) -> _Block:
-    f = transfer_quadratic(d, [e])
-    iv = invariants(f)
-    key = (iv.det.n, iv.signature, tuple(sorted(
-        (p if p != INF else -1) for p in iv.hasse)))
-    return _Block(e, iv, key)
-
-
-def _dfs_blocks(pool, start, acc, m, target, budget):
-    if budget[0] <= 0:
-        return None
-    budget[0] -= 1
-    if len(acc) == m:
-        agg = _aggregate(acc)
-        if agg == (target.det, target.signature, target.hasse):
-            return list(acc)
-        return None
-    need = m - len(acc)
-    r_have = sum(b.inv.signature[0] for b in acc)
-    s_have = sum(b.inv.signature[1] for b in acc)
-    for i in range(start, len(pool)):
-        blk = pool[i]
-        r2 = r_have + blk.inv.signature[0]
-        s2 = s_have + blk.inv.signature[1]
-        if r2 > target.signature[0] or s2 > target.signature[1]:
-            continue
-        # the blocks still to pick contribute at most 2 per slot
-        if r2 + 2 * (need - 1) < target.signature[0]:
-            continue
-        if s2 + 2 * (need - 1) < target.signature[1]:
-            continue
-        acc.append(blk)
-        out = _dfs_blocks(pool, i, acc, m, target, budget)
-        acc.pop()
-        if out is not None:
-            return out
-    return None
-
-
-def _aggregate(blocks):
-    det = SquareClass(1)
-    hasse = frozenset()
-    for b in blocks:
-        hasse = hasse ^ b.inv.hasse ^ support_at(
-            det.n, b.inv.det.n, det.primes() + b.inv.det.primes())
-        det = det * b.inv.det
-    sig = (sum(b.inv.signature[0] for b in blocks),
-           sum(b.inv.signature[1] for b in blocks))
-    return det, sig, hasse

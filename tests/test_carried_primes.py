@@ -31,7 +31,7 @@ from traceforms.qforms import (
     split_complement,
 )
 from traceforms.transfer import (
-    WitnessResult, construct_witness_quadratic, rm_transfer_feasible,
+    rm_transfer_feasible,
     validate_cm_rank2_complement,
 )
 
@@ -197,20 +197,6 @@ def test_norm_test_reads_carried_primes(monkeypatch):
                              QuadraticForm.make([1, 1, -1, -1, -1, -7000021]))
     assert v.status == "infeasible"
     assert calls == [3, 1, 1, 1, 1, 1, 7000021]
-
-
-def test_witness_construction_factors_d_once(monkeypatch):
-    # the entries of U and then d, checked squarefree; the norm test and the
-    # obstruction place read the primes of d and of the target class, which
-    # they once factored again as 7, 7, 7
-    construct_witness_quadratic(QuadraticForm.make([1, 1, -1, -5]), 7)
-    invariants.cache_clear()
-    calls = _factorize_calls(monkeypatch)
-    monkeypatch.setattr(numfields, "factorize", exact.factorize)
-    res = construct_witness_quadratic(QuadraticForm.make([1, 1, -1, -7]), 7)
-    assert res == WitnessResult("not_found", obstruction={
-        "condition": "determinant-norm", "place": 7})
-    assert calls == [1, 1, 1, 7, 7]
 
 
 def test_direct_sum_carries_the_classes_of_its_summands(monkeypatch):

@@ -37,7 +37,7 @@ GENERATED = [cls for cls in CLASSES if cls.__name__ not in OWN_INIT]
 
 
 def test_every_record_class_is_found():
-    assert len(CLASSES) == 22
+    assert len(CLASSES) == 20
     assert {cls.__name__ for cls in CLASSES} >= OWN_INIT
 
 

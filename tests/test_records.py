@@ -42,14 +42,11 @@ from traceforms.transfer import (
     QuadFieldElement,
     SignatureProfile,
     TransferVerdict,
-    WitnessResult,
-    _Block,
 )
 
 F = Fraction
 FORM = QuadraticForm((F(1), F(-1)))
 INV = FormInvariants(2, SquareClass(-1), (1, 1), frozenset())
-ELT = QuadFieldElement(F(1), F(1, 2))
 INV_REPR = ("FormInvariants(dim=2, det=SquareClass(-1), signature=(1, 1), "
             "hasse=frozenset())")
 ELT_REPR = "QuadFieldElement(a=Fraction(1, 1), b=Fraction(1, 2))"
@@ -93,16 +90,10 @@ RECORDS = [
      ("per_embedding", "multiplicity", "condition_ok"),
      "SignatureProfile(per_embedding=((2, 0), (0, 2)), multiplicity=2, "
      "condition_ok=True)"),
-    (lambda: WitnessResult("found", (ELT,)),
-     ("status", "entries", "obstruction"),
-     f"WitnessResult(status='found', entries=({ELT_REPR},), "
-     f"obstruction=None)"),
     (lambda: TransferVerdict("infeasible", None, {"condition": "disc"}),
      ("status", "certificate", "obstruction"),
      "TransferVerdict(status='infeasible', certificate=None, "
      "obstruction={'condition': 'disc'})"),
-    (lambda: _Block(ELT, INV, (-1, (1, 1), ())), ("entry", "inv", "key"),
-     f"_Block(entry={ELT_REPR}, inv={INV_REPR}, key=(-1, (1, 1), ()))"),
     (lambda: AmbientSpace("og6", None, 8, FORM, "H^3+<-2,-2>"),
      ("family", "n", "b2", "rational_form", "integral_label"),
      "AmbientSpace(family='og6', n=None, b2=8, rational_form=<1, -1>, "
@@ -136,7 +127,7 @@ def _values(x, fields):
 
 def test_every_record_class_is_covered():
     classes = {type(build()) for build, _, _ in RECORDS}
-    assert len(classes) == 22
+    assert len(classes) == 20
     assert not any(hasattr(c, "__dataclass_fields__") for c in classes)
 
 
@@ -254,9 +245,6 @@ def test_construction_by_keyword():
     assert WittClassQ(dim_parity=0, disc=SquareClass(1), signature=0,
                       local=frozenset(), torsion=True, kernel=None) == \
         WittClassQ(0, SquareClass(1), 0, frozenset(), True, None)
-    assert WitnessResult("not_found", obstruction={"condition": "x"}) == \
-        WitnessResult("not_found", None, {"condition": "x"})
-    assert WitnessResult("found", entries=(ELT,)).entries == (ELT,)
     assert SquareClass(n=3, known_primes=frozenset({3})) == SquareClass(3)
     assert QuadraticForm(diagonal=(F(1),), known_classes=None) == \
         QuadraticForm((F(1),))
@@ -281,22 +269,17 @@ W = (0, SquareClass(1), 0, frozenset(), True)
 @pytest.mark.parametrize("build, message", [
     (lambda: Poly(), MISSING),
     (lambda: WittClassQ(*W), MISSING),
-    (lambda: WitnessResult(), MISSING),
-    (lambda: WitnessResult(entries=()), MISSING),
     (lambda: SplitResult(True, FORM), MISSING),
     (lambda: Poly((), ()), SURPLUS),
     (lambda: WittClassQ(*W, None, 7), SURPLUS),
-    (lambda: WitnessResult("found", None, None, 1), SURPLUS),
     (lambda: SplitResult(True, FORM, INV, None, 1), SURPLUS),
     (lambda: _FamilyText(20, "r", False, True, "n", 1), SURPLUS),
     (lambda: Poly(coefs=()), UNKNOWN + " 'coefs'"),
     (lambda: WittClassQ(*W, kern=None), UNKNOWN + " 'kern'"),
-    (lambda: WitnessResult("found", entry=()), UNKNOWN),
     (lambda: SplitResult(True, FORM, INV, why="x"), UNKNOWN),
     (lambda: _FamilyText(cm=20), UNKNOWN + " 'cm'"),
     (lambda: Poly((), coeffs=()), REPEATED + " for argument 'coeffs'"),
     (lambda: WittClassQ(*W, None, dim_parity=0), REPEATED),
-    (lambda: WitnessResult("found", status="found"), REPEATED),
     (lambda: SplitResult(True, FORM, INV, feasible=True), REPEATED),
     (lambda: _FamilyText(20, cm_bound=20), REPEATED),
 ])

@@ -47,7 +47,6 @@ from traceforms.qforms import (
 )
 from traceforms.transfer import (
     TransferVerdict,
-    construct_witness_quadratic,
     rm_transfer_feasible,
     verdict_to_json,
 )
@@ -179,16 +178,6 @@ def test_infeasible_rm_norm_verdict_evaluates_one_support(monkeypatch):
                              QuadraticForm.make([1, 1, -1, -1, -1, -1]))
     assert v.status == "infeasible"
     assert v.obstruction["place"] == 3
-    assert calls[0] == 1
-
-
-def test_witness_norm_obstruction_evaluates_one_support(monkeypatch):
-    # the determinant norm -3 * 2 is no norm from Q(sqrt 2): (-6, 2) is
-    # nontrivial at 3
-    calls = _count_support_at(monkeypatch)
-    res = construct_witness_quadratic(QuadraticForm.make([1, -3]), 2)
-    assert res.status == "not_found"
-    assert res.obstruction == {"condition": "determinant-norm", "place": 3}
     assert calls[0] == 1
 
 

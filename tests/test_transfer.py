@@ -31,7 +31,7 @@ from traceforms.transfer import (
     QuadFieldElement, _complement_target, _first_complement,
     _hasse_candidates, bad_set, check_mode, cm_transfer_feasible,
     cm_twist_class,
-    condition_C_profile, construct_witness_quadratic, predicted_invariants,
+    condition_C_profile, predicted_invariants,
     rm_transfer_feasible, split_transfer_feasible,
     transfer_hermitian_imagquad, transfer_quadratic,
     validate_cm_rank2_complement,
@@ -265,26 +265,6 @@ def test_rm_input_validation():
                              QuadraticForm.make([1, 1, -1, -1, -1, -1]))
 
 
-def test_witness_search_roundtrip():
-    rng = random.Random(31337)
-    for _ in range(10):
-        d = rng.choice([2, 5])
-        m = rng.randint(1, 2)
-        entries = random_quad_entries(rng, m, span=2)
-        U = transfer_quadratic(d, entries)
-        res = construct_witness_quadratic(U, d, height=3)
-        assert res.status == "found"
-        again = transfer_quadratic(d, res.entries)
-        assert is_isomorphic(again, U)
-
-
-def test_witness_search_norm_obstruction():
-    res = construct_witness_quadratic(QuadraticForm.make([1, 1]), 3)
-    assert res.status == "not_found"
-    assert res.obstruction["condition"] == "determinant-norm"
-    assert res.obstruction["place"] == 3
-
-
 def test_profile_shapes():
     E = RealQuadratic(5)
     good = (QuadFieldElement.make(1, 1), QuadFieldElement.make(1, 1),
@@ -430,13 +410,6 @@ def test_check_mode():
         check_mode("cm", RealQuadratic(2))
     with pytest.raises(ValueError, match="needs a CM field"):
         cm_twist_class(field_invariants(RealQuadratic(2)))
-
-
-def test_witness_search_negative_norm_obstruction():
-    # -6 is not a norm from Q(sqrt 2); plain norms have no sign condition,
-    # so the obstruction is the odd prime, not the real place
-    res = construct_witness_quadratic(QuadraticForm.make([1, -3]), 2)
-    assert res.obstruction == {"condition": "determinant-norm", "place": 3}
 
 
 # ---------------------------------------------------------------------------
