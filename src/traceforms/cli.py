@@ -1,12 +1,12 @@
 """Command-line surface.
 
-One subcommand per library query; JSON in via flags, a single JSON document
-out on stdout (tables also come as csv or markdown on request).  Exit codes:
-0 ok, 2 malformed input, 3 a library precondition rejected the input,
-4 a factorization or search budget ran out.
+One subcommand per library query, its flags read by the table `COMMANDS`;
+JSON in via flags, a single JSON document out on stdout (tables also come as
+csv or markdown on request).  Exit codes: 0 ok, 2 malformed input or command
+line, 3 a library precondition rejected the input, 4 a factorization or
+search budget ran out.
 """
 
-import argparse
 import io
 import json
 import sys
@@ -60,11 +60,10 @@ def verdict_json(v) -> dict:
     return jsonable(verdict_to_json(v))
 
 
-def emit(doc, fmt="json") -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    else:
-        sys.stdout.write(doc)
+def emit(doc) -> None:
+    """`doc` on stdout: a str as it is, anything else as a JSON document."""
+    sys.stdout.write(doc if isinstance(doc, str) else
+                     json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +94,9 @@ def parse_form(raw: str, what="form") -> QuadraticForm:
     return read(what, form_from_json, parse_json_arg(raw, what))
 
 
-def parse_nonnegative(value: int, what: str) -> int:
+def parse_nonnegative(value, what: str) -> int:
+    """`value`, a JSON integer, if it is nonnegative."""
+    value = json_int(value, what)
     if value < 0:
         raise SchemaError(f"{what}: must be nonnegative, got {value}")
     return value
@@ -302,20 +303,19 @@ def render_table(rows, fmt: str) -> str:
 
 
 def cmd_form_invariants(args) -> dict:
-    f = parse_form(args.form)
-    fi = invariants(f, budget=parse_nonnegative(args.budget, "budget"))
-    return invariants_to_json(fi)
+    f = parse_form(args["form"])
+    return invariants_to_json(invariants(f, budget=args["budget"]))
 
 
 def cmd_form_isomorphic(args) -> dict:
-    a = parse_form(args.a, "a")
-    b = parse_form(args.b, "b")
+    a = parse_form(args["a"], "a")
+    b = parse_form(args["b"], "b")
     return {"isomorphic": is_isomorphic(a, b)}
 
 
 def cmd_form_split(args) -> dict:
-    v = parse_form(args.ambient, "ambient")
-    u = parse_form(args.sub, "sub")
+    v = parse_form(args["ambient"], "ambient")
+    u = parse_form(args["sub"], "sub")
     res = split_complement(v, u)
     out = {"feasible": res.feasible}
     if res.complement is not None:
@@ -329,10 +329,9 @@ def cmd_form_split(args) -> dict:
 
 
 def cmd_represents_zero(args) -> dict:
-    f = parse_form(args.form)
-    verdict = represents_zero(
-        f, height=parse_nonnegative(args.height, "height"),
-        budget=parse_nonnegative(args.budget, "budget"))
+    f = parse_form(args["form"])
+    verdict = represents_zero(f, height=args["height"],
+                              budget=args["budget"])
     out = {"isotropic": verdict.isotropic}
     if verdict.witness is not None:
         out["witness"] = [rational_str(x) for x in verdict.witness]
@@ -344,8 +343,8 @@ def cmd_represents_zero(args) -> dict:
 def cmd_transfer_compute(args) -> dict:
     from .numfields import RealQuadratic, field_invariants
     from .transfer import transfer_hermitian_imagquad, transfer_quadratic
-    E = parse_field(args.field)
-    entries = parse_entries(E, args.entries)
+    E = parse_field(args["field"])
+    entries = parse_entries(E, args["entries"])
     field_invariants(E)     # validates the descriptor, as every query does
     if isinstance(E, RealQuadratic):
         t = transfer_quadratic(E.d, entries)
@@ -357,10 +356,10 @@ def cmd_transfer_compute(args) -> dict:
 
 def cmd_transfer_feasible(args) -> dict:
     from .transfer import cm_transfer_feasible, rm_transfer_feasible
-    E = parse_field(args.field)
-    f = parse_form(args.form)
-    witness = parse_witness(E, args.witness) if args.witness else None
-    if args.mode == "rm":
+    E = parse_field(args["field"])
+    f = parse_form(args["form"])
+    witness = parse_witness(E, args["witness"]) if args["witness"] else None
+    if args["mode"] == "rm":
         v = rm_transfer_feasible(E, f, witness=witness)
     else:
         v = cm_transfer_feasible(E, f)
@@ -369,141 +368,168 @@ def cmd_transfer_feasible(args) -> dict:
 
 def cmd_hk(args) -> dict:
     from .k3hk import ambient, hk_realizable, report_to_json
-    E = parse_field(args.field)
-    read("family", lambda n: ambient(args.family, n), args.n)
-    rep = hk_realizable(args.family, args.n, E, args.m, args.mode)
+    E = parse_field(args["field"])
+    read("family", lambda n: ambient(args["family"], n), args["n"])
+    rep = hk_realizable(args["family"], args["n"], E, args["m"],
+                        args["mode"])
     return jsonable(report_to_json(rep))
 
 
 def cmd_picard(args) -> dict:
     from .k3hk import picard_compatible
-    E = parse_field(args.field)
-    f = parse_form(args.form)
-    witness = parse_witness(E, args.witness) if args.witness else None
-    v = picard_compatible(f, E, args.m, args.mode, witness=witness)
+    E = parse_field(args["field"])
+    f = parse_form(args["form"])
+    witness = parse_witness(E, args["witness"]) if args["witness"] else None
+    v = picard_compatible(f, E, args["m"], args["mode"], witness=witness)
     return verdict_json(v)
 
 
 def cmd_elliptic(args) -> dict:
     from .k3hk import (elliptic_context, elliptic_fibration_verdict,
                        famous_examples)
-    if (args.case is None) == (args.context is None):
+    case, context = args["case"], args["context"]
+    if (case is None) == (context is None):
         raise SchemaError("elliptic: pass exactly one of --case, --context")
-    if args.case is not None:
+    if case is not None:
         reg = famous_examples()
-        if args.case not in reg:
-            raise SchemaError(f"elliptic: unknown case {args.case!r}; "
+        if case not in reg:
+            raise SchemaError(f"elliptic: unknown case {case!r}; "
                               f"known: {', '.join(sorted(reg))}")
-        ctx = reg[args.case].elliptic_context
+        ctx = reg[case].elliptic_context
         if ctx is None:
             raise ValueError(
-                f"case {args.case!r} has no elliptic-fibration question")
+                f"case {case!r} has no elliptic-fibration question")
     else:
         ctx = read("context", elliptic_context,
-                   parse_json_arg(args.context, "context"))
+                   parse_json_arg(context, "context"))
     return jsonable(elliptic_fibration_verdict(ctx))
 
 
 def cmd_tabulate(args) -> str:
-    md_bound = parse_nonnegative(args.md_bound, "md-bound")
-    cat = load_catalog(args.catalog)
-    fields = catalog_fields(cat, args.mode)
-    families = parse_families(args.families)
-    rows = tabulate_rows(args.mode, families, fields, md_bound)
-    return render_table(rows, args.format)
+    cat = load_catalog(args["catalog"])
+    fields = catalog_fields(cat, args["mode"])
+    families = parse_families(args["families"])
+    rows = tabulate_rows(args["mode"], families, fields, args["md-bound"])
+    return render_table(rows, args["format"])
 
 
 # ---------------------------------------------------------------------------
-# argument parser
+# argv
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="tf",
-        description="Quadratic-form transfer queries for K3 and hyperkahler "
-                    "multiplication problems.")
-    sub = top.add_subparsers(dest="command", required=True)
+#: the default of a flag that must be given
+REQUIRED = object()
 
-    p = sub.add_parser("form-invariants",
-                       help="classifying invariants of a rational form")
-    p.add_argument("--form", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_FACTOR_BUDGET)
-    p.set_defaults(handler=cmd_form_invariants)
 
-    p = sub.add_parser("form-isomorphic",
-                       help="rational isomorphism of two forms")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(handler=cmd_form_isomorphic)
+def choice(*names):
+    """The reader of a flag whose value is one of `names`."""
+    def reader(value, what):
+        if value not in names:
+            raise ValueError(f"{what} must be one of {', '.join(names)}, "
+                             f"got {value!r}")
+        return value
+    reader.choices = names
+    return reader
 
-    p = sub.add_parser("form-split",
-                       help="orthogonal complement of a subform")
-    p.add_argument("--ambient", required=True)
-    p.add_argument("--sub", required=True)
-    p.set_defaults(handler=cmd_form_split)
 
-    p = sub.add_parser("represents-zero",
-                       help="global isotropy with witness or obstruction")
-    p.add_argument("--form", required=True)
-    p.add_argument("--height", type=int, default=50)
-    p.add_argument("--budget", type=int, default=WITNESS_BUDGET)
-    p.set_defaults(handler=cmd_represents_zero)
+def usage(prog: str, flags: dict, text: str) -> str:
+    """`prog`'s usage line, its optional flags bracketed, then `text`."""
+    words = [prog]
+    for name, (reader, default) in flags.items():
+        flag = f"--{name} " + "|".join(getattr(reader, "choices",
+                                               [name.upper()]))
+        words.append(flag if default is REQUIRED else f"[{flag}]")
+    return f"usage: {' '.join(words)}\n\n{text}\n"
 
-    p = sub.add_parser("transfer-compute",
-                       help="explicit trace-form transfer over a quadratic "
-                            "or imaginary quadratic field")
-    p.add_argument("--field", required=True)
-    p.add_argument("--entries", required=True)
-    p.set_defaults(handler=cmd_transfer_compute)
 
-    p = sub.add_parser("transfer-feasible",
-                       help="is a rational form a transfer from the field")
-    p.add_argument("--field", required=True)
-    p.add_argument("--form", required=True)
-    p.add_argument("--mode", choices=["rm", "cm"], required=True)
-    p.add_argument("--witness", default=None)
-    p.set_defaults(handler=cmd_transfer_feasible)
+def read_flags(argv, flags: dict, prog: str, text: str):
+    """The values of `argv`, words `--flag value` or `--flag=value` read by
+    `flags`, which maps each flag's name to its (reader, default); or, given
+    -h or --help, the `usage` text.  An unknown, abbreviated, repeated or
+    value-less flag, a stray word and a missing REQUIRED flag are schema
+    errors."""
+    out, words = {}, iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            return usage(prog, flags, text)
+        name, eq, value = word[2:].partition("=")
+        if not word.startswith("--") or name not in flags:
+            raise SchemaError(f"argv: {prog} has no flag {word!r}")
+        if name in out:
+            raise SchemaError(f"argv: --{name} given twice")
+        if not eq:
+            value = next(words, None)
+            if value is None or value.startswith("--"):
+                raise SchemaError(f"argv: --{name} needs a value")
+        out[name] = read("argv", lambda v: flags[name][0](v, name), value)
+    for name, (reader, default) in flags.items():
+        if name not in out:
+            if default is REQUIRED:
+                raise SchemaError(f"argv: {prog} needs --{name}")
+            out[name] = default
+    return out
 
-    p = sub.add_parser("k3", help="K3 realizability for a field and rank")
-    p.add_argument("--field", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--mode", choices=["rm", "cm"], required=True)
-    p.set_defaults(handler=cmd_hk, family="k3", n=None)
 
-    p = sub.add_parser("hk", help="hyperkahler realizability")
-    p.add_argument("--family", required=True,
-                   choices=["kummer", "og6", "hilbk3", "og10"])
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--field", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--mode", choices=["rm", "cm"], required=True)
-    p.set_defaults(handler=cmd_hk)
+JSON_FLAG, OPTIONAL_FLAG = (json_str, REQUIRED), (json_str, None)
+MODE_FLAG = (choice("rm", "cm"), REQUIRED)
+#: the flags of a realizability query
+REALIZE_FLAGS = {"field": JSON_FLAG, "m": (json_int, REQUIRED),
+                 "mode": MODE_FLAG}
 
-    p = sub.add_parser("picard",
-                       help="compatibility of a prescribed Picard form")
-    p.add_argument("--form", required=True)
-    p.add_argument("--field", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--mode", choices=["rm", "cm"], required=True)
-    p.add_argument("--witness", default=None)
-    p.set_defaults(handler=cmd_picard)
+#: each subcommand's handler, its one-line help and its `read_flags` table
+COMMANDS = {
+    "form-invariants": (
+        cmd_form_invariants, "classifying invariants of a rational form",
+        {"form": JSON_FLAG,
+         "budget": (parse_nonnegative, DEFAULT_FACTOR_BUDGET)}),
+    "form-isomorphic": (cmd_form_isomorphic, "rational isomorphism of two "
+                        "forms", {"a": JSON_FLAG, "b": JSON_FLAG}),
+    "form-split": (cmd_form_split, "orthogonal complement of a subform",
+                   {"ambient": JSON_FLAG, "sub": JSON_FLAG}),
+    "represents-zero": (
+        cmd_represents_zero, "global isotropy with witness or obstruction",
+        {"form": JSON_FLAG, "height": (parse_nonnegative, 50),
+         "budget": (parse_nonnegative, WITNESS_BUDGET)}),
+    "transfer-compute": (cmd_transfer_compute, "explicit trace-form transfer "
+                         "over a quadratic or imaginary quadratic field",
+                         {"field": JSON_FLAG, "entries": JSON_FLAG}),
+    "transfer-feasible": (
+        cmd_transfer_feasible, "is a rational form a transfer from the field",
+        {"field": JSON_FLAG, "form": JSON_FLAG, "mode": MODE_FLAG,
+         "witness": OPTIONAL_FLAG}),
+    "k3": (lambda args: cmd_hk({**args, "family": "k3", "n": None}),
+           "K3 realizability for a field and rank", REALIZE_FLAGS),
+    "hk": (cmd_hk, "hyperkahler realizability",
+           {"family": (choice("kummer", "og6", "hilbk3", "og10"), REQUIRED),
+            "n": (json_int, None), **REALIZE_FLAGS}),
+    "picard": (cmd_picard, "compatibility of a prescribed Picard form",
+               {"form": JSON_FLAG, **REALIZE_FLAGS,
+                "witness": OPTIONAL_FLAG}),
+    "elliptic": (cmd_elliptic, "elliptic-fibration verdict for decided cases",
+                 {"case": OPTIONAL_FLAG, "context": OPTIONAL_FLAG}),
+    "tabulate": (cmd_tabulate, "realizability grids over a catalog",
+                 {"mode": MODE_FLAG, "families": (json_str, "k3"),
+                  "md-bound": (parse_nonnegative, 21),
+                  "format": (choice("json", "csv", "markdown"), "json"),
+                  "catalog": OPTIONAL_FLAG}),
+}
 
-    p = sub.add_parser("elliptic",
-                       help="elliptic-fibration verdict for decided cases")
-    p.add_argument("--case", default=None)
-    p.add_argument("--context", default=None)
-    p.set_defaults(handler=cmd_elliptic)
 
-    p = sub.add_parser("tabulate", help="realizability grids over a catalog")
-    p.add_argument("--mode", choices=["rm", "cm"], required=True)
-    p.add_argument("--families", default="k3")
-    p.add_argument("--md-bound", type=int, default=21)
-    p.add_argument("--format", choices=["json", "csv", "markdown"],
-                   default="json")
-    p.add_argument("--catalog", default=None)
-    p.set_defaults(handler=cmd_tabulate)
-
-    return top
+def read_argv(argv):
+    """The handler of a `tf` command line and its flags, or the help text
+    that `-h` or `--help` asks for in place of the flags."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        return None, usage("tf <command>", {}, "K3 and hyperkahler "
+                           "multiplication queries; `tf <command> --help` "
+                           "shows a command's flags.\n\n" + "\n".join(
+                               f"  {name:<18} {text}"
+                               for name, (_, text, _) in COMMANDS.items()))
+    if command not in COMMANDS:
+        raise SchemaError("argv: need a command, one of "
+                          f"{', '.join(COMMANDS)}; got {command!r}")
+    handler, text, flags = COMMANDS[command]
+    return handler, read_flags(argv[1:], flags, f"tf {command}", text)
 
 
 def exit_code(query, *args) -> int:
@@ -525,13 +551,13 @@ def exit_code(query, *args) -> int:
     return EXIT_OK
 
 
-def _answer(args) -> None:
-    result = args.handler(args)
-    emit(result, fmt="raw" if isinstance(result, str) else "json")
+def _answer(argv) -> None:
+    handler, args = read_argv(argv)
+    emit(args if isinstance(args, str) else handler(args))
 
 
 def main(argv=None) -> int:
-    return exit_code(_answer, build_parser().parse_args(argv))
+    return exit_code(_answer, sys.argv[1:] if argv is None else list(argv))
 
 
 if __name__ == "__main__":

@@ -334,11 +334,22 @@ def _part(reader, value, key: str):
         raise SchemaError(f"context {key}: {err}") from err
 
 
+def _degree_4_rho(value, key: str) -> int:
+    """The Picard rank 22 - 4m of a K3 surface with CM of rank m = 1, ..., 5
+    by a degree-4 field."""
+    rho = json_int(value, key)
+    if rho not in (2, 6, 10, 14, 18):
+        raise ValueError(f"{key} must be 22 - 4m for m = 1, ..., 5 "
+                         f"(2, 6, 10, 14 or 18), got {rho}")
+    return rho
+
+
 #: each case of an elliptic context, with the readers of the keys it needs
 ELLIPTIC_KEYS = {
     "small-degree": {"degree": json_int},
     "degree-20": {"field": partial(_part, desc_from_json)},
-    "degree-4": {"field": partial(_part, desc_from_json), "rho": json_int},
+    "degree-4": {"field": partial(_part, desc_from_json),
+                 "rho": _degree_4_rho},
     "picard-form": {"form": partial(_part, form_from_json)},
 }
 ELLIPTIC_CASES = tuple(ELLIPTIC_KEYS)
