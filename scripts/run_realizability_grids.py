@@ -6,9 +6,9 @@ Hilbert-scheme-type at n = 2, 3) in both multiplication modes, over the
 built-in field catalog, or the field catalog JSON file `--catalog`.  Rows
 run up to m*degree = `--md-bound`, by default 23, the top of the biggest
 ambient lattice.  Output goes to stdout.  From the command line, bad input
-(an unknown flag, a repeated family, a catalog without a section, a negative
---md-bound) prints the JSON error document of `tf tabulate` and exits with
-its code, 2; `--help` prints the flags.
+(an unknown flag, a repeated family, an empty --catalog, a catalog without
+a section, a negative --md-bound) prints the JSON error document of
+`tf tabulate` and exits with its code, 2; `--help` prints the flags.
 
     python3 scripts/run_realizability_grids.py --format markdown
     python3 scripts/run_realizability_grids.py --mode cm --format csv

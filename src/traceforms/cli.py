@@ -154,8 +154,10 @@ def default_catalog_path() -> Path:
 
 
 def load_catalog(path=None) -> dict:
-    """The catalog at `path`, the built-in one by default, read by its keys."""
-    p = Path(path) if path else default_catalog_path()
+    """The catalog at `path` (the built-in one if None), read by its keys."""
+    if path == "":
+        raise SchemaError("catalog: the path is empty")
+    p = default_catalog_path() if path is None else Path(path)
     try:
         # JSON text is UTF-8 (RFC 8259), whatever the locale
         with open(p, encoding="utf-8") as fh:

@@ -73,10 +73,25 @@ class QuadFieldElement(Record):
 class TransferVerdict(Record):
     """`status` is feasible, infeasible or needs_witness.  A feasible verdict
     has a `certificate` dict, any other an `obstruction` dict that
-    `infeasible` or `undecided` builds afresh."""
+    `infeasible` or `undecided` builds afresh.  A feasible split holds the
+    parts of its certificate instead, rendered into a new dict at the first
+    read and kept, so a grid row, which reads the route, renders none."""
 
-    __slots__ = _fields = ("status", "certificate", "obstruction")
+    __slots__ = ("status", "_certificate", "obstruction")
+    _fields = ("status", "certificate", "obstruction")
     _defaults = (None, None)
+
+    @property
+    def certificate(self) -> dict | None:
+        cert = self._certificate
+        if cert.__class__ is tuple:
+            cert = _split_certificate(*cert)
+            object.__setattr__(self, "_certificate", cert)
+        return cert
+
+    @certificate.setter
+    def certificate(self, value):
+        object.__setattr__(self, "_certificate", value)
 
     @property
     def feasible(self) -> bool:
@@ -85,9 +100,10 @@ class TransferVerdict(Record):
     @property
     def criterion(self) -> str | None:
         """A grid row's name for the verdict: a feasible one's route, else
-        the obstruction's condition or reason."""
+        the obstruction's condition or reason.  Renders no certificate."""
         if self.status == "feasible":
-            return self.certificate.get("route")
+            cert = self._certificate
+            return cert[2] if cert.__class__ is tuple else cert.get("route")
         return self.obstruction.get("condition") or self.obstruction["reason"]
 
 
@@ -532,8 +548,8 @@ def _split_rm(vi, E, finv, m, md, complement_hint):
     if d % 2 == 0:
         route = "even-degree-norm-class"
         extra["norm_class"] = rational_str(t.n)
-    return TransferVerdict("feasible", _split_certificate(
-        finv, m, route, *found, extra), None)
+    return TransferVerdict("feasible", (
+        finv, m, route, *found, form_from_invariants(found[0]), extra), None)
 
 
 @lru_cache(maxsize=4096)
@@ -580,20 +596,22 @@ def _split_cm(vi, E, finv, m, md, codim):
             return undecided("split-set-unknown", list(unknowns))
         return infeasible("(iii)", "no complement leaves the transfer side "
                                    "hyperbolic at the asserted split primes")
-    cert = _split_certificate(finv, m, "split-prime-hyperbolic-pattern",
-                              *found, {"forced_determinant": forced})
+    extra = {"forced_determinant": forced}
     if codim == 2:
-        cert["complement_count"] = ("unique-hyperbolic" if minus_one
-                                    else "infinite-family")
-    return TransferVerdict("feasible", cert, None)
+        extra["complement_count"] = ("unique-hyperbolic" if minus_one
+                                     else "infinite-family")
+    return TransferVerdict("feasible", (
+        finv, m, "split-prime-hyperbolic-pattern", *found,
+        form_from_invariants(found[0]), extra), None)
 
 
-def _split_certificate(finv, m, route, ci, ui, extra) -> dict:
-    """The certificate of a feasible split: both sides' invariants, a
-    complement diagonal, the mode's own keys, and the complement's shape
-    where it is distinguished.  Each part is rendered once, and kept on
-    the record it renders (the shape on `ci`); every call hands out new
-    dicts and lists."""
+def _split_certificate(finv, m, route, ci, ui, complement, extra) -> dict:
+    """A feasible split's certificate, rendered from its verdict's parts at
+    the first read: both sides' invariants, the diagonal of `complement`
+    (built with the verdict, which checks that it exists), the mode's own
+    keys, and the complement's shape where it is distinguished.  Each part
+    is rendered once and kept on its record (the shape on `ci`); every call
+    hands out new dicts and lists."""
     shape = ci._shape
     if shape is None:
         shape = _complement_shape(ci)
@@ -604,7 +622,7 @@ def _split_certificate(finv, m, route, ci, ui, extra) -> dict:
         "route": route,
         "transfer_invariants": invariants_to_json(ui),
         "complement_invariants": invariants_to_json(ci),
-        "complement_diagonal": form_to_json(form_from_invariants(ci))["diagonal"],
+        "complement_diagonal": form_to_json(complement)["diagonal"],
         **extra,
     }
     cert.update(shape)
