@@ -14,6 +14,7 @@ a section, a negative --md-bound) prints the JSON error document of
     python3 scripts/run_realizability_grids.py --mode cm --format csv
 """
 
+import gc
 import sys
 
 from traceforms.cli import (
@@ -51,5 +52,12 @@ def main(argv=None):
     return 0
 
 
+def run() -> int:
+    """Process entry, as `tf`'s `run`: freeze what start-up made, which lives
+    until exit, then answer `main`, which itself never freezes."""
+    gc.freeze()
+    return exit_code(main)
+
+
 if __name__ == "__main__":
-    sys.exit(exit_code(main))
+    sys.exit(run())

@@ -7,6 +7,7 @@ line, 3 a library precondition rejected the input, 4 a factorization or
 search budget ran out.
 """
 
+import gc
 import io
 import json
 import sys
@@ -562,5 +563,13 @@ def main(argv=None) -> int:
     return exit_code(_answer, sys.argv[1:] if argv is None else list(argv))
 
 
+def run() -> int:
+    """Process entry (`tf`, `python -m traceforms.cli`): freeze what start-up
+    made, which lives until exit, so no collection walks it and shutdown does
+    not tear it down, then answer `main`.  `main` itself never freezes."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

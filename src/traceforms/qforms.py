@@ -87,7 +87,10 @@ class QuadraticForm(Record):
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(self.diagonal)
+            # hash(Fraction(n)) == hash(n): an integral entry hashes as its
+            # numerator, without a call of Fraction's Python __hash__
+            h = hash(tuple(e.numerator if e.denominator == 1 else e
+                           for e in self.diagonal))
             object.__setattr__(self, "_hash", h)
         return h
 
