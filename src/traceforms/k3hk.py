@@ -109,14 +109,6 @@ def ambient(family: str, n: int | None = None) -> AmbientSpace:
     raise ValueError(f"unknown family {family!r}")
 
 
-def ambient_to_json(a: AmbientSpace) -> dict:
-    out = {"family": a.family, "b2": a.b2, "integral_label": a.integral_label,
-           "rational_diagonal": [rational_str(c) for c in a.rational_form.diagonal]}
-    if a.n is not None:
-        out["n"] = a.n
-    return out
-
-
 # ---------------------------------------------------------------------------
 # realizability reports
 
@@ -334,22 +326,29 @@ def _part(reader, value, key: str):
         raise SchemaError(f"context {key}: {err}") from err
 
 
-def _degree_4_rho(value, key: str) -> int:
-    """The Picard rank 22 - 4m of a K3 surface with CM of rank m = 1, ..., 5
-    by a degree-4 field."""
-    rho = json_int(value, key)
-    if rho not in (2, 6, 10, 14, 18):
-        raise ValueError(f"{key} must be 22 - 4m for m = 1, ..., 5 "
-                         f"(2, 6, 10, 14 or 18), got {rho}")
-    return rho
+def _one_of(values: tuple, rule: str):
+    """A reader of a context integer that only `values` can be, by `rule`:
+    any other integer is refused, and the error names them."""
+    named = ", ".join(map(str, values[:-1])) + f" or {values[-1]}"
+
+    def read(value, key: str) -> int:
+        n = json_int(value, key)
+        if n not in values:
+            raise ValueError(f"{key} must be {rule} ({named}), got {n}")
+        return n
+    return read
 
 
-#: each case of an elliptic context, with the readers of the keys it needs
+#: each case of an elliptic context, with the readers of the keys it needs:
+#: a rank-2 algebraic part leaves md = 20 to a CM field, of even degree, and
+#: CM of rank m by a degree-4 field leaves the Picard rank 22 - 4m
 ELLIPTIC_KEYS = {
-    "small-degree": {"degree": json_int},
+    "small-degree": {"degree": _one_of((2, 4, 10, 20),
+                                       "an even divisor of 20")},
     "degree-20": {"field": partial(_part, desc_from_json)},
     "degree-4": {"field": partial(_part, desc_from_json),
-                 "rho": _degree_4_rho},
+                 "rho": _one_of((2, 6, 10, 14, 18),
+                                "22 - 4m for m = 1, ..., 5")},
     "picard-form": {"form": partial(_part, form_from_json)},
 }
 ELLIPTIC_CASES = tuple(ELLIPTIC_KEYS)
@@ -371,8 +370,9 @@ def elliptic_context(context) -> dict:
 def elliptic_fibration_verdict(context: dict) -> dict:
     """Elliptic-fibration existence for the cases of `ELLIPTIC_KEYS`, read
     by `elliptic_context`.  Small-degree (rank-2 algebraic part, CM of that
-    degree) decides degree 2 and 10 only.  A field that is not CM of the
-    case's degree or a Picard form not of rank 2 raises ValueError."""
+    degree) reads degree 2, 4, 10 or 20 and decides 2 and 10 only.  A field
+    that is not CM of the case's degree or a Picard form not of rank 2
+    raises ValueError."""
     context = elliptic_context(context)
     case = context["case"]
     if case == "small-degree":

@@ -27,7 +27,6 @@ from .exact import (
     json_object,
     norm_via_resultant,
     poly_gcd,
-    rational_str,
     signs_at_real_roots,
     squarefree_class,
     support_at,
@@ -359,27 +358,6 @@ def verify_lambda_plus_witness(E, m: int, target: SquareClass,
 
 # ---------------------------------------------------------------------------
 # JSON descriptors
-
-
-def desc_to_json(E) -> dict:
-    if isinstance(E, RealQuadratic):
-        return {"kind": "real_quadratic", "d": E.d}
-    if isinstance(E, ImagQuadratic):
-        return {"kind": "imag_quadratic", "D": E.D}
-    if isinstance(E, Cyclotomic):
-        return {"kind": "cyclotomic", "n": E.n}
-    if isinstance(E, GeneralTotallyReal):
-        out = {"kind": "general_tr",
-               "minpoly": [rational_str(c) for c in E.minpoly]}
-        if E.supplied_disc is not None:
-            out["disc"] = E.supplied_disc
-        return out
-    if isinstance(E, GeneralCM):
-        return {"kind": "general_cm",
-                "minpoly": [rational_str(c) for c in E.real_minpoly],
-                "disc": E.disc_class,
-                "se": [[p, flag] for p, flag in E.se_assertions]}
-    raise DescriptorError(f"unknown descriptor {E!r}")
 
 
 def _se_table(pairs, what: str) -> tuple:

@@ -59,13 +59,10 @@ class QuadraticForm(Record):
     code that built the form already knew it (with its primes), and None
     otherwise.  It takes no part in equality or hashing.  The hash is that of
     the diagonal, computed at its first use and kept: forms are cache keys
-    of `invariants`.  A form built by `form_from_invariants` past its peel
-    keeps, in `_core`, its counts of peeled 1 and -1 entries and the rank-3
-    form it ends with, which `form_to_json` renders from.
+    of `invariants`.
     """
 
-    __slots__ = ("diagonal", "known_classes", "_hash", "_classes", "_text",
-                 "_core")
+    __slots__ = ("diagonal", "known_classes", "_hash", "_classes")
     _fields = ("diagonal",)
 
     def __init__(self, diagonal: tuple, known_classes: tuple | None = None):
@@ -145,11 +142,9 @@ class QuadraticForm(Record):
 class FormInvariants(Record):
     """The classifying invariants of a form: dimension, determinant class,
     signature (r, s) and the places where the Hasse invariant is
-    nontrivial.  `_text` and `_shape` keep renderings (`invariants_to_json`,
-    `transfer`) out of equality and hashing."""
+    nontrivial."""
 
-    __slots__ = ("dim", "det", "signature", "hasse", "_text", "_shape")
-    _fields = __slots__[:4]
+    __slots__ = _fields = ("dim", "det", "signature", "hasse")
 
     def __init__(self, dim: int, det: SquareClass, signature: tuple[int, int],
                  hasse: frozenset):
@@ -159,8 +154,6 @@ class FormInvariants(Record):
         object.__setattr__(self, "det", det)
         object.__setattr__(self, "signature", tuple(signature))
         object.__setattr__(self, "hasse", frozenset(hasse))
-        for kept in ("_text", "_shape"):     # a read of an unset slot raises
-            object.__setattr__(self, kept, None)
 
     def hasse_bit(self, place) -> int:
         return 1 if place in self.hasse else 0
@@ -283,11 +276,6 @@ def invariants(f: QuadraticForm, budget: int = DEFAULT_FACTOR_BUDGET) -> FormInv
 def is_isomorphic(f: QuadraticForm, g: QuadraticForm) -> bool:
     """Rational equivalence, decided entirely through the invariants."""
     return invariants(f) == invariants(g)
-
-
-def is_locally_isomorphic(f: QuadraticForm, g: QuadraticForm, place) -> bool:
-    """Equivalence over the completion at one place."""
-    return _locally_isomorphic_inv(invariants(f), invariants(g), place)
 
 
 def _locally_isomorphic_inv(fi: FormInvariants, gi: FormInvariants,
@@ -426,11 +414,9 @@ def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
     core = _rank3_form(det.n, primes, (r, s), hasse)
     if n == 3:
         return core
-    form = QuadraticForm(
+    return QuadraticForm(
         (_ONE,) * plus + (_MINUS_ONE,) * minus + core.diagonal,
         (_PLUS_CLASS,) * plus + (_MINUS_CLASS,) * minus + core.known_classes)
-    object.__setattr__(form, "_core", (plus, minus, core))
-    return form
 
 
 @lru_cache(maxsize=1024)
@@ -977,17 +963,8 @@ def place_from_json(v):
 
 
 def form_to_json(f: QuadraticForm) -> dict:
-    """The diagonal as text, rendered once per form and kept on it, in a new
-    list on every call.  A constructed form takes its peeled entries' text
-    from two shared strings and the rest from its rank-3 form's."""
-    text = getattr(f, "_text", None)
-    if text is None:
-        core = getattr(f, "_core", None)
-        text = (tuple(rational_str(e) for e in f.diagonal) if core is None
-                else ("1",) * core[0] + ("-1",) * core[1]
-                + tuple(form_to_json(core[2])["diagonal"]))
-        object.__setattr__(f, "_text", text)
-    return {"diagonal": list(text)}
+    """The diagonal as text, rendered afresh on every call."""
+    return {"diagonal": [rational_str(e) for e in f.diagonal]}
 
 
 def _rationals(values, what: str) -> list:
@@ -1013,14 +990,10 @@ def form_from_json(obj) -> QuadraticForm:
 
 
 def invariants_to_json(fi: FormInvariants) -> dict:
-    """Rendered once and kept, as in `form_to_json`; new lists each call."""
-    text = fi._text
-    if text is None:
-        text = (rational_str(fi.det.n),
-                tuple([place_to_json(v) for v in sorted(fi.hasse)]))
-        object.__setattr__(fi, "_text", text)
-    return {"dim": fi.dim, "det": text[0], "signature": list(fi.signature),
-            "hasse": list(text[1])}
+    """The invariants as JSON values, rendered afresh on every call."""
+    return {"dim": fi.dim, "det": rational_str(fi.det.n),
+            "signature": list(fi.signature),
+            "hasse": [place_to_json(v) for v in sorted(fi.hasse)]}
 
 
 def _signature(pair, what: str) -> tuple:

@@ -390,22 +390,21 @@ def check_mode(mode: str, E) -> tuple[str, FieldInvariants]:
     return mode, finv
 
 
-def split_transfer_feasible(V: QuadraticForm, E, m: int, mode: str,
-                            complement_hint=None) -> TransferVerdict:
+def split_transfer_feasible(V: QuadraticForm, E, m: int,
+                            mode: str) -> TransferVerdict:
     """Can the ambient form V be written as T(W) + V' with T(W) a rank-m
     transfer from E of signature (2, md-2)?
 
     One engine serves every ambient: write down the complement Hasse data
     that the local conditions force, derive the transfer-side invariants,
     and check them against the realization conditions for the requested
-    mode.  Distinguished shapes (hyperbolic complement, forced rank-1
-    complement) are named in the certificate.
+    mode.  In rm mode the transfer side takes the determinant disc^m *
+    (-1)^md, which no field obstructs.  Distinguished shapes (hyperbolic
+    complement, forced rank-1 complement) are named in the certificate.
     """
     mode, finv = check_mode(mode, E)
     if m < 1:
         raise ValueError("rank must be positive")
-    if complement_hint is not None and mode != "rm":
-        raise ValueError("complement hints are read by the rm engine only")
     vi = invariants(V)
     d = finv.degree
     md = m * d
@@ -417,11 +416,9 @@ def split_transfer_feasible(V: QuadraticForm, E, m: int, mode: str,
         raise ValueError("ambient needs at least two positive squares")
     if vi.signature[1] < md - 2:
         return infeasible("signature", "ambient has too few negative squares")
-    if complement_hint is not None and codim != 1:
-        raise ValueError("complement hints are for rank-1 complements")
 
     if mode == "rm":
-        return _split_rm(vi, E, finv, m, md, complement_hint)
+        return _split_rm(vi, finv, m, md)
     return _split_cm(vi, E, finv, m, md, codim)
 
 
@@ -518,29 +515,16 @@ def _choose_complement(vi, ukey, md, extra_primes, want_items):
     return ci, ui
 
 
-def _split_rm(vi, E, finv, m, md, complement_hint):
+def _split_rm(vi, finv, m, md):
     if m < 3:
         return rm_rank_verdict(m)
     d = finv.degree
     disc_m = finv.disc_class if m % 2 else SquareClass(1)
-    want_sign = 1 if md % 2 == 0 else -1
-
-    # t measures det(U) against disc^m
-    if complement_hint is not None:
-        det_c_wanted = squarefree_class(Fraction(complement_hint))
-        t = vi.det * det_c_wanted * disc_m
-        if t.sign() != want_sign:
-            return infeasible("signature",
-                              "complement sign incompatible with the split")
-        if d % 2 == 0:
-            blocked = _norm_class_verdict(E, finv, t)
-            if blocked is not None:
-                return blocked
-    else:
-        # 1 is a totally positive norm, and with it a complement always
-        # exists: the rank >= 3 transfer side is constrained only by parity
-        # and the real place, which additivity settles
-        t = SquareClass(want_sign)
+    # t measures det(U) against disc^m.  Its sign is forced, and t = 1 is a
+    # totally positive norm; with t = +-1 a complement always exists: the
+    # rank >= 3 transfer side is constrained only by parity and the real
+    # place, which additivity settles
+    t = SquareClass(1 if md % 2 == 0 else -1)
     found = _first_complement(vi, disc_m * t, md)
     if found is None:
         raise RuntimeError("rm split without an admissible complement (bug)")
@@ -609,14 +593,9 @@ def _split_certificate(finv, m, route, ci, ui, complement, extra) -> dict:
     """A feasible split's certificate, rendered from its verdict's parts at
     the first read: both sides' invariants, the diagonal of `complement`
     (built with the verdict, which checks that it exists), the mode's own
-    keys, and the complement's shape where it is distinguished.  Each part
-    is rendered once and kept on its record (the shape on `ci`); every call
-    hands out new dicts and lists."""
-    shape = ci._shape
-    if shape is None:
-        shape = _complement_shape(ci)
-        object.__setattr__(ci, "_shape", shape)
-    cert = {
+    keys, and the complement's shape where it is distinguished.  Every part
+    is rendered afresh, into new dicts and lists."""
+    return {
         "m": m,
         "degree": finv.degree,
         "route": route,
@@ -624,20 +603,19 @@ def _split_certificate(finv, m, route, ci, ui, complement, extra) -> dict:
         "complement_invariants": invariants_to_json(ci),
         "complement_diagonal": form_to_json(complement)["diagonal"],
         **extra,
+        **_complement_shape(ci),
     }
-    cert.update(shape)
-    return cert
 
 
-def _complement_shape(ci) -> tuple:
+def _complement_shape(ci) -> dict:
     """The certificate items that name the complement's shape, if it is
     distinguished."""
     if ci.dim == 1:
-        return (("complement_shape", "forced-line"),
-                ("forced_complement", rational_str(ci.det.n)))
+        return {"complement_shape": "forced-line",
+                "forced_complement": rational_str(ci.det.n)}
     if ci.dim % 2 == 0 and ci == hyperbolic_invariants(ci.dim // 2):
-        return (("complement_shape", "hyperbolic"),)
-    return ()
+        return {"complement_shape": "hyperbolic"}
+    return {}
 
 
 # ---------------------------------------------------------------------------

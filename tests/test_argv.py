@@ -7,7 +7,8 @@
 - no golden query, no bare `import traceforms.cli` and no run of the grid
   script loads `argparse`, `gettext` or `locale`, counted in fresh
   interpreters;
-- an elliptic `degree-4` context takes only a Picard rank 22 - 4m.
+- an elliptic `degree-4` context takes only a Picard rank 22 - 4m, and a
+  `small-degree` one only a degree 2, 4, 10 or 20.
 """
 
 import contextlib
@@ -281,3 +282,42 @@ def test_degree_4_answers_every_rank_22_minus_4m(rho):
     code, out = _run(_degree_4(rho))
     assert code == EXIT_OK
     assert json.loads(out)["verdict"] == ("yes" if rho >= 6 else "no")
+
+
+# ---------------------------------------------------------------------------
+# the field degree of a small-degree elliptic context
+
+
+def _small_degree(degree):
+    return ["elliptic", "--context", json.dumps(
+        {"case": "small-degree", "degree": degree})]
+
+
+@pytest.mark.parametrize("degree", [-4, 0, 1, 3, 5, 6, 8, 12, 22])
+def test_small_degree_refuses_a_degree_that_does_not_divide_20(degree):
+    # a rank-2 algebraic part leaves md = 20 to a CM field, of even degree
+    code, out = _run(_small_degree(degree))
+    assert code == EXIT_SCHEMA
+    doc = json.loads(out)
+    assert doc["kind"] == "schema"
+    assert doc["error"] == ("context: degree must be an even divisor of 20 "
+                            f"(2, 4, 10 or 20), got {degree}")
+
+
+#: the answer to each degree that can occur, byte for byte; the reader
+#: changes none of them
+SMALL_DEGREE_ANSWERS = {
+    degree: '{\n  "reason": "%s",\n  "verdict": "%s"\n}\n' % pair
+    for degree, pair in (
+        (2, ("rank-2 algebraic part is rationally hyperbolic (field "
+             "discriminant power is a square)", "yes")),
+        (4, ("no decided criterion for degree 4 here", "undetermined")),
+        (10, ("rank-2 algebraic part is rationally hyperbolic (field "
+              "discriminant power is a square)", "yes")),
+        (20, ("no decided criterion for degree 20 here", "undetermined")))}
+
+
+@pytest.mark.parametrize("degree", sorted(SMALL_DEGREE_ANSWERS))
+def test_small_degree_answers_every_even_divisor_of_20(degree):
+    assert _run(_small_degree(degree)) == (EXIT_OK,
+                                           SMALL_DEGREE_ANSWERS[degree])

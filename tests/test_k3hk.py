@@ -14,7 +14,7 @@ from traceforms.numfields import (
 )
 from traceforms.qforms import QuadraticForm, invariants
 from traceforms.k3hk import (
-    ambient, ambient_to_json, elliptic_fibration_verdict, evaluate_famous,
+    ambient, elliptic_fibration_verdict, evaluate_famous,
     famous_examples, hk_realizable, hodge_group_label, k3_realizable,
     picard_compatible, report_to_json,
 )
@@ -57,9 +57,6 @@ def test_ambient_table():
         assert fi.signature == (3, b2 - 3)
         assert amb.integral_label == label
         assert amb.scaled_line == line
-
-    js = ambient_to_json(ambient("kummer", 2))
-    assert js["family"] == "kummer" and js["n"] == 2
 
 
 def test_ambient_argument_errors():

@@ -20,7 +20,6 @@ from traceforms.numfields import (
     RealQuadratic,
     cyclotomic_disc_class,
     desc_from_json,
-    desc_to_json,
     euler_phi,
     field_invariants,
     in_SE,
@@ -137,9 +136,14 @@ def test_general_cm():
 
 
 def test_descriptor_json_roundtrip():
-    for E in (RealQuadratic(7), ImagQuadratic(3), Cyclotomic(25),
-              GeneralTotallyReal(minpoly=(-1, -3, 0, 1))):
-        back = desc_from_json(desc_to_json(E))
+    for E, obj in (
+            (RealQuadratic(7), {"kind": "real_quadratic", "d": 7}),
+            (ImagQuadratic(3), {"kind": "imag_quadratic", "D": 3}),
+            (Cyclotomic(25), {"kind": "cyclotomic", "n": 25}),
+            (GeneralTotallyReal(minpoly=(-1, -3, 0, 1)),
+             {"kind": "general_tr", "minpoly": ["-1", "-3", "0", "1"]})):
+        back = desc_from_json(obj)
+        assert back == E
         assert field_invariants(back) == field_invariants(E)
     with pytest.raises(DescriptorError):
         desc_from_json({"kind": "martian", "x": 1})
@@ -322,7 +326,6 @@ def test_integral_minpoly_coefficients_read_as_ints():
     built = GeneralTotallyReal(tuple(Fraction(c) for c in (-1, -3, 0, 1)))
     assert [type(c) for c in E.minpoly] == [int] * 4
     assert E == built and hash(E) == hash(built)
-    assert desc_to_json(E) == desc_to_json(built)
     assert field_invariants(E) == field_invariants(built)
     # a fraction keeps its Fraction, and "4/2" reads as the int 2
     half = desc_from_json({"kind": "general_tr",

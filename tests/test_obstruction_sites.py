@@ -99,32 +99,13 @@ SITES = {
         "infeasible",
         [("condition", "norm-class"), ("place", 3),
          ("detail", "3 is not a totally positive norm class")]),
-    # transfer.split_transfer_feasible and _split_rm
+    # transfer.split_transfer_feasible
     "split: too few negative squares": (
         lambda: split_transfer_feasible(_form(1, 1, 1, 1, 1, 1, 1, -1),
                                         RealQuadratic(2), 3, "rm"),
         "infeasible",
         [("condition", "signature"),
          ("detail", "ambient has too few negative squares")]),
-    "split rm: complement sign": (
-        lambda: split_transfer_feasible(H3.direct_sum(_form(-6)),
-                                        RealQuadratic(2), 3, "rm",
-                                        complement_hint=-1),
-        "infeasible",
-        [("condition", "signature"),
-         ("detail", "complement sign incompatible with the split")]),
-    "split rm: hint outside the norm classes": (
-        lambda: split_transfer_feasible(H3.direct_sum(_form(-6)),
-                                        RealQuadratic(2), 3, "rm",
-                                        complement_hint=1),
-        "infeasible",
-        [("condition", "norm-class"), ("place", 3),
-         ("detail", "3 is not a totally positive norm class")]),
-    "split rm: hint over a quartic field": (
-        lambda: split_transfer_feasible(
-            H3.direct_sum(_form(*[-1] * 7)),
-            GeneralTotallyReal((1, 0, -4, 0, 1)), 3, "rm", complement_hint=3),
-        "needs_witness", [("reason", "norm-class-witness-needed")]),
     # transfer._split_cm
     "split cm: unknown split primes": (
         lambda: split_transfer_feasible(K3, _cm(1), 2, "cm"),

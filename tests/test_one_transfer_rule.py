@@ -10,11 +10,7 @@ from pathlib import Path
 import pytest
 
 from traceforms.numfields import RealQuadratic
-from traceforms.qforms import QuadraticForm, hyperbolic_sum
-from traceforms.transfer import (
-    QuadFieldElement, condition_C_profile, rm_transfer_feasible,
-    split_transfer_feasible,
-)
+from traceforms.transfer import QuadFieldElement, condition_C_profile
 
 TRANSFER = (Path(__file__).resolve().parent.parent
             / "src" / "traceforms" / "transfer.py")
@@ -29,18 +25,6 @@ def test_transfer_asks_one_totally_positive_norm_question():
              and getattr(node.args[2], "value", None) is True]
     assert len(calls) == 1
     assert not hasattr(QuadFieldElement, "sign_at")
-
-
-def test_hint_and_criterion_name_the_same_norm_class():
-    V = hyperbolic_sum(3).direct_sum(QuadraticForm.make([-6]))
-    hinted = split_transfer_feasible(V, RealQuadratic(2), 3, "rm",
-                                     complement_hint=1)
-    # the same question asked of a transfer side of det 6: 6 * 2 is 3
-    direct = rm_transfer_feasible(
-        RealQuadratic(2), QuadraticForm.make([1, 1, -1, -1, -1, -6]))
-    assert hinted == direct
-    assert hinted.obstruction["detail"] == \
-        "3 is not a totally positive norm class"
 
 
 def test_a_zero_real_quadratic_entry_is_rejected():

@@ -30,7 +30,6 @@ from traceforms.qforms import (
     invariants,
     is_isomorphic,
     is_locally_hyperbolic,
-    is_locally_isomorphic,
     place_str,
     place_to_json,
     represents_zero,
@@ -208,8 +207,10 @@ def test_locally_isomorphic_vs_global():
     f = QuadraticForm.make([1, 1, 1, 1])
     g = hyperbolic_sum(2)
     assert not is_isomorphic(f, g)
-    assert not is_locally_isomorphic(f, g, INF)
-    assert is_locally_isomorphic(f, g, 7)
+    # g is hyperbolic, so f is locally isomorphic to it where f is
+    # locally hyperbolic
+    assert not is_locally_hyperbolic(f, INF)
+    assert is_locally_hyperbolic(f, 7)
 
 
 # ---------------------------------------------------------------------------

@@ -266,23 +266,35 @@ UNKNOWN, REPEATED = "unexpected keyword argument", "multiple values"
 W = (0, SquareClass(1), 0, frozenset(), True)
 
 
-@pytest.mark.parametrize("build, message", [
-    (lambda: Poly(), MISSING),
-    (lambda: WittClassQ(*W), MISSING),
-    (lambda: SplitResult(True, FORM), MISSING),
-    (lambda: Poly((), ()), SURPLUS),
-    (lambda: WittClassQ(*W, None, 7), SURPLUS),
-    (lambda: SplitResult(True, FORM, INV, None, 1), SURPLUS),
-    (lambda: _FamilyText(20, "r", False, True, "n", 1), SURPLUS),
-    (lambda: Poly(coefs=()), UNKNOWN + " 'coefs'"),
-    (lambda: WittClassQ(*W, kern=None), UNKNOWN + " 'kern'"),
-    (lambda: SplitResult(True, FORM, INV, why="x"), UNKNOWN),
-    (lambda: _FamilyText(cm=20), UNKNOWN + " 'cm'"),
-    (lambda: Poly((), coeffs=()), REPEATED + " for argument 'coeffs'"),
-    (lambda: WittClassQ(*W, None, dim_parity=0), REPEATED),
-    (lambda: SplitResult(True, FORM, INV, feasible=True), REPEATED),
-    (lambda: _FamilyText(20, cm_bound=20), REPEATED),
-])
+#: each bad call, by an id of its own, so that deleting one renames no other
+BAD_CALLS = {
+    "Poly-missing": (lambda: Poly(), MISSING),
+    "WittClassQ-missing": (lambda: WittClassQ(*W), MISSING),
+    "SplitResult-missing": (lambda: SplitResult(True, FORM), MISSING),
+    "Poly-surplus": (lambda: Poly((), ()), SURPLUS),
+    "WittClassQ-surplus": (lambda: WittClassQ(*W, None, 7), SURPLUS),
+    "SplitResult-surplus": (lambda: SplitResult(True, FORM, INV, None, 1),
+                            SURPLUS),
+    "_FamilyText-surplus": (lambda: _FamilyText(20, "r", False, True, "n", 1),
+                            SURPLUS),
+    "Poly-unknown": (lambda: Poly(coefs=()), UNKNOWN + " 'coefs'"),
+    "WittClassQ-unknown": (lambda: WittClassQ(*W, kern=None),
+                           UNKNOWN + " 'kern'"),
+    "SplitResult-unknown": (lambda: SplitResult(True, FORM, INV, why="x"),
+                            UNKNOWN),
+    "_FamilyText-unknown": (lambda: _FamilyText(cm=20), UNKNOWN + " 'cm'"),
+    "Poly-repeated": (lambda: Poly((), coeffs=()),
+                      REPEATED + " for argument 'coeffs'"),
+    "WittClassQ-repeated": (lambda: WittClassQ(*W, None, dim_parity=0),
+                            REPEATED),
+    "SplitResult-repeated": (
+        lambda: SplitResult(True, FORM, INV, feasible=True), REPEATED),
+    "_FamilyText-repeated": (lambda: _FamilyText(20, cm_bound=20), REPEATED),
+}
+
+
+@pytest.mark.parametrize("build, message", list(BAD_CALLS.values()),
+                         ids=list(BAD_CALLS))
 def test_generic_constructor_rejects_bad_arguments(build, message):
     with pytest.raises(TypeError, match=message):
         build()

@@ -1,11 +1,11 @@
 """Arguments that used to be dropped, doubled or truncated without a word:
-a complement hint in cm mode, which only the rm engine reads; a family
-listed twice in a grid request, which printed each of its rows twice; and
-numbers of the wrong JSON type in field descriptors, field catalogs and
-elliptic contexts, or a negative search height, which were truncated, read
-as true or run; a minpoly given as a string, which was read one
+a family listed twice in a grid request, which printed each of its rows
+twice; numbers of the wrong JSON type in field descriptors, field catalogs
+and elliptic contexts, or a negative search height, which were truncated,
+read as true or run; a minpoly given as a string, which was read one
 character at a time; a negative md bound, which printed an empty grid; and
-a descriptor key its kind does not read, which was ignored."""
+a descriptor key its kind does not read, which was ignored.  The cm split
+takes no complement to aim at, and the one it forces is pinned."""
 
 import importlib.util
 import json
@@ -26,17 +26,12 @@ from traceforms.transfer import split_transfer_feasible
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_cm_complement_hint_raises():
+def test_cm_split_forces_its_complement_line():
+    # the cm engine takes no complement to aim at: a rank-1 complement is
+    # forced, -1 here
     V = QuadraticForm.make([1, 1, -1, -1, -1])
-    E = ImagQuadratic(1)
-    # without the hint the split is feasible with forced complement -1, so
-    # a hint of 7 used to be answered as if it had not been given
-    plain = split_transfer_feasible(V, E, 2, "cm")
+    plain = split_transfer_feasible(V, ImagQuadratic(1), 2, "cm")
     assert plain.certificate["forced_complement"] == "-1"
-    with pytest.raises(ValueError, match="rm engine"):
-        split_transfer_feasible(V, E, 2, "cm", complement_hint=7)
-    with pytest.raises(ValueError, match="rm engine"):
-        split_transfer_feasible(V, E, 2, "cm", complement_hint=-1)
 
 
 REPEATS = ["k3,k3", "kummer:2,kummer:02", "og6, OG6", "k3,hilbk3:2,hilbk3:2"]

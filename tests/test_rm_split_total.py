@@ -1,9 +1,9 @@
 """The rm split never reaches its "rm split without an admissible complement
 (bug)" error.
 
-Unhinted, `_split_rm` asks for a complement whose transfer side has the
-determinant disc^m * (+-1), and such a complement always exists, because
-parity never needs a free place that the candidate pool lacks:
+`_split_rm` asks for a complement whose transfer side has the determinant
+disc^m * (+-1), and such a complement always exists, because parity never
+needs a free place that the candidate pool lacks:
 
 - of dimension 1, the complement has an empty Hasse set;
 - of dimension 2, no rule forces a bit to 1, so parity needs a free place

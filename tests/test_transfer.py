@@ -343,24 +343,6 @@ def test_split_rm_k3_certificate_consistency():
     assert vi.hasse == ui.hasse ^ ci.hasse ^ frozenset(cross)
 
 
-def test_split_rm_forced_line_hint():
-    """Codimension-one splits take a determinant hint for the leftover line;
-    the sign of the hint is forced by the signatures."""
-    ambient = hyperbolic_sum(3).direct_sum(QuadraticForm.make([-6]))
-    E = RealQuadratic(2)
-    v = split_transfer_feasible(ambient, E, 3, "rm", complement_hint=3)
-    assert v.feasible
-    assert v.certificate["complement_shape"] == "forced-line"
-    assert v.certificate["forced_complement"] == "3"
-
-    wrong_sign = split_transfer_feasible(ambient, E, 3, "rm",
-                                         complement_hint=-6)
-    assert wrong_sign.status == "infeasible"
-
-    with pytest.raises(ValueError):
-        split_transfer_feasible(K3_FORM, E, 3, "rm", complement_hint=3)
-
-
 def test_rank2_complement_validators():
     ok = validate_cm_rank2_complement(ImagQuadratic(1), 1, twisted=False)
     assert ok.feasible

@@ -1,6 +1,5 @@
 """Branches that no golden, grid or workload runs: the rm split's
-multiplicity and complement-hint outcomes, real-quadratic signature
-profiles, the `needs_witness` report of a CM field given by its real
+multiplicity outcome, real-quadratic signature profiles, the `needs_witness` report of a CM field given by its real
 subfield, and the zero-pivot swap of `diagonalize`.
 
 Each test holds the answers that the code gave before its transfer rules
@@ -17,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from traceforms.exact import squarefree_class
 from traceforms.k3hk import hk_realizable, hk_reports
 from traceforms.numfields import (
-    IN, Cyclotomic, GeneralCM, GeneralTotallyReal, RealQuadratic, in_SE,
+    IN, Cyclotomic, GeneralCM, RealQuadratic, in_SE,
 )
 from traceforms.qforms import QuadraticForm, diagonalize, hyperbolic_sum
 from traceforms.transfer import (
@@ -28,7 +27,7 @@ H3 = hyperbolic_sum(3)
 
 
 # ---------------------------------------------------------------------------
-# the rm split: multiplicity and complement-hint outcomes
+# the rm split: multiplicity outcome
 
 
 def test_rank_below_three_is_a_multiplicity_obstruction():
@@ -36,24 +35,6 @@ def test_rank_below_three_is_a_multiplicity_obstruction():
                                 RealQuadratic(2), 2, "rm")
     assert v.status == "infeasible"
     assert v.obstruction["condition"] == "multiplicity"
-
-
-def test_hint_outside_the_norm_classes_is_infeasible_at_its_place():
-    # det(V) * 1 * disc^3 = 6 * 2 is the class 3, and (3, 2)_3 = -1
-    v = split_transfer_feasible(H3.direct_sum(QuadraticForm.make([-6])),
-                                RealQuadratic(2), 3, "rm", complement_hint=1)
-    assert v.status == "infeasible"
-    assert v.obstruction["condition"] == "norm-class"
-    assert v.obstruction["place"] == 3
-
-
-def test_hint_over_a_quartic_field_waits_on_a_witness():
-    # x^4 - 4x^2 + 1 generates Q(sqrt 2, sqrt 3), of square discriminant
-    E = GeneralTotallyReal((1, 0, -4, 0, 1))
-    v = split_transfer_feasible(H3.direct_sum(QuadraticForm.make([-1] * 7)),
-                                E, 3, "rm", complement_hint=3)
-    assert v.status == "needs_witness"
-    assert v.obstruction == {"reason": "norm-class-witness-needed"}
 
 
 # ---------------------------------------------------------------------------

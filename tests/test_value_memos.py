@@ -1,9 +1,9 @@
 """The memos of a warm grid pass: `numfields.field_invariants` and
-`numfields.in_SE` keyed by a field's class and values, the rendered
-diagonal that `qforms.form_to_json` keeps on a form, and
-`qforms.hyperbolic_invariants`.  Fields of different classes never share an
-entry, equal fresh descriptors do, errors are raised on every call, and
-what a caller gets to mutate is built fresh."""
+`numfields.in_SE` keyed by a field's class and values, and
+`qforms.hyperbolic_invariants`; and `qforms.form_to_json`, which keeps
+nothing and renders each form's own diagonal.  Fields of different classes
+never share an entry, equal fresh descriptors do, errors are raised on
+every call, and what a caller gets to mutate is built fresh."""
 
 from fractions import Fraction
 
