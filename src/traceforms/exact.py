@@ -62,8 +62,33 @@ _MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747,
 #: 41 (OEIS A014233): below it `is_prime` is a proof
 MR_PROVEN_BELOW = 3317044064679887385961981
 
+#: operations counted where they are done, by any route: read differences
+COUNTS = dict.fromkeys(("hilbert_symbol", "support_at", "validate_invariants",
+                        "construction", "factorize", "poly_gcd", "iroot"), 0)
+_MEMOS: dict = {}
 
-@lru_cache(maxsize=4096, typed=True)
+
+def memo(label: str, maxsize: int | None, typed: bool = False):
+    """`functools.lru_cache(maxsize, typed)`, its wrapper registered under
+    `label` and returned itself, so that a call adds no frame."""
+    def register(f):
+        _MEMOS[label] = cached = lru_cache(maxsize, typed)(f)
+        return cached
+    return register
+
+
+def memos() -> dict:
+    """Every memo of the loaded modules, by label."""
+    return dict(_MEMOS)
+
+
+def clear_memos() -> None:
+    """Empty every memo, with its hit and miss counts."""
+    for cached in _MEMOS.values():
+        cached.cache_clear()
+
+
+@memo("exact.is_prime", 4096, typed=True)
 def is_prime(n: int) -> bool:
     """Trial division by the thirteen primes up to 41, then Miller-Rabin to
     the first k of them, for the least k with n < psi_k (`_MR_PSI`), and to
@@ -94,7 +119,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@memo("exact.primes_below", None)
 def primes_below(limit: int) -> tuple:
     """All primes p < limit, by the sieve of Eratosthenes; built on the first
     call for each limit and kept."""
@@ -123,6 +148,7 @@ def factorize(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> dict:
     """
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
+    COUNTS["factorize"] += 1
     out: dict = {}
     for p in (2, 3):
         while n % p == 0:
@@ -255,6 +281,7 @@ def _rho(n: int, cap: int) -> tuple:
 
 def _iroot(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 1, by Newton's method on integers."""
+    COUNTS["iroot"] += 1
     x = 1 << -(-n.bit_length() // k)    # 2^ceil(bits/k), above the root
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
@@ -507,7 +534,7 @@ def legendre(a: int, p: int) -> int:
     return -1 if local_characters(a, p)[1] else 1
 
 
-@lru_cache(maxsize=4096)
+@memo("exact.local_characters", 4096)
 def local_characters(n: int, place) -> tuple:
     """The class of the nonzero integer n in Q_v^x / (Q_v^x)^2 as bits: the
     sign at INF; at 2 the parity of the valuation and the characters
@@ -590,6 +617,7 @@ def hilbert_symbol(a: Rational, b: Rational, place) -> int:
         b = b.numerator * b.denominator
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero entries")
+    COUNTS["hilbert_symbol"] += 1
     if place == INF:
         return 1 if (a < 0 and b < 0) else 0
     p = place
@@ -620,6 +648,7 @@ def support_at(a: Rational, b: Rational, places: Iterable[int]) -> frozenset:
     of (1, b) is empty; it is returned without a symbol, after the checks
     that the symbols would make.
     """
+    COUNTS["support_at"] += 1
     candidates = {2, INF}
     candidates.update(places)
     if a == 1 or b == 1:
@@ -745,6 +774,7 @@ class Poly(Record):
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
+    COUNTS["poly_gcd"] += 1
     while not g.is_zero():
         f, g = g, f.rem(g)
     if f.is_zero():

@@ -10,10 +10,10 @@ input is only which ambient form to use and how to count moduli.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 
 from .exact import (
-    Record, SchemaError, SquareClass, json_int, json_object, json_str,
+    Record, SchemaError, SquareClass, json_int, json_object, json_str, memo,
 )
 from .numfields import (
     Cyclotomic,
@@ -72,7 +72,7 @@ def _negatives(count: int) -> QuadraticForm:
     return QuadraticForm.make([-1] * count)
 
 
-@lru_cache(maxsize=256, typed=True)
+@memo("k3hk.ambient", 256, typed=True)
 def ambient(family: str, n: int | None = None) -> AmbientSpace:
     """The rational second-cohomology form of one of the known deformation
     types, by family name.  Kummer and hilbk3 need the half-dimension n >= 2.

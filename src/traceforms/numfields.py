@@ -10,7 +10,6 @@ sign counts).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact import (
     INF,
@@ -25,6 +24,7 @@ from .exact import (
     json_int,
     json_minpoly,
     json_object,
+    memo,
     norm_via_resultant,
     poly_gcd,
     signs_at_real_roots,
@@ -173,7 +173,7 @@ def desc_from_values(kind, values):
     return kind(*values) if len(kind._fields) > 1 else kind(values)
 
 
-@lru_cache(maxsize=1024)
+@memo("numfields.field_invariants", 1024)
 def _field_invariants(kind, values) -> FieldInvariants:
     E = desc_from_values(kind, values)
     if isinstance(E, RealQuadratic):
@@ -241,7 +241,7 @@ def in_SE(E, p: int) -> str:
     return _in_SE(E.__class__, E._get(E), p)
 
 
-@lru_cache(maxsize=4096)
+@memo("numfields.in_SE", 4096)
 def _in_SE(kind, values, p: int) -> str:
     E = desc_from_values(kind, values)
     if isinstance(E, ImagQuadratic):

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain
 from math import isqrt, prod
 
 from .exact import (
+    COUNTS,
     INF,
     DEFAULT_FACTOR_BUDGET,
     FactorizationBudgetError,
@@ -33,6 +33,7 @@ from .exact import (
     json_int,
     json_object,
     local_characters,
+    memo,
     primes_below,
     rational_from,
     rational_str,
@@ -174,7 +175,7 @@ def hyperbolic_sum(t: int) -> QuadraticForm:
     return QuadraticForm.make([1, -1] * t)
 
 
-@lru_cache(maxsize=256)
+@memo("qforms.hyperbolic_invariants", 256)
 def hyperbolic_invariants(t: int) -> FormInvariants:
     """The invariants of a sum of t hyperbolic planes, written down: they
     equal `invariants(hyperbolic_sum(t))`.  Memoized."""
@@ -239,7 +240,7 @@ def _swap(m, i, j):
         row[i], row[j] = row[j], row[i]
 
 
-@lru_cache(maxsize=4096)
+@memo("qforms.invariants", 4096)
 def invariants(f: QuadraticForm, budget: int = DEFAULT_FACTOR_BUDGET) -> FormInvariants:
     """dimension, determinant square class, signature and Hasse place set.
 
@@ -295,6 +296,7 @@ def _locally_isomorphic_inv(fi: FormInvariants, gi: FormInvariants,
 def validate_invariants(inv: FormInvariants) -> None:
     """Check the full admissibility battery, raising InvariantContradiction
     with the violated condition's name."""
+    COUNTS["validate_invariants"] += 1
     n, det, (r, s), hasse = inv.dim, inv.det, inv.signature, inv.hasse
     if n < 1 or r < 0 or s < 0 or r + s != n:
         raise ValueError("malformed signature")
@@ -360,7 +362,7 @@ _PLUS_CLASS, _MINUS_CLASS = SquareClass(1), SquareClass(-1)
 _UNIT_ENTRIES = {1: _ONE, -1: _MINUS_ONE}
 
 
-@lru_cache(maxsize=4096)
+@memo("qforms.form_from_invariants", 4096)
 def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
     """Build a diagonal form realizing an admissible invariant tuple.
 
@@ -381,8 +383,9 @@ def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
     them can hit the cache and skip the factorization.  A contradiction is
     raised again on every call.  The peel is forced, so the rank-3 tuple it
     hands on fixes the rest of the form, and `_rank3_form` memoizes that
-    rest by the tuple; `cache_clear()` clears both memos.
+    rest by the tuple.
     """
+    COUNTS["construction"] += 1
     validate_invariants(inv)
     n, det, (r, s), hasse = inv.dim, inv.det, inv.signature, inv.hasse
     if n == 1:
@@ -402,7 +405,7 @@ def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
         if r > 0:
             r -= 1
             plus += 1
-            # the empty set; tests/test_scan_proofs.py counts this call
+            # the empty set, found with no symbol but counted as a support
             hasse ^= support_at(1, det.n, primes)
         else:
             s -= 1
@@ -419,7 +422,7 @@ def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
         (_PLUS_CLASS,) * plus + (_MINUS_CLASS,) * minus + core.known_classes)
 
 
-@lru_cache(maxsize=1024)
+@memo("qforms.rank3_form", 1024)
 def _rank3_form(det_n: int, primes: tuple, sig, hasse) -> QuadraticForm:
     """The rank-3 form that `form_from_invariants` ends with, for the tuple
     its peel hands on.  The input passed the battery, and a peel keeps
@@ -476,15 +479,6 @@ def _rank3_form(det_n: int, primes: tuple, sig, hasse) -> QuadraticForm:
             continue
         return _rank2_from_invariants([ec], sub_det, sub_sig, sub_hasse)
     raise RuntimeError("rank-3 construction search exhausted (bug)")
-
-
-def _clear_constructions(clear_forms=form_from_invariants.cache_clear):
-    """`form_from_invariants.cache_clear`: it clears both memos."""
-    clear_forms()
-    _rank3_form.cache_clear()
-
-
-form_from_invariants.cache_clear = _clear_constructions
 
 
 def _represented_entry(det: SquareClass, hasse, sgn):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact import (
     INF,
@@ -20,6 +19,7 @@ from .exact import (
     Record,
     SquareClass,
     is_square_at,
+    memo,
     signs_at_real_roots,
     squarefree_class,
     support_at,
@@ -470,7 +470,7 @@ def _first_complement(vi, det_u: SquareClass, md: int, extra_primes=(),
                               tuple(sorted((want or {}).items())))
 
 
-@lru_cache(maxsize=1024)
+@memo("transfer.complement_base", 1024)
 def _complement_base(vi, ukey, extra_primes):
     """What a complement choice reads but does not take from the rank md:
     det_u, det_c = det(V) det_u, the Hasse base w(V) + supp(det_u, det_c)
@@ -486,7 +486,7 @@ def _complement_base(vi, ukey, extra_primes):
             _hasse_candidates(vi, det_u, det_c, extra_primes), -det_c, -det_u)
 
 
-@lru_cache(maxsize=4096)
+@memo("transfer.choose_complement", 4096)
 def _choose_complement(vi, ukey, md, extra_primes, want_items):
     """`_first_complement` on a hashable key: V's invariants, which a grid
     pass takes from the `invariants` memo, the key of det_u, which each row
@@ -494,7 +494,7 @@ def _choose_complement(vi, ukey, md, extra_primes, want_items):
     returned pair is frozen, and a grid pass asks the same question of each
     ambient again and again.  A miss does only its rank's own work, the
     forced bits, the parity fix and the two checked records, on the shared
-    entry of `_complement_base`; `cache_clear()` clears both memos."""
+    entry of `_complement_base`."""
     det_u, det_c, base, pool, minus_c, minus_u = _complement_base(
         vi, ukey, extra_primes)
     dim_c, _, sig_c = _complement_target(vi, det_u, md)
@@ -533,15 +533,6 @@ def _choose_complement(vi, ukey, md, extra_primes, want_items):
     return ci, ui
 
 
-def _clear_choices(clear_choices=_choose_complement.cache_clear):
-    """`_choose_complement.cache_clear`: it clears both memos."""
-    clear_choices()
-    _complement_base.cache_clear()
-
-
-_choose_complement.cache_clear = _clear_choices
-
-
 def _split_rm(vi, finv, m, md):
     if m < 3:
         return rm_rank_verdict(m)
@@ -563,7 +554,7 @@ def _split_rm(vi, finv, m, md):
         finv, m, route, *found, form_from_invariants(found[0]), extra), None)
 
 
-@lru_cache(maxsize=4096)
+@memo("transfer.cm_split_plan", 4096)
 def _cm_split_plan(vi, kind, values, md):
     """What a cm split asks of the complement choice.  It depends only on
     the ambient's invariants, the field's class and values (as its `_get`

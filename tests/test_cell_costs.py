@@ -6,10 +6,10 @@ depend on the machine, with every memo of the package cleared first.
 once, and yields a report per rank; the splitting engine still checks the
 mode once per split.  `qforms.form_from_invariants` peels unit entries down
 to a rank-3 tuple, and that tuple fixes the rest of the form, so
-`qforms._rank3_form` builds it once per distinct tuple.  Its memo is cleared
-with `form_from_invariants.cache_clear()`, so the construction pins of
-`tests/test_scan_proofs.py` and `tests/test_core_walk.py` hold after a grid
-pass too.
+`qforms._rank3_form` builds it once per distinct tuple.  `clear_memos()`
+clears its memo with every other, so the construction pins of
+`tests/test_counts.py` and `tests/test_core_walk.py` hold after a grid pass
+too.  The cold symbol count is bounded in `tests/test_counts.py`.
 """
 
 import importlib.util
@@ -18,29 +18,18 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from traceforms import cli, exact, k3hk, numfields, qforms, transfer
-from traceforms.exact import primes_below
+from traceforms import cli, exact, qforms, transfer
+from traceforms.exact import clear_memos, primes_below
 from traceforms.qforms import QuadraticForm, form_from_invariants, invariants
 
 GRID_FAMILIES = "k3,kummer:2,kummer:3,og6,hilbk3:2,hilbk3:3,og10"
 GRID_MD_BOUND = 23
-MODULES = (exact, qforms, numfields, transfer, k3hk, cli)
 
 #: at most, on one warm pass of 1015 rows: 29,143 when each row checked its
 #: mode twice and read its verdict through four properties; 20,566 after
 WARM_CALLS_BOUND = 21_000
-#: at most, on one cold pass: 3,383 when every construction scanned its own
-#: rank-3 core; 2,067 after
-COLD_SYMBOLS_BOUND = 2_100
 #: the rank-3 tuples a cold pass hands on, and their distinct values
 RANK3_TUPLES, RANK3_CORES = 173, 37
-
-
-def _clear_memos():
-    for module in MODULES:
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
 
 
 def _grid_pass():
@@ -76,11 +65,10 @@ def _profiled_pass():
 
 
 def test_grid_pass_costs():
-    _clear_memos()
-    cold, cells = _profiled_pass()
+    clear_memos()
+    cells = _grid_pass()
     cores = qforms._rank3_form.cache_info()
     warm, _ = _profiled_pass()
-    assert 0 < cold[exact.hilbert_symbol.__code__] <= COLD_SYMBOLS_BOUND
     assert (cores.misses, cores.hits + cores.misses) == (RANK3_CORES,
                                                         RANK3_TUPLES)
     assert sum(warm.values()) <= WARM_CALLS_BOUND
@@ -144,7 +132,7 @@ def test_construction_pins_hold_after_a_grid_pass(monkeypatch):
     wide = invariants(QuadraticForm.make(_wide_rank4(24)))
     for fi in (case_142, wide):
         form_from_invariants(fi)
-    form_from_invariants.cache_clear()
+    clear_memos()
     calls = _count_support_at(monkeypatch)
     g = form_from_invariants(case_142)
     assert g.diagonal[:6] == (1, 1, 1, -1, -1, -7910)

@@ -4,10 +4,11 @@ Neither the Hasse base w(V) + supp(det_u, det_c) nor the candidate primes
 depend on the rank md, so one memo entry per (ambient invariants, det_u,
 extra primes) serves every rank's `_choose_complement` miss and the
 `_cm_split_plan` that asks before it.  A cold grid pass makes 449 choices
-and 340 plans from 125 entries.  Each choice and plan is checked against
-verbatim copies of the bodies that computed the base per miss, the cold
-operation counts are bounded below what those bodies spent, and the grid
-script, run as a one-shot process, still prints the golden bytes.
+and 340 plans from 125 entries (`tests/test_counts.py` counts them, and
+bounds the cold operation counts below what those bodies spent).  Each
+choice and plan is checked against verbatim copies of the bodies that
+computed the base per miss, and the grid script, run as a one-shot process,
+still prints the golden bytes.
 """
 
 import hashlib
@@ -18,9 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from traceforms import cli, exact, k3hk, numfields, qforms, transfer
+from traceforms import cli, transfer
 from traceforms.exact import (
-    INF, SquareClass, is_square_at, rational_str, support_at,
+    INF, SquareClass, clear_memos, is_square_at, rational_str, support_at,
 )
 from traceforms.numfields import (
     OUT, UNKNOWN, desc_from_values, field_invariants, in_SE,
@@ -30,29 +31,14 @@ from traceforms.qforms import (
     validate_invariants,
 )
 from traceforms.transfer import (
-    _choose_complement, _class_key, _cm_split_plan, _complement_base,
-    _complement_target, _hasse_candidates, cm_twist_class,
+    _choose_complement, _class_key, _cm_split_plan, _complement_target,
+    _hasse_candidates, cm_twist_class,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
 GRID_FAMILIES = "k3,kummer:2,kummer:3,og6,hilbk3:2,hilbk3:3,og10"
 GRID_MD_BOUND = 23
 GRID_MD5 = "67f0f49dfc95d5a8ee9860499dc8f6c7"
-MODULES = (exact, qforms, numfields, transfer, k3hk, cli)
-
-#: at most, on one cold pass: 2,067 and 1,077 while each choice evaluated
-#: its own Hasse base and each plan built its own candidate pool
-BOUNDS = {"hilbert_symbol": 1600, "support_at": 800}
-#: exactly, on one cold pass: two per choice, and the constructions' checks
-CHECKS = 1179
-CONSTRUCTIONS = 201
-
-
-def _clear_memos():
-    for module in MODULES:
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
 
 
 def _grid_pass():
@@ -60,21 +46,6 @@ def _grid_pass():
         cli.tabulate_rows(mode, cli.parse_families(GRID_FAMILIES),
                           cli.catalog_fields(cli.load_catalog(), mode),
                           GRID_MD_BOUND)
-
-
-def _count_through_bindings(monkeypatch, owner, name):
-    """Count calls of `owner.name` through every module binding of it."""
-    calls = [0]
-    original = getattr(owner, name)
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    for module in MODULES:
-        if getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counting)
-    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -143,19 +114,7 @@ def _parent_cm_split_plan(vi, kind, values, md):
 
 
 # ---------------------------------------------------------------------------
-# the memo on a cold pass
-
-
-def test_cold_pass_shares_125_entries():
-    _clear_memos()
-    _grid_pass()
-    info = _complement_base.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (125, 664, 125)
-    assert _choose_complement.cache_info().misses == 449
-    assert _cm_split_plan.cache_info().misses == 340
-    _choose_complement.cache_clear()
-    assert _complement_base.cache_info().currsize == 0
-    assert _choose_complement.cache_info().currsize == 0
+# the choices and plans of a cold pass
 
 
 def _recording(monkeypatch, name, seen):
@@ -170,7 +129,7 @@ def _recording(monkeypatch, name, seen):
 
 
 def test_choices_and_plans_equal_the_parent_bodies(monkeypatch):
-    _clear_memos()
+    clear_memos()
     choices, plans = {}, {}
     _recording(monkeypatch, "_choose_complement", choices)
     _recording(monkeypatch, "_cm_split_plan", plans)
@@ -181,20 +140,6 @@ def test_choices_and_plans_equal_the_parent_bodies(monkeypatch):
         assert _choose_complement(*args) == _parent_choose_complement(*args)
     for args in plans:
         assert _cm_split_plan(*args) == _parent_cm_split_plan(*args)
-
-
-def test_cold_pass_counts(monkeypatch):
-    _clear_memos()
-    counts = {name: _count_through_bindings(monkeypatch, exact, name)
-              for name in BOUNDS}
-    checks = _count_through_bindings(monkeypatch, qforms,
-                                     "validate_invariants")
-    _grid_pass()
-    monkeypatch.undo()
-    got = {name: calls[0] for name, calls in counts.items()}
-    assert all(0 < got[name] <= bound for name, bound in BOUNDS.items()), got
-    assert checks[0] == CHECKS
-    assert qforms.form_from_invariants.cache_info().misses == CONSTRUCTIONS
 
 
 # ---------------------------------------------------------------------------

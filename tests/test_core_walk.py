@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from traceforms import qforms
 from traceforms.exact import (
-    INF, SquareClass, primes_below, support_at,
+    INF, SquareClass, clear_memos, primes_below, support_at,
 )
 from traceforms.qforms import (
     FormInvariants,
@@ -205,7 +205,7 @@ def test_rank4_with_24_determinant_primes(monkeypatch):
     # 25 base primes, and the final check (the entry has q = 1)
     fi = invariants(QuadraticForm.make(_wide_rank4(24)))
     assert len(fi.det.primes()) == 24
-    form_from_invariants.cache_clear()
+    clear_memos()
     calls = _counting(monkeypatch)
     pops = [0]
     heappop = qforms.heappop

@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from traceforms.exact import (
-    INF, SquareClass, local_characters, primes_below, support_at,
+    INF, SquareClass, clear_memos, local_characters, primes_below,
+    support_at,
 )
 from traceforms.qforms import (
     FormInvariants,
@@ -114,7 +115,7 @@ def _entries_and_classes(f):
 @given(admissible_tuples())
 @settings(max_examples=150, derandomize=True, deadline=None)
 def test_forced_peel_builds_the_step_by_step_form(inv):
-    form_from_invariants.cache_clear()
+    clear_memos()
     new = form_from_invariants(inv)
     try:
         old = _parent_form_from_invariants(inv)
@@ -139,7 +140,7 @@ def test_rank3_past_the_scan():
         pass
     else:
         raise AssertionError("the copy's scan was expected to run out")
-    form_from_invariants.cache_clear()
+    clear_memos()
     f = form_from_invariants(inv)
     assert f.diagonal[:2] == (1, -prod(primes_below(50)))
     assert invariants(f) == inv
@@ -148,7 +149,7 @@ def test_rank3_past_the_scan():
 def test_bad_tuple_still_raises():
     # condition-1: det must be negative with s = 1
     inv = FormInvariants(6, SquareClass(5), (5, 1), frozenset())
-    form_from_invariants.cache_clear()
+    clear_memos()
     for _ in range(2):
         with pytest.raises(InvariantContradiction, match="condition-1"):
             form_from_invariants(inv)

@@ -5,6 +5,7 @@ bytes of the benchmark, once and twice in one process."""
 import importlib.util
 from pathlib import Path
 
+from traceforms.exact import clear_memos
 from traceforms.qforms import form_from_invariants
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,7 +30,7 @@ def test_grid_matches_golden_bytes(capsys):
 def test_grid_twice_in_one_process(capsys):
     # the second run reads every construction from the memo, so a caller
     # that mutated a memoized object would change its bytes
-    form_from_invariants.cache_clear()
+    clear_memos()
     script = _grid_script()
     for _ in range(2):
         assert script.main(["--format", "json", "--md-bound", "23"]) == 0

@@ -8,7 +8,6 @@ their field-kind check from `transfer.check_mode`, and accept a form or its
 invariants.  Each output that this boundary changed has a case here."""
 
 import json
-import sys
 from fractions import Fraction
 
 import pytest

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from traceforms import qforms
 from traceforms.exact import (
-    INF, SquareClass, is_prime, primes_below, support_at,
+    INF, SquareClass, clear_memos, is_prime, primes_below, support_at,
 )
 from traceforms.qforms import (
     FormInvariants,
@@ -253,13 +253,14 @@ def test_steps_take_the_entries_of_the_copies(inv):
         handed.append(args)
         return rank2(*args)
 
-    form_from_invariants.cache_clear()
+    clear_memos()
     with pytest.MonkeyPatch.context() as m:
         calls = _counting_supports(m)
         with m.context() as inner:
             inner.setattr(qforms, "_rank2_from_invariants", recording)
             new = form_from_invariants(inv)
         new_calls, calls[0] = calls[0], 0
+        clear_memos()
         old = _parent_form(m, inv)
         assert _entries_and_classes(new) == _entries_and_classes(old)
         assert invariants(new) == inv
@@ -318,7 +319,7 @@ def test_rank2_family_pops_no_core(monkeypatch):
     monkeypatch.setattr(qforms, "heappop", counting_pop)
     for k in (14, 20):
         inv = _rank2_family(k)
-        form_from_invariants.cache_clear()
+        clear_memos()
         pops[0] = 0
         f = form_from_invariants(inv)
         assert pops[0] == 0
@@ -346,7 +347,7 @@ def test_rank3_family_reads_no_core(monkeypatch):
     monkeypatch.setattr(qforms, "_ascending_cores", counted_walk)
     for k in (6, 8, 12, 16):
         inv = _rank3_family(k)
-        form_from_invariants.cache_clear()
+        clear_memos()
         f = form_from_invariants(inv)
         assert reads[0] == 0
         assert invariants(f) == inv

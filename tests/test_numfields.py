@@ -1,7 +1,6 @@
 """Number-field descriptors: invariants, split-prime sets, norm classes, and
 the JSON round trip.  sympy appears here as an independent oracle only."""
 
-import random
 from fractions import Fraction
 
 import pytest

@@ -4,6 +4,7 @@
 kept.  A class that writes its own keeps it."""
 
 import copy
+import importlib
 import os
 import pickle
 import subprocess
@@ -12,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
-import traceforms.cli  # noqa: F401  (every module that defines a record)
-import traceforms.k3hk  # noqa: F401
 from traceforms.exact import Record
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# every module that defines a record
+importlib.import_module("traceforms.cli")
+importlib.import_module("traceforms.k3hk")
 
 #: the classes that normalize or check their arguments in their own __init__
 OWN_INIT = {"SquareClass", "Cyclotomic", "GeneralTotallyReal", "GeneralCM",

@@ -3,10 +3,11 @@ every method has a caller.
 
 The quadratic norm obstruction of `numfields` is checked against verbatim
 copies of the three functions it replaced, and local hyperbolicity against
-its own copy.  Count pins, which do not depend on the machine, hold the work
-that a single implementation saves: one Hilbert support per infeasible norm
-verdict, one squarefree part per sign query, and a perfect-power search
-bounded by the trial divisor.
+its own copy.  A count pin, which does not depend on the machine, holds
+the work that a single implementation saves: one Hilbert support per
+infeasible norm verdict.  One squarefree part per sign query, and a
+perfect-power search bounded by the trial divisor, are counted in
+`tests/test_counts.py`.
 """
 
 import ast
@@ -20,14 +21,12 @@ from sympy import nextprime
 from traceforms import cli, exact, k3hk, numfields, qforms, transfer
 from traceforms.exact import (
     INF,
-    FactorizationBudgetError,
     Poly,
     SquareClass,
     factorize,
     is_square_at,
     isolate_real_roots,
     root_bound,
-    signs_at_real_roots,
     squarefree_class,
     support_at,
 )
@@ -250,38 +249,8 @@ def test_root_split_moves_off_a_root_midpoint():
         assert sum(1 for r in (-2, 0, 2) if lo < r <= hi) == 1
 
 
-def test_signs_at_real_roots_takes_one_squarefree_part(monkeypatch):
-    calls = [0]
-    original = exact.poly_gcd
-
-    def counting(*args):
-        calls[0] += 1
-        return original(*args)
-
-    monkeypatch.setattr(exact, "poly_gcd", counting)
-    f = Poly.make([-1, -3, 0, 1])       # x^3 - 3x - 1, roots -1.53, -0.35, 1.88
-    assert signs_at_real_roots(f, Poly.make([0, 1])) == (-1, -1, 1)
-    assert calls[0] == 1
-
-
 # ---------------------------------------------------------------------------
 # the perfect-power search of factorize
-
-
-def test_perfect_power_search_stops_at_the_trial_divisor(monkeypatch):
-    calls = [0]
-    original = exact._iroot
-
-    def counting(n, k):
-        calls[0] += 1
-        return original(n, k)
-
-    monkeypatch.setattr(exact, "_iroot", counting)
-    n = (10 ** 200 + 357) * (10 ** 200 + 627)
-    with pytest.raises(FactorizationBudgetError):
-        factorize(n)
-    # every prime factor is above 10^6, so only k <= 66 can give n = r^k
-    assert 0 < calls[0] <= 65
 
 
 def test_perfect_power_search_still_finds_a_square():

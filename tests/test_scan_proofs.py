@@ -5,14 +5,13 @@ The rank-2 construction scores each candidate a = sgn * core * q by the
 bilinearity of the Hilbert symbol instead of evaluating (a, -det) at every
 place, and must pick the same a.  The witness scan charges the steps of a
 triple whose ternary subform is anisotropic without taking them, and must
-return the same vector or None after the same budget.  Two count pins,
-which do not depend on the machine, hold the work that the proofs save.
+return the same vector or None after the same budget.  The symbol and
+support counts that hold the work the proofs save are in
+`tests/test_counts.py`; a count pin here holds one classification per entry.
 """
 
-import importlib.util
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
 from sympy import nextprime
@@ -34,8 +33,6 @@ from traceforms.qforms import (
     invariants,
     validate_invariants,
 )
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +271,7 @@ def test_bare_twin_of_a_constructed_form_is_scanned():
 
 
 # ---------------------------------------------------------------------------
-# count pins over the benchmark's forms pool
-
-
-def _workloads():
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+# a count pin
 
 
 def _count_calls(monkeypatch, name):
@@ -298,33 +287,6 @@ def _count_calls(monkeypatch, name):
     for module in (exact, qforms):
         monkeypatch.setattr(module, name, counting)
     return calls
-
-
-def test_forms_pool_hilbert_symbol_count(monkeypatch):
-    # cold memos: one pass of the pool made 51416 symbol evaluations when
-    # every rank-2 candidate evaluated its own support
-    invariants.cache_clear()
-    form_from_invariants.cache_clear()
-    wl = _workloads()
-    calls = _count_calls(monkeypatch, "hilbert_symbol")
-    for entries, query, k in wl.forms_pool():
-        wl.forms_query(query, QuadraticForm.make(entries), k)
-    assert calls[0] <= 20000
-
-
-def test_round_trip_142_support_count(monkeypatch):
-    # operation 142 of the pool builds <1, 1, 1, -1, -1, -7910, a * det>;
-    # scored candidate by candidate, its construction evaluated 3218
-    # supports
-    entries, query, _ = _workloads().forms_pool()[142]
-    assert query == "round_trip"
-    fi = invariants(QuadraticForm.make(entries))
-    form_from_invariants.cache_clear()
-    calls = _count_calls(monkeypatch, "support_at")
-    g = form_from_invariants(fi)
-    assert g.diagonal[:6] == (1, 1, 1, -1, -1, -7910)
-    assert invariants(g) == fi
-    assert calls[0] == 39
 
 
 def test_represents_zero_classifies_each_entry_once(monkeypatch):

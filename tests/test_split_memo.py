@@ -1,20 +1,19 @@
 """The memoized complement choice of the splitting engine,
 `transfer._choose_complement`: warm answers equal cold ones over the whole
-grid, a `want` map is keyed by its items whatever their order, verdicts
-are still built fresh on every call, and a second grid pass chooses no
-complement and evaluates no local symbol."""
+grid, a `want` map is keyed by its items whatever their order, and verdicts
+are still built fresh on every call.  What a second grid pass spends is
+counted in `tests/test_counts.py`."""
 
 import json
 
 import pytest
 
-from traceforms import cli, exact, k3hk, numfields, qforms, transfer
-from traceforms.exact import SquareClass
+from traceforms import cli
+from traceforms.exact import SquareClass, clear_memos, memos
 from traceforms.k3hk import ambient, hk_realizable
 from traceforms.numfields import ImagQuadratic, RealQuadratic
 from traceforms.qforms import FormInvariants, invariants
 from traceforms.transfer import (
-    _choose_complement,
     _first_complement,
     split_transfer_feasible,
     verdict_to_json,
@@ -39,33 +38,27 @@ def _grid_cells():
     return out
 
 
-def _grid_pass():
-    for mode in ("rm", "cm"):
-        cli.tabulate_rows(mode, cli.parse_families(GRID_FAMILIES),
-                          cli.catalog_fields(cli.load_catalog(), mode),
-                          GRID_MD_BOUND)
-
-
 def test_warm_verdicts_equal_cold_ones_over_the_grid():
     cells = _grid_cells()
     assert len(cells) == 1015
     for cell in cells:
         hk_realizable(*cell)
-    before = _choose_complement.cache_info()
+    choices = memos()["transfer.choose_complement"]
+    before = choices.cache_info()
     warm = [verdict_to_json(hk_realizable(*cell).verdict) for cell in cells]
-    after = _choose_complement.cache_info()
+    after = choices.cache_info()
     assert after.misses == before.misses and after.hits > before.hits
     for cell, expected in zip(cells, warm):
-        _choose_complement.cache_clear()
+        clear_memos()
         assert verdict_to_json(hk_realizable(*cell).verdict) == expected
 
 
 def test_want_orders_share_one_entry():
     vi = invariants(ambient("k3").rational_form)
-    _choose_complement.cache_clear()
+    clear_memos()
     first = _first_complement(vi, SquareClass(1), 4, (3,), {3: 1, 5: 1})
     second = _first_complement(vi, SquareClass(1), 4, [3], {5: 1, 3: 1})
-    info = _choose_complement.cache_info()
+    info = memos()["transfer.choose_complement"].cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
     assert first is second
     ci, ui = first
@@ -92,37 +85,3 @@ def test_mutated_certificate_leaves_the_next_call_alone(ambient_form, field,
     again = split_transfer_feasible(ambient_form, field, m, mode)
     assert again.certificate is not cert
     assert json.dumps(verdict_to_json(again), sort_keys=True) == expected
-
-
-def _count_through_bindings(monkeypatch, owner, name):
-    """Count calls of `owner.name` through every module binding of it."""
-    calls = [0]
-    original = getattr(owner, name)
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    for module in (exact, qforms, numfields, transfer, k3hk, cli):
-        if getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counting)
-    return calls
-
-
-def test_second_grid_pass_chooses_no_complement(monkeypatch):
-    # warm the other memos first, so that the count is the same when this
-    # test runs alone: a cold form_from_invariants checks what it builds
-    _grid_pass()
-    symbols = _count_through_bindings(monkeypatch, exact, "hilbert_symbol")
-    checks = _count_through_bindings(monkeypatch, qforms,
-                                     "validate_invariants")
-    _choose_complement.cache_clear()
-    _grid_pass()
-    # 449 distinct choices among the 638 feasible rows, two checks each
-    assert _choose_complement.cache_info().misses == 449
-    assert symbols[0] > 0 and checks[0] == 2 * 449
-    symbols[0] = checks[0] = 0
-    _grid_pass()
-    assert _choose_complement.cache_info().misses == 449
-    assert symbols[0] == 0
-    assert checks[0] == 0

@@ -19,13 +19,13 @@ from traceforms.exact import (
     INF, Poly, SquareClass, hilbert_support, is_square_at, squarefree_class,
 )
 from traceforms.numfields import (
-    IN, OUT, UNKNOWN, Cyclotomic, GeneralCM, GeneralTotallyReal,
-    ImagQuadratic, RealQuadratic, field_invariants, in_SE,
+    IN, Cyclotomic, GeneralCM, GeneralTotallyReal, ImagQuadratic,
+    RealQuadratic, field_invariants, in_SE,
 )
 from traceforms.qforms import (
     FormInvariants, InvariantContradiction, QuadraticForm, hyperbolic_bit,
-    hyperbolic_sum, invariants, invariants_from_json, is_isomorphic,
-    is_locally_hyperbolic, validate_invariants,
+    hyperbolic_sum, invariants, invariants_from_json, is_locally_hyperbolic,
+    validate_invariants,
 )
 from traceforms.transfer import (
     QuadFieldElement, _complement_target, _first_complement,

@@ -3,10 +3,11 @@
 
 A warm row does only what it must: one complement lookup, one fresh
 certificate, verdict and report.  The split-prime statuses of a cm row come
-from `transfer._cm_split_plan`, a memo keyed by values that hash in C, so a
+from the memo `transfer.cm_split_plan`, keyed by values that hash in C, so a
 warm pass asks `in_SE` nothing; the catalog's minimal polynomials hold ints,
 so no `Fraction` is compared or hashed on a lookup.  A cold pass shortcuts
-the support of (1, x), which is empty, without a Hilbert symbol.
+the support of (1, x), which is empty, without a Hilbert symbol; its symbol
+count is bounded in `tests/test_counts.py`.
 """
 
 import itertools
@@ -14,37 +15,28 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from traceforms import cli, exact, k3hk, numfields, qforms, transfer
-from traceforms.exact import SquareClass
+from traceforms import cli, exact
+from traceforms.exact import SquareClass, clear_memos, memos
 from traceforms.k3hk import ambient
 from traceforms.numfields import (
     IN, UNKNOWN, Cyclotomic, GeneralCM, ImagQuadratic, field_invariants,
     in_SE,
 )
 from traceforms.qforms import hyperbolic_bit, invariants
-from traceforms.transfer import (
-    _class_key, _cm_split_plan, _hasse_candidates, cm_twist_class,
-)
+from traceforms.transfer import _class_key, _hasse_candidates, cm_twist_class
 
 GRID_FAMILIES = "k3,kummer:2,kummer:3,og6,hilbk3:2,hilbk3:3,og10"
 GRID_MD_BOUND = 23
-MODULES = (exact, qforms, numfields, transfer, k3hk, cli)
+#: the memo of the split-prime statuses, reached by its label
+PLANS = memos()["transfer.cm_split_plan"]
 
 #: at most, on one warm pass of 1015 rows: 44,785 when every cm row
 #: recomputed its split-prime statuses, memo keys held fresh records and
 #: every certificate rendered its invariants afresh; 29,143 after
 WARM_CALLS_BOUND = 30_000
-#: at most, on one cold pass: 99,130 and 4,441 symbols before the support
-#: of (1, x) was shortcut and the statuses memoized; 97,731 and 3,383 after
+#: at most, on one cold pass: 99,130 before the support of (1, x) was
+#: shortcut and the statuses memoized; 97,731 after
 COLD_CALLS_BOUND = 99_130
-COLD_SYMBOLS_BOUND = 3_450
-
-
-def _clear_memos():
-    for module in MODULES:
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
 
 
 def _grid_pass():
@@ -77,11 +69,10 @@ def _profiled_pass() -> Counter:
 
 
 def test_cold_and_warm_passes_count_few_calls():
-    _clear_memos()
+    clear_memos()
     cold = _profiled_pass()
     warm = _profiled_pass()
     assert sum(cold.values()) <= COLD_CALLS_BOUND
-    assert 0 < cold[exact.hilbert_symbol.__code__] <= COLD_SYMBOLS_BOUND
     assert sum(warm.values()) <= WARM_CALLS_BOUND
     assert warm[in_SE.__code__] == 0
     assert warm[Fraction.__eq__.__code__] == 0
@@ -90,7 +81,7 @@ def test_cold_and_warm_passes_count_few_calls():
 
 
 def _direct_plan(vi, E, md):
-    """What `_cm_split_plan` keeps, computed in place: the statuses of the
+    """What the plan memo keeps, computed in place: the statuses of the
     candidate primes and the `want` pairs built from them."""
     finv = field_invariants(E)
     det_u = (cm_twist_class(finv) if md // finv.degree % 2
@@ -121,23 +112,23 @@ def _cm_fields():
 
 
 def test_statuses_memo_equals_the_direct_computation():
-    _cm_split_plan.cache_clear()
+    PLANS.cache_clear()
     for family, n in (("k3", None), ("og6", None), ("kummer", 2),
                       ("og10", None)):
         vi = invariants(ambient(family, n).rational_form)
         for E in _cm_fields():
             degree = field_invariants(E).degree
             for md in range(degree, vi.dim, degree):
-                plan = _cm_split_plan(vi, E.__class__, E._get(E), md)
+                plan = PLANS(vi, E.__class__, E._get(E), md)
                 assert plan == _direct_plan(vi, E, md), (family, E, md)
-    assert _cm_split_plan.cache_info().hits == 0
+    assert PLANS.cache_info().hits == 0
 
 
 def test_equal_descriptors_share_one_plan():
     vi = invariants(ambient("k3").rational_form)
-    _cm_split_plan.cache_clear()
-    plans = [_cm_split_plan(vi, Cyclotomic, E._get(E), 4)
+    PLANS.cache_clear()
+    plans = [PLANS(vi, Cyclotomic, E._get(E), 4)
              for E in (Cyclotomic(5), Cyclotomic(10), Cyclotomic(5))]
-    info = _cm_split_plan.cache_info()
+    info = PLANS.cache_info()
     assert (info.misses, info.hits) == (1, 2)
     assert plans[0] is plans[1] is plans[2]
