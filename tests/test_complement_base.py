@@ -4,11 +4,11 @@ Neither the Hasse base w(V) + supp(det_u, det_c) nor the candidate primes
 depend on the rank md, so one memo entry per (ambient invariants, det_u,
 extra primes) serves every rank's `_choose_complement` miss and the
 `_cm_split_plan` that asks before it.  A cold grid pass makes 449 choices
-and 340 plans from 125 entries (`tests/test_counts.py` counts them, and
-bounds the cold operation counts below what those bodies spent).  Each
+and 340 plans from 125 entries (`tests/test_counts.py` counts them).  Each
 choice and plan is checked against verbatim copies of the bodies that
-computed the base per miss, and the grid script, run as a one-shot process,
-still prints the golden bytes.
+computed the base per miss, the cold operation counts are bounded below what
+those bodies spent, and the grid script, run as a one-shot process, still
+prints the golden bytes.
 """
 
 import hashlib
@@ -21,7 +21,8 @@ import pytest
 
 from traceforms import cli, transfer
 from traceforms.exact import (
-    INF, SquareClass, clear_memos, is_square_at, rational_str, support_at,
+    COUNTS, INF, SquareClass, clear_memos, is_square_at, memos, rational_str,
+    support_at,
 )
 from traceforms.numfields import (
     OUT, UNKNOWN, desc_from_values, field_invariants, in_SE,
@@ -39,6 +40,13 @@ ROOT = Path(__file__).resolve().parent.parent
 GRID_FAMILIES = "k3,kummer:2,kummer:3,og6,hilbk3:2,hilbk3:3,og10"
 GRID_MD_BOUND = 23
 GRID_MD5 = "67f0f49dfc95d5a8ee9860499dc8f6c7"
+
+#: at most, on one cold pass: 2,067 and 1,077 while each choice evaluated
+#: its own Hasse base and each plan built its own candidate pool
+BOUNDS = {"hilbert_symbol": 1600, "support_at": 800}
+#: exactly, on one cold pass: two per choice, and the constructions' checks
+CHECKS = 1179
+CONSTRUCTIONS = 201
 
 
 def _grid_pass():
@@ -140,6 +148,18 @@ def test_choices_and_plans_equal_the_parent_bodies(monkeypatch):
         assert _choose_complement(*args) == _parent_choose_complement(*args)
     for args in plans:
         assert _cm_split_plan(*args) == _parent_cm_split_plan(*args)
+
+
+def test_cold_pass_counts():
+    clear_memos()
+    before = dict(COUNTS)
+    _grid_pass()
+    got = {name: COUNTS[name] - before[name] for name in COUNTS}
+    assert all(0 < got[name] <= bound for name, bound in BOUNDS.items()), got
+    assert got["validate_invariants"] == CHECKS
+    assert got["construction"] == CONSTRUCTIONS
+    info = memos()["qforms.form_from_invariants"].cache_info()
+    assert info.misses == CONSTRUCTIONS
 
 
 # ---------------------------------------------------------------------------

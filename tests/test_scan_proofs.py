@@ -5,20 +5,23 @@ The rank-2 construction scores each candidate a = sgn * core * q by the
 bilinearity of the Hilbert symbol instead of evaluating (a, -det) at every
 place, and must pick the same a.  The witness scan charges the steps of a
 triple whose ternary subform is anisotropic without taking them, and must
-return the same vector or None after the same budget.  The symbol and
-support counts that hold the work the proofs save are in
-`tests/test_counts.py`; a count pin here holds one classification per entry.
+return the same vector or None after the same budget.  Count pins, which
+do not depend on the machine, hold the work that the proofs save; the
+support count of one construction is in `tests/test_counts.py`.
 """
 
+import importlib.util
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
 from sympy import nextprime
 
 from traceforms import exact, qforms
 from traceforms.exact import (
-    INF, SquareClass, is_square_at, primes_below, support_at,
+    COUNTS, INF, SquareClass, clear_memos, is_square_at, primes_below,
+    support_at,
 )
 from traceforms.qforms import (
     FormInvariants,
@@ -33,6 +36,8 @@ from traceforms.qforms import (
     invariants,
     validate_invariants,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +276,26 @@ def test_bare_twin_of_a_constructed_form_is_scanned():
 
 
 # ---------------------------------------------------------------------------
-# a count pin
+# count pins
+
+
+def _workloads():
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_forms_pool_hilbert_symbol_count():
+    # cold memos: one pass of the pool made 51416 symbol evaluations when
+    # every rank-2 candidate evaluated its own support
+    clear_memos()
+    wl = _workloads()
+    before = COUNTS["hilbert_symbol"]
+    for entries, query, k in wl.forms_pool():
+        wl.forms_query(query, QuadraticForm.make(entries), k)
+    assert COUNTS["hilbert_symbol"] - before <= 20000
 
 
 def _count_calls(monkeypatch, name):
