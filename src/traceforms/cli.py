@@ -14,10 +14,10 @@ import sys
 from pathlib import Path
 
 # A cold `tf` query compiles and runs every module it imports, so only the
-# form layers load here; whatever needs numfields, transfer or k3hk imports
-# the names it uses inside the function.
+# form layers load here; whatever needs poly, numfields, transfer or k3hk
+# imports the names it uses inside the function.
 from .exact import (
-    DEFAULT_FACTOR_BUDGET, FactorizationBudgetError, Poly, SchemaError,
+    DEFAULT_FACTOR_BUDGET, FactorizationBudgetError, SchemaError,
     json_array, json_int, json_minpoly, json_object, json_str,
 )
 from .qforms import (
@@ -137,6 +137,7 @@ def parse_entries(E, raw: str):
 def parse_witness(E, raw: str):
     """[a, b] over a real quadratic field, else polynomial coefficients."""
     from .numfields import RealQuadratic
+    from .poly import Poly
     obj = parse_json_arg(raw, "witness")
     if not isinstance(obj, list):
         raise SchemaError("witness: need a JSON array")

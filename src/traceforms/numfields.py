@@ -13,10 +13,8 @@ from fractions import Fraction
 
 from .exact import (
     INF,
-    Poly,
     Record,
     SquareClass,
-    count_real_roots,
     factorize,
     is_prime,
     is_square_at,
@@ -25,12 +23,11 @@ from .exact import (
     json_minpoly,
     json_object,
     memo,
-    norm_via_resultant,
-    poly_gcd,
-    signs_at_real_roots,
     squarefree_class,
     support_at,
 )
+from .poly import (Poly, count_real_roots, norm_via_resultant, poly_gcd,
+                   signs_at_real_roots)
 
 
 class DescriptorError(ValueError):

@@ -15,12 +15,10 @@ from fractions import Fraction
 
 from .exact import (
     INF,
-    Poly,
     Record,
     SquareClass,
     is_square_at,
     memo,
-    signs_at_real_roots,
     squarefree_class,
     support_at,
 )
@@ -37,6 +35,7 @@ from .numfields import (
     norm_obstruction,
     verify_lambda_plus_witness,
 )
+from .poly import Poly, signs_at_real_roots
 from .qforms import (
     FormInvariants,
     InvariantContradiction,
