@@ -9,7 +9,10 @@ the splitting of a form at heights where a determinant is a product of two
 primes in (1e9, 2e9), beyond trial division.  Counting checks show that
 the split-prime queries factor each class once, the norm test none, the
 witness construction each entry and d once, and a direct sum none of the
-classes its summands hold.
+classes its summands hold.  The counts are differences of
+`exact.COUNTS["factorize"]`.  Two checks pin which integers are factored,
+in order, which a count cannot tell; only they replace the `factorize`
+bindings of `exact` and `numfields` (`_factorize_calls`).
 """
 
 from fractions import Fraction
@@ -19,13 +22,12 @@ from hypothesis import strategies as st
 from sympy import factorint, nextprime
 
 from conftest import reference_invariants
-from traceforms import exact, numfields, qforms
+from traceforms import exact, numfields
 from traceforms.exact import (
-    INF, SquareClass, hilbert_symbol, squarefree_class, support_at,
+    COUNTS, INF, SquareClass, clear_memos, hilbert_symbol, squarefree_class,
+    support_at,
 )
-from traceforms.numfields import (
-    ImagQuadratic, RealQuadratic, _field_invariants,
-)
+from traceforms.numfields import ImagQuadratic, RealQuadratic
 from traceforms.qforms import (
     QuadraticForm, form_from_invariants, invariants, is_isomorphic,
     split_complement,
@@ -156,6 +158,9 @@ def test_split_past_trial_division(f, data):
 
 
 def _factorize_calls(monkeypatch):
+    """The integers factored, in order, through the bindings of `exact` and
+    `numfields`: a value pin, which a difference of `COUNTS` cannot
+    replace."""
     calls = []
     factorize = exact.factorize
 
@@ -163,7 +168,8 @@ def _factorize_calls(monkeypatch):
         calls.append(n)
         return factorize(n, *args, **kwargs)
 
-    monkeypatch.setattr(exact, "factorize", counting)
+    for module in (exact, numfields):
+        monkeypatch.setattr(module, "factorize", counting)
     return calls
 
 
@@ -180,38 +186,30 @@ def test_split_prime_queries_factor_each_class_once(monkeypatch):
         assert calls == [7000021]
     # the norm test and the obstruction place read the primes that the
     # target class 3 * 7000021 carries
-    calls.clear()
+    before = COUNTS["factorize"]
     v = rm_transfer_feasible(F, U)
     assert v.obstruction["place"] == 3
-    assert calls == []
+    assert COUNTS["factorize"] - before == 0
 
 
 def test_norm_test_reads_carried_primes(monkeypatch):
     # cold memos: the field's d, the entries, and nothing from the norm test,
     # which once factored d, the target class 3 * 7000021 and d again
-    _field_invariants.cache_clear()
-    invariants.cache_clear()
+    clear_memos()
     calls = _factorize_calls(monkeypatch)
-    monkeypatch.setattr(numfields, "factorize", exact.factorize)
     v = rm_transfer_feasible(RealQuadratic(3),
                              QuadraticForm.make([1, 1, -1, -1, -1, -7000021]))
     assert v.status == "infeasible"
     assert calls == [3, 1, 1, 1, 1, 1, 7000021]
 
 
-def test_direct_sum_carries_the_classes_of_its_summands(monkeypatch):
+def test_direct_sum_carries_the_classes_of_its_summands():
     # a split classifies u and builds w with known classes; checking u + w
     # against v reads both, where it once classified 3 and -5 again
     invariants.cache_clear()
     v = QuadraticForm.make([3, -5, 7, 11, -13])
     u = QuadraticForm.make([3, -5])
     w = split_complement(v, u).complement
-    calls = []
-
-    def counting(n, *args):
-        calls.append(n)
-        return squarefree_class(n, *args)
-
-    monkeypatch.setattr(qforms, "squarefree_class", counting)
+    before = COUNTS["factorize"]
     assert is_isomorphic(u.direct_sum(w), v)
-    assert calls == []
+    assert COUNTS["factorize"] - before == 0

@@ -6,10 +6,12 @@ depend on the machine, with every memo of the package cleared first.
 once, and yields a report per rank; the splitting engine still checks the
 mode once per split.  `qforms.form_from_invariants` peels unit entries down
 to a rank-3 tuple, and that tuple fixes the rest of the form, so
-`qforms._rank3_form` builds it once per distinct tuple.  `clear_memos()`
-clears its memo with every other, so the construction pins of
+the memo labelled "qforms.rank3_form" builds it once per distinct tuple.
+`clear_memos()` clears it with every other, so the construction pins of
 `tests/test_counts.py` and `tests/test_core_walk.py` hold after a grid pass
-too.  The cold symbol count is bounded in `tests/test_counts.py`.
+too.  Cores are read from `exact.memos()` by label and supports from
+`exact.COUNTS`; the cold symbol count is bounded in
+`tests/test_complement_base.py`.
 """
 
 import importlib.util
@@ -18,8 +20,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from traceforms import cli, exact, qforms, transfer
-from traceforms.exact import clear_memos, primes_below
+from traceforms import cli, transfer
+from traceforms.exact import COUNTS, clear_memos, memos, primes_below
 from traceforms.qforms import QuadraticForm, form_from_invariants, invariants
 
 GRID_FAMILIES = "k3,kummer:2,kummer:3,og6,hilbk3:2,hilbk3:3,og10"
@@ -30,6 +32,7 @@ GRID_MD_BOUND = 23
 WARM_CALLS_BOUND = 21_000
 #: the rank-3 tuples a cold pass hands on, and their distinct values
 RANK3_TUPLES, RANK3_CORES = 173, 37
+CORES = memos()["qforms.rank3_form"]
 
 
 def _grid_pass():
@@ -67,7 +70,7 @@ def _profiled_pass():
 def test_grid_pass_costs():
     clear_memos()
     cells = _grid_pass()
-    cores = qforms._rank3_form.cache_info()
+    cores = CORES.cache_info()
     warm, _ = _profiled_pass()
     assert (cores.misses, cores.hits + cores.misses) == (RANK3_CORES,
                                                         RANK3_TUPLES)
@@ -77,29 +80,16 @@ def test_grid_pass_costs():
     assert cells == 196 and splits == 638
     assert warm[transfer.check_mode.__code__] <= cells + splits
     # a warm pass builds no core
-    assert qforms._rank3_form.cache_info().misses == RANK3_CORES
+    assert CORES.cache_info().misses == RANK3_CORES
 
 
 # ---------------------------------------------------------------------------
 # the construction pins, after a grid pass
 
 
-def _count_support_at(monkeypatch):
-    calls = [0]
-    original = exact.support_at
-
-    def counting(*args):
-        calls[0] += 1
-        return original(*args)
-
-    for module in (exact, qforms):
-        monkeypatch.setattr(module, "support_at", counting)
-    return calls
-
-
 def _pool_entry_142():
     """Operation 142 of the `forms` pool, whose construction
-    tests/test_scan_proofs.py pins at 39 supports."""
+    tests/test_counts.py pins at 39 supports."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
@@ -124,7 +114,7 @@ def _wide_rank4(k):
     return entries
 
 
-def test_construction_pins_hold_after_a_grid_pass(monkeypatch):
+def test_construction_pins_hold_after_a_grid_pass():
     # the grid pass and one build of each form fill both construction
     # memos with these very cores; the one clear must empty them again
     _grid_pass()
@@ -133,12 +123,11 @@ def test_construction_pins_hold_after_a_grid_pass(monkeypatch):
     for fi in (case_142, wide):
         form_from_invariants(fi)
     clear_memos()
-    calls = _count_support_at(monkeypatch)
+    before = COUNTS["support_at"]
     g = form_from_invariants(case_142)
     assert g.diagonal[:6] == (1, 1, 1, -1, -1, -7910)
-    assert calls[0] == 39
-    calls[0] = 0
+    assert COUNTS["support_at"] - before == 39
+    before = COUNTS["support_at"]
     g = form_from_invariants(wide)
-    assert calls[0] <= 29
-    monkeypatch.undo()
+    assert COUNTS["support_at"] - before <= 29
     assert invariants(QuadraticForm.make(g.diagonal)) == wide

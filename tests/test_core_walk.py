@@ -7,18 +7,18 @@ The rank-2 step skips an auxiliary prime q that elimination over F2 shows
 cannot hit, and takes the smallest core of a solution coset; it must pick
 the same entry as the full scan, evaluating no more supports.  A rank-4
 form whose determinant has 24 primes, far beyond the full listing, is
-built under a count bound.
+built under a count bound.  Supports are read from
+`exact.COUNTS["support_at"]`, which counts the copies' supports too.
 """
 
 import random
-import sys
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
 from traceforms import qforms
 from traceforms.exact import (
-    INF, SquareClass, clear_memos, primes_below, support_at,
+    COUNTS, INF, SquareClass, clear_memos, primes_below, support_at,
 )
 from traceforms.qforms import (
     FormInvariants,
@@ -132,21 +132,6 @@ def test_walk_is_the_sorted_listing(base, cut):
 # the F2 skip of an auxiliary prime that cannot hit
 
 
-def _counting(monkeypatch):
-    """Count `support_at` through the bindings of `qforms` and of the copy
-    above."""
-    calls = [0]
-    original = support_at
-
-    def counting(*args):
-        calls[0] += 1
-        return original(*args)
-
-    monkeypatch.setattr(qforms, "support_at", counting)
-    monkeypatch.setattr(sys.modules[__name__], "support_at", counting)
-    return calls
-
-
 def test_f2_skip_takes_the_scan_entry(monkeypatch):
     # det = 2 * 23 * 31 * 47 * 59 with Hasse set {2, 31}: no sgn * core
     # with q < 197 hits, so the scan walks all 32 cores for every auxiliary
@@ -154,9 +139,9 @@ def test_f2_skip_takes_the_scan_entry(monkeypatch):
     det = SquareClass(2 * 23 * 31 * 47 * 59, frozenset({2, 23, 31, 47, 59}))
     inv = FormInvariants(2, det, (2, 0), frozenset({2, 31}))
     validate_invariants(inv)
-    calls = _counting(monkeypatch)
+    before = COUNTS["support_at"]
     old = _parent_rank2_from_invariants([], det, (2, 0), inv.hasse)
-    old_calls, calls[0] = calls[0], 0
+    old_calls = COUNTS["support_at"] - before
     cores = [0]
     walk = qforms._ascending_cores
 
@@ -170,13 +155,14 @@ def test_f2_skip_takes_the_scan_entry(monkeypatch):
         return counted
 
     monkeypatch.setattr(qforms, "_ascending_cores", counted_walk)
+    before = COUNTS["support_at"]
     new = _rank2_from_invariants([], det, (2, 0), inv.hasse)
     assert new.diagonal == old.diagonal == (197, 197 * det.n)
     assert new.known_classes == old.known_classes
-    assert calls[0] <= old_calls
-    # the q = 1 walk stops at core 62, the first one after every base mask
-    # is known, and elimination refuses each q > 1 before 197 at its first
-    # core: 25 cores read, where the scan read all 32 for each q
+    assert COUNTS["support_at"] - before <= old_calls
+    # elimination over F2 decides q = 1 interval by interval between the
+    # base primes and refuses each q > 1 before 197: no core is read (0),
+    # where the scan read all 32 for each q
     assert cores[0] <= 25
     assert invariants(new) == inv
 
@@ -200,13 +186,15 @@ def _wide_rank4(k):
 
 
 def test_rank4_with_24_determinant_primes(monkeypatch):
-    # listing the 2^25 rank-2 cores takes hours; the walk pops 62 of them.
+    # listing the 2^25 rank-2 cores takes hours; the construction pops none
+    # of them (0): the rank-3 step takes core 1, which needs no pop, and
+    # the rank-2 step eliminates over F2 without reading a core.
     # 29 supports: 1 peel, 1 rank-3 candidate, the masks of -1 and of the
     # 25 base primes, and the final check (the entry has q = 1)
     fi = invariants(QuadraticForm.make(_wide_rank4(24)))
     assert len(fi.det.primes()) == 24
     clear_memos()
-    calls = _counting(monkeypatch)
+    before = COUNTS["support_at"]
     pops = [0]
     heappop = qforms.heappop
 
@@ -216,6 +204,6 @@ def test_rank4_with_24_determinant_primes(monkeypatch):
 
     monkeypatch.setattr(qforms, "heappop", counting_pop)
     g = form_from_invariants(fi)
-    assert calls[0] <= 29
+    assert COUNTS["support_at"] - before <= 29
     assert pops[0] <= 62
     assert invariants(QuadraticForm.make(g.diagonal)) == fi

@@ -9,7 +9,15 @@ Each bound took over a pin that counted through a module binding or a
 private name, and is equal to it or tighter.  The cold grid pass and the
 forms pool are counted through the same surface where their savings are
 tested: `tests/test_cold_grid_counts.py`, `tests/test_complement_base.py`,
-`tests/test_local_arithmetic.py` and `tests/test_scan_proofs.py`.
+`tests/test_local_arithmetic.py` and `tests/test_scan_proofs.py`.  So are
+the pins that once replaced a binding or read a private memo, each where
+its behaviour is tested: `tests/test_prime_exponents.py`,
+`tests/test_rule_owners.py`, `tests/test_cell_costs.py`,
+`tests/test_core_walk.py`, `tests/test_interval_elimination.py`,
+`tests/test_carried_primes.py`, `tests/test_exact.py`,
+`tests/test_value_memos.py`, `tests/test_warm_grid_counts.py` and
+`tests/test_deferred_certificates.py`.  `tests/test_count_surface_only.py`
+keeps every test on the surface.
 """
 
 import ast

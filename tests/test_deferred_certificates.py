@@ -6,8 +6,9 @@ A rendered certificate is the one an eager rendering gave: the reports
 digest holds whatever the order of rendering, and copies, pickles,
 equality and `repr` see the same dict.
 
-The render counts start from cleared memos, so they hold when this file
-runs alone.
+The render counts start from `exact.clear_memos()`, so they hold when this
+file runs alone, and the constructions are read from the memo labelled
+"qforms.form_from_invariants" in `exact.memos()`.
 """
 
 import copy
@@ -20,6 +21,7 @@ import pytest
 from test_reports_golden import FAMILIES, REPORTS_SHA256
 from traceforms import cli, exact, k3hk, numfields, qforms, transfer
 from traceforms.cli import catalog_fields, jsonable, load_catalog
+from traceforms.exact import clear_memos, memos
 from traceforms.k3hk import (
     ambient, hk_realizable, k3_realizable, report_to_json,
 )
@@ -45,13 +47,6 @@ SPLITS = [
 ]
 
 
-def _clear_memos():
-    for module in MODULES:
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
-
 def _count_through_bindings(monkeypatch, owner, name):
     """Count calls of `owner.name` through every module binding of it."""
     calls = [0]
@@ -73,7 +68,7 @@ def _split(family, n, E, m, mode):
 
 
 def test_a_grid_pass_renders_no_certificate(monkeypatch):
-    _clear_memos()
+    clear_memos()
     renders = {name: _count_through_bindings(monkeypatch, qforms, name)
                for name in ("invariants_to_json", "form_to_json")}
     for mode in ("rm", "cm"):
@@ -82,7 +77,8 @@ def test_a_grid_pass_renders_no_certificate(monkeypatch):
                           GRID_MD_BOUND)
     assert {name: calls[0] for name, calls in renders.items()} == \
         {"invariants_to_json": 0, "form_to_json": 0}
-    assert qforms.form_from_invariants.cache_info().misses == CONSTRUCTIONS
+    constructions = memos()["qforms.form_from_invariants"].cache_info()
+    assert constructions.misses == CONSTRUCTIONS
     # the counters see a read: both sides' invariants and the diagonal
     verdict = _split(*SPLITS[0])
     assert verdict.criterion == "even-degree-norm-class"

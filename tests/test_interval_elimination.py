@@ -10,10 +10,10 @@ evaluating the same supports.  The rank-3 step skips each (q, sign) that a
 system over F2 in the characters at the Hasse primes outside its base shows
 cannot hit; it must take the same entry as the copy's scan, evaluating no
 more supports.  Two families that the copies walk in exponential time are
-built without reading a core.
+built without reading a core.  Supports are read from
+`exact.COUNTS["support_at"]`, which counts the copies' supports too.
 """
 
-import sys
 from fractions import Fraction
 from itertools import chain
 from math import prod
@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from traceforms import qforms
 from traceforms.exact import (
-    INF, SquareClass, clear_memos, is_prime, primes_below, support_at,
+    COUNTS, INF, SquareClass, clear_memos, is_prime, primes_below, support_at,
 )
 from traceforms.qforms import (
     FormInvariants,
@@ -169,19 +169,10 @@ def _parent_rank3_form(det_n: int, primes: tuple, sig,
 # counters
 
 
-def _counting_supports(monkeypatch):
-    """Count `support_at` through the bindings of `qforms` and of the
-    copies above."""
-    calls = [0]
-    original = support_at
-
-    def counting(*args):
-        calls[0] += 1
-        return original(*args)
-
-    monkeypatch.setattr(qforms, "support_at", counting)
-    monkeypatch.setattr(sys.modules[__name__], "support_at", counting)
-    return calls
+def _counted(f, *args):
+    """f(*args), and the supports it evaluated."""
+    before = COUNTS["support_at"]
+    return f(*args), COUNTS["support_at"] - before
 
 
 def _parent_form(monkeypatch, inv):
@@ -255,27 +246,24 @@ def test_steps_take_the_entries_of_the_copies(inv):
 
     clear_memos()
     with pytest.MonkeyPatch.context() as m:
-        calls = _counting_supports(m)
         with m.context() as inner:
             inner.setattr(qforms, "_rank2_from_invariants", recording)
-            new = form_from_invariants(inv)
-        new_calls, calls[0] = calls[0], 0
+            new, new_calls = _counted(form_from_invariants, inv)
         clear_memos()
-        old = _parent_form(m, inv)
+        old, old_calls = _counted(_parent_form, m, inv)
         assert _entries_and_classes(new) == _entries_and_classes(old)
         assert invariants(new) == inv
         if inv.dim == 2:
-            assert new_calls == calls[0]
+            assert new_calls == old_calls
         else:
-            assert new_calls <= calls[0]
+            assert new_calls <= old_calls
         # the rank-2 step alone evaluates exactly the supports of the walk
         (head, det, sig, hasse), = handed
-        calls[0] = 0
-        new = rank2(list(head), det, sig, hasse)
-        new_calls, calls[0] = calls[0], 0
-        old = _parent_rank2_from_invariants(list(head), det, sig, hasse)
+        new, new_calls = _counted(rank2, list(head), det, sig, hasse)
+        old, old_calls = _counted(_parent_rank2_from_invariants, list(head),
+                                  det, sig, hasse)
         assert _entries_and_classes(new) == _entries_and_classes(old)
-        assert new_calls == calls[0]
+        assert new_calls == old_calls
 
 
 # ---------------------------------------------------------------------------

@@ -2,36 +2,24 @@
 k-th power with k = ab is also an a-th power, so each exact root is searched
 again from the same prime.  With no trial division (budget 0) a composite of
 two 200-digit primes took one integer root per exponent up to log_5 n, 571 of
-them; now it takes one per prime up to log_5 n, 105."""
+them; now it takes one per prime up to log_5 n, 105.  The roots are read
+from `exact.COUNTS["iroot"]`, which the root itself raises."""
 
 import pytest
 from sympy import nextprime
 
-from traceforms import exact
-from traceforms.exact import FactorizationBudgetError, factorize
+from traceforms.exact import COUNTS, FactorizationBudgetError, factorize
 
 
-def _count_roots(monkeypatch):
-    calls = [0]
-    original = exact._iroot
-
-    def counting(n, k):
-        calls[0] += 1
-        return original(n, k)
-
-    monkeypatch.setattr(exact, "_iroot", counting)
-    return calls
-
-
-def test_a_composite_past_the_budget_takes_a_root_per_prime(monkeypatch):
-    calls = _count_roots(monkeypatch)
+def test_a_composite_past_the_budget_takes_a_root_per_prime():
+    before = COUNTS["iroot"]
     n = (10 ** 200 + 357) * (10 ** 200 + 627)
     with pytest.raises(FactorizationBudgetError) as info:
         factorize(n, 0)
     assert info.value.cofactor == n and info.value.found == {}
     assert str(info.value) == (f"cofactor {n} is composite and resists "
                                "trial division up to 0")
-    assert 0 < calls[0] <= 105
+    assert 0 < COUNTS["iroot"] - before <= 105
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 6, 12, 30])

@@ -5,9 +5,9 @@ The quadratic norm obstruction of `numfields` is checked against verbatim
 copies of the three functions it replaced, and local hyperbolicity against
 its own copy.  A count pin, which does not depend on the machine, holds
 the work that a single implementation saves: one Hilbert support per
-infeasible norm verdict.  One squarefree part per sign query, and a
-perfect-power search bounded by the trial divisor, are counted in
-`tests/test_counts.py`.
+infeasible norm verdict, read from `exact.COUNTS["support_at"]`.  One
+squarefree part per sign query, and a perfect-power search bounded by the
+trial divisor, are counted in `tests/test_counts.py`.
 """
 
 import ast
@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import nextprime
 
-from traceforms import cli, exact, k3hk, numfields, qforms, transfer
+from traceforms import cli, exact, k3hk, qforms
 from traceforms.exact import (
+    COUNTS,
     INF,
     Poly,
     SquareClass,
@@ -154,30 +155,15 @@ def test_norm_obstruction_reads_carried_classes_and_rationals():
                     == norm_obstruction(6, c, positive))
 
 
-def _count_support_at(monkeypatch):
-    """Count `support_at` calls through every module binding of it."""
-    calls = [0]
-    original = exact.support_at
-
-    def counting(*args):
-        calls[0] += 1
-        return original(*args)
-
-    for module in (exact, qforms, numfields, transfer, k3hk):
-        if getattr(module, "support_at", None) is original:
-            monkeypatch.setattr(module, "support_at", counting)
-    return calls
-
-
-def test_infeasible_rm_norm_verdict_evaluates_one_support(monkeypatch):
+def test_infeasible_rm_norm_verdict_evaluates_one_support():
     # det 1 and m = 3 ask whether 3 is a totally positive norm from
     # Q(sqrt 3): (3, 3) is nontrivial at 3
-    calls = _count_support_at(monkeypatch)
+    before = COUNTS["support_at"]
     v = rm_transfer_feasible(RealQuadratic(3),
                              QuadraticForm.make([1, 1, -1, -1, -1, -1]))
     assert v.status == "infeasible"
     assert v.obstruction["place"] == 3
-    assert calls[0] == 1
+    assert COUNTS["support_at"] - before == 1
 
 
 # ---------------------------------------------------------------------------

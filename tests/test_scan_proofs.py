@@ -6,8 +6,9 @@ bilinearity of the Hilbert symbol instead of evaluating (a, -det) at every
 place, and must pick the same a.  The witness scan charges the steps of a
 triple whose ternary subform is anisotropic without taking them, and must
 return the same vector or None after the same budget.  Count pins, which
-do not depend on the machine, hold the work that the proofs save; the
-support count of one construction is in `tests/test_counts.py`.
+do not depend on the machine, hold the work that the proofs save; they
+read differences of `exact.COUNTS`.  The support count of one construction
+is in `tests/test_counts.py`.
 """
 
 import importlib.util
@@ -18,7 +19,7 @@ from pathlib import Path
 from hypothesis import assume, given, settings, strategies as st
 from sympy import nextprime
 
-from traceforms import exact, qforms
+from traceforms import qforms
 from traceforms.exact import (
     COUNTS, INF, SquareClass, clear_memos, is_square_at, primes_below,
     support_at,
@@ -298,27 +299,12 @@ def test_forms_pool_hilbert_symbol_count():
     assert COUNTS["hilbert_symbol"] - before <= 20000
 
 
-def _count_calls(monkeypatch, name):
-    """Count the calls of the `exact` function `name`, through every module
-    binding of it."""
-    calls = [0]
-    original = getattr(exact, name)
-
-    def counting(*args):
-        calls[0] += 1
-        return original(*args)
-
-    for module in (exact, qforms):
-        monkeypatch.setattr(module, name, counting)
-    return calls
-
-
-def test_represents_zero_classifies_each_entry_once(monkeypatch):
+def test_represents_zero_classifies_each_entry_once():
     # no pair of <7, 11, -13, -3, 5> is isotropic, so the scan reaches the
     # triples; with a cold memo, the invariants and then the scan each
-    # classified the five entries (10 calls)
+    # classified the five entries (10 calls), and each class factors once
     invariants.cache_clear()
-    calls = _count_calls(monkeypatch, "squarefree_class")
+    before = COUNTS["factorize"]
     verdict = qforms.represents_zero(QuadraticForm.make([7, 11, -13, -3, 5]))
     assert verdict.witness == (1, 0, -18, 0, 29)
-    assert calls[0] <= 5
+    assert COUNTS["factorize"] - before <= 5

@@ -3,13 +3,14 @@
 `qforms.hyperbolic_invariants`; and `qforms.form_to_json`, which keeps
 nothing and renders each form's own diagonal.  Fields of different classes
 never share an entry, equal fresh descriptors do, errors are raised on
-every call, and what a caller gets to mutate is built fresh."""
+every call, and what a caller gets to mutate is built fresh.  The two field
+memos are read by their labels in `exact.memos()`."""
 
 from fractions import Fraction
 
 import pytest
 
-from traceforms.exact import rational_str
+from traceforms.exact import memos, rational_str
 from traceforms.numfields import (
     IN,
     OUT,
@@ -19,8 +20,6 @@ from traceforms.numfields import (
     GeneralCM,
     ImagQuadratic,
     RealQuadratic,
-    _field_invariants,
-    _in_SE,
     field_invariants,
     in_SE,
 )
@@ -32,29 +31,32 @@ from traceforms.qforms import (
     invariants,
 )
 
+FIELDS = memos()["numfields.field_invariants"]
+SPLITS = memos()["numfields.in_SE"]
+
 
 def test_fields_of_one_value_and_three_classes_get_three_entries():
     # all three hash as (3,); the class in the key keeps them apart
     fields = (RealQuadratic(3), ImagQuadratic(3), Cyclotomic(3))
     assert len({hash(E) for E in fields}) == 1
-    _field_invariants.cache_clear()
+    FIELDS.cache_clear()
     answers = [field_invariants(E) for E in fields]
-    assert _field_invariants.cache_info().currsize == 3
+    assert FIELDS.cache_info().currsize == 3
     assert [(fi.degree, fi.disc_class.n, fi.is_cm) for fi in answers] == [
         (2, 3, False), (2, -3, True), (2, -3, True)]
     again = [field_invariants(E) for E in (RealQuadratic(3), ImagQuadratic(3),
                                            Cyclotomic(6))]
-    info = _field_invariants.cache_info()
+    info = FIELDS.cache_info()
     assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
     assert all(a is b for a, b in zip(answers, again))
 
 
 def test_equal_fresh_general_descriptors_hit_the_memo():
-    _field_invariants.cache_clear()
+    FIELDS.cache_clear()
     first = field_invariants(GeneralCM([-2, 0, 1], 8, [[7, True]]))
     second = field_invariants(GeneralCM((-2, 0, 1), 8, ((7, True),)))
     assert first is second
-    assert _field_invariants.cache_info().misses == 1
+    assert FIELDS.cache_info().misses == 1
 
 
 def test_field_errors_are_raised_on_every_call():
@@ -78,16 +80,16 @@ def test_split_set_errors_are_raised_on_every_call(field, p, error):
 
 
 def test_split_set_memo_keeps_classes_apart():
-    _in_SE.cache_clear()
+    SPLITS.cache_clear()
     # 7 splits in Q(sqrt -3) and in Q(zeta_3), the same field
     assert in_SE(ImagQuadratic(3), 7) == in_SE(Cyclotomic(3), 7) == IN
     assert in_SE(ImagQuadratic(3), 5) == in_SE(Cyclotomic(3), 5) == OUT
     cm = GeneralCM((-2, 0, 1), 8, ((3, True),))
     assert (in_SE(cm, 3), in_SE(cm, 5)) == (IN, UNKNOWN)
-    assert _in_SE.cache_info().currsize == 6
+    assert SPLITS.cache_info().currsize == 6
     assert in_SE(GeneralCM([-2, 0, 1], 8, [[3, True]]), 3) == IN
     assert in_SE(Cyclotomic(6), 7) == IN
-    info = _in_SE.cache_info()
+    info = SPLITS.cache_info()
     assert (info.hits, info.currsize) == (2, 6)
 
 

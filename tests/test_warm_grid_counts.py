@@ -4,11 +4,15 @@ generic `Record.__eq__` and `__hash__` of the descriptors and invariants.
 
 Each pass builds fresh descriptors from the catalog, once per pass, and
 answers one cell (mode, family, field) at a time, as the `grid` benchmark
-workload does.
+workload does.  The field memo is read by its label in `exact.memos()`, and
+`exact.clear_memos()` empties every memo first: one filled by earlier tests
+may hold keys equal to, but not the same objects as, the ones a grid pass
+builds, and comparing those costs dunder calls that a run of the grid
+script does not make.
 """
 
-from traceforms import cli, exact, k3hk, numfields, qforms, transfer
-from traceforms.exact import Record
+from traceforms import cli
+from traceforms.exact import Record, clear_memos, memos
 
 GRID_FAMILIES = "k3,kummer:2,kummer:3,og6,hilbk3:2,hilbk3:3,og10"
 GRID_MD_BOUND = 23
@@ -16,16 +20,6 @@ GRID_MD_BOUND = 23
 #: 5,170 at the time of writing, down from 11,994 when the field memos were
 #: keyed by the descriptor and each complement was rendered afresh
 DUNDER_CALLS_BOUND = 5500
-
-
-def _clear_memos():
-    # a memo filled by earlier tests may hold keys equal to, but not the
-    # same objects as, the ones a grid pass builds, and comparing those
-    # costs dunder calls that a run of the grid script does not make
-    for module in (exact, qforms, numfields, transfer, k3hk, cli):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
 
 
 def _grid_pass():
@@ -39,7 +33,7 @@ def _grid_pass():
 
 
 def test_warm_grid_pass_makes_few_record_dunder_calls(monkeypatch):
-    _clear_memos()
+    clear_memos()
     _grid_pass()
     calls = [0]
     eq, hash_ = Record.__eq__, Record.__hash__
@@ -54,9 +48,10 @@ def test_warm_grid_pass_makes_few_record_dunder_calls(monkeypatch):
 
     monkeypatch.setattr(Record, "__eq__", counting_eq)
     monkeypatch.setattr(Record, "__hash__", counting_hash)
-    before = numfields._field_invariants.cache_info()
+    fields = memos()["numfields.field_invariants"]
+    before = fields.cache_info()
     _grid_pass()
-    after = numfields._field_invariants.cache_info()
+    after = fields.cache_info()
     monkeypatch.undo()
     assert 0 < calls[0] <= DUNDER_CALLS_BOUND
     assert after.misses == before.misses
