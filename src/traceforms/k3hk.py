@@ -26,7 +26,6 @@ from .qforms import (
     complement_invariants,
     hyperbolic_sum,
     invariants,
-    is_locally_hyperbolic,
     represents_zero,
     validate_invariants,
     form_from_json,
@@ -36,12 +35,11 @@ from .qforms import (
 )
 from .transfer import (
     TransferVerdict,
-    bad_set,
     check_mode,
+    cm_transfer_feasible,
     infeasible,
     rm_rank_verdict,
     rm_transfer_feasible,
-    split_prime_verdict,
     split_transfer_feasible,
     verdict_to_json,
 )
@@ -261,14 +259,16 @@ def picard_compatible(L: QuadraticForm, E, m: int, mode: str,
     transcendental side?  The caller asserts that an integral model of L
     embeds primitively into the K3 lattice.
 
-    rm: the complement's invariants run through the totally real transfer
-    criterion, with no form built.  Over real quadratic fields the literal
+    Both modes run the invariants of the complement C of L in the K3
+    ambient through the mode's transfer criterion, with no form built.
+
+    rm: an inadmissible C raises.  Over real quadratic fields the literal
     published phrasing of the even-degree condition disagrees in sign with
     the derived one; then the derived route wins and a warning is attached.
 
-    cm: the discriminant of L must be the m-th power of the field
-    discriminant's class and L must be hyperbolic over Q_p at every asserted
-    split prime of the bad set.
+    cm: `cm_transfer_feasible(E, C)`, with C unvalidated, its (ii) named
+    `disc` and its (iii) `split-prime-hyperbolic`: the K3 ambient is
+    hyperbolic over every Q_p, so L is hyperbolic there exactly where C is.
     """
     mode, finv = check_mode(mode, E)
     li = invariants(L)
@@ -278,27 +278,32 @@ def picard_compatible(L: QuadraticForm, E, m: int, mode: str,
         raise ValueError(f"rank {li.dim} + md {md} must equal 22")
     if li.signature != (1, li.dim - 1):
         raise ValueError(f"Picard form must have signature (1, {li.dim - 1})")
+    if mode == "rm" and m < 3:
+        return rm_rank_verdict(m)
+    ci = complement_invariants(invariants(ambient("k3").rational_form), li)
 
     if mode == "rm":
-        if m < 3:
-            return rm_rank_verdict(m)
-        ci = complement_invariants(invariants(ambient("k3").rational_form), li)
         validate_invariants(ci)
         verdict = rm_transfer_feasible(E, ci, witness=witness)
         if d % 2 == 0 and isinstance(E, RealQuadratic):
             verdict = _attach_shortcut_warning(verdict)
         return verdict
 
-    want = finv.disc_class if m % 2 else SquareClass(1)
-    if li.disc() != want:
+    verdict = cm_transfer_feasible(E, ci)
+    if verdict.feasible:
+        verdict.certificate["picard_invariants"] = invariants_to_json(li)
+        return verdict
+    condition = verdict.obstruction.get("condition")
+    if condition == "(ii)":
+        want = finv.disc_class if m % 2 else SquareClass(1)
         return infeasible("disc", f"disc class {li.disc().n} differs from "
                                   "the m-th power of the field discriminant "
                                   f"class ({want.n})")
-    return split_prime_verdict(
-        E, bad_set(E, L), lambda p: not is_locally_hyperbolic(L, p),
-        "split-prime-hyperbolic",
-        {"m": m, "degree": d, "picard_invariants": invariants_to_json(li)},
-        lambda p: f"Picard form is not hyperbolic over Q_{p}")
+    if condition == "(iii)":
+        p = verdict.obstruction["place"]
+        return infeasible("split-prime-hyperbolic",
+                          f"Picard form is not hyperbolic over Q_{p}", p)
+    return verdict
 
 
 def _attach_shortcut_warning(verdict: TransferVerdict) -> TransferVerdict:

@@ -258,20 +258,6 @@ def split_prime_scan(E, primes, fails) -> tuple:
     return hard, pending
 
 
-def split_prime_verdict(E, primes, fails, condition, certificate,
-                        detail=lambda p: None):
-    """The verdict of a criterion whose last condition is a split-prime
-    scan: infeasible by `condition` at the scan's hard prime p, detailed by
-    `detail(p)`, else needs_witness on its pending primes, else feasible
-    with `certificate`."""
-    hard, pending = split_prime_scan(E, primes, fails)
-    if hard is not None:
-        return infeasible(condition, detail(hard), hard)
-    if pending:
-        return undecided("split-set-unknown", pending)
-    return TransferVerdict("feasible", certificate, None)
-
-
 # ---------------------------------------------------------------------------
 # feasibility for a fully specified rational form
 
@@ -283,6 +269,10 @@ def cm_transfer_feasible(E, U) -> TransferVerdict:
     the forced determinant class, hyperbolicity at the asserted split primes
     of the bad set, and an even signature pair.  Unknown split primes matter
     only where U is not already hyperbolic; those produce needs_witness.
+    No prime outside the bad set needs a scan: there U has a unit
+    determinant and a trivial Hasse bit, so with (ii) it is hyperbolic
+    unless m is odd and disc(E) is a non-square unit, and then p cannot
+    split, since a split prime gives E a square discriminant over Q_p.
 
     U may also be a bare invariant tuple; that allows probing invariants
     no genuine form can have (a lone odd-signature violation, say).
@@ -658,10 +648,14 @@ def validate_cm_rank2_complement(E, a, twisted: bool) -> TransferVerdict:
     pool.update(primes_a)
     pool.update(finv.disc_class.primes())
     pool.update(p for p in support if p != INF)
-    return split_prime_verdict(
-        E, sorted(pool), support.__contains__, "split-prime-symbol",
-        {"entry": rational_str(a),
-         "symbol": [rational_str(sym[0]), rational_str(sym[1])]})
+    hard, pending = split_prime_scan(E, sorted(pool), support.__contains__)
+    if hard is not None:
+        return infeasible("split-prime-symbol", place=hard)
+    if pending:
+        return undecided("split-set-unknown", pending)
+    return TransferVerdict("feasible", {
+        "entry": rational_str(a),
+        "symbol": [rational_str(sym[0]), rational_str(sym[1])]}, None)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ IMPOSSIBLE = ("no complement leaves the transfer side hyperbolic at the "
 
 #: one query per site, and the items of the obstruction it gives
 SITES = {
-    # transfer.split_prime_verdict, through the rank-2 complement check
+    # transfer.validate_cm_rank2_complement, the rank-2 complement check
     "rank2: asserted split prime": (
         lambda: validate_cm_rank2_complement(_cm(table=((3, True),)), 33,
                                              False),

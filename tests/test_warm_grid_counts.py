@@ -17,8 +17,9 @@ from traceforms.exact import Record, clear_memos, memos
 GRID_FAMILIES = "k3,kummer:2,kummer:3,og6,hilbk3:2,hilbk3:3,og10"
 GRID_MD_BOUND = 23
 
-#: 5,170 at the time of writing, down from 11,994 when the field memos were
-#: keyed by the descriptor and each complement was rendered afresh
+#: 3,938 at the time of writing, down from 5,170 earlier and from 11,994
+#: when the field memos were keyed by the descriptor and each complement
+#: was rendered afresh
 DUNDER_CALLS_BOUND = 5500
 
 
