@@ -165,6 +165,16 @@ class FormInvariants(Record):
         return -self.det if (n * (n - 1) // 2) % 2 else self.det
 
 
+#: S(-1, -1): (-1, -1) is nontrivial at 2 and INF only (Serre, A Course in
+#: Arithmetic, III.1.1)
+_MINUS_ONES = frozenset((2, INF))
+
+
+def _minus_ones_hasse(k: int) -> frozenset:
+    """The Hasse set of <-1>^k, the sum of C(k, 2) copies of S(-1, -1)."""
+    return _MINUS_ONES if k * (k - 1) // 2 % 2 else frozenset()
+
+
 def hyperbolic_plane() -> QuadraticForm:
     return QuadraticForm.make([1, -1])
 
@@ -182,8 +192,7 @@ def hyperbolic_invariants(t: int) -> FormInvariants:
     if t < 1:
         raise ValueError("need at least one plane")
     return FormInvariants(2 * t, SquareClass((-1) ** t), (t, t),
-                          frozenset(v for v in (2, INF)
-                                    if hyperbolic_bit(t, v)))
+                          _minus_ones_hasse(t))
 
 
 def diagonalize(gram: Sequence[Sequence[Rational]]) -> QuadraticForm:
@@ -279,16 +288,6 @@ def is_isomorphic(f: QuadraticForm, g: QuadraticForm) -> bool:
     return invariants(f) == invariants(g)
 
 
-def _locally_isomorphic_inv(fi: FormInvariants, gi: FormInvariants,
-                            place) -> bool:
-    if fi.dim != gi.dim:
-        return False
-    if place == INF:
-        return fi.signature == gi.signature
-    dd = fi.det * gi.det
-    return is_square_at(dd, place) and fi.hasse_bit(place) == gi.hasse_bit(place)
-
-
 # ---------------------------------------------------------------------------
 # invariants -> form
 
@@ -381,9 +380,9 @@ def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
     Memoized: the invariants and the returned form are both frozen.  The memo
     key ignores the primes the determinant carries, so an equal tuple without
     them can hit the cache and skip the factorization.  A contradiction is
-    raised again on every call.  The peel is forced, so the rank-3 tuple it
-    hands on fixes the rest of the form, and `_rank3_form` memoizes that
-    rest by the tuple.
+    raised again on every call.  The peel is forced and written in closed
+    form, so the rank-3 tuple it hands on fixes the rest of the form, and
+    `_rank3_form` memoizes that rest by the tuple.
     """
     COUNTS["construction"] += 1
     validate_invariants(inv)
@@ -394,27 +393,19 @@ def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
     det = SquareClass(det.n, frozenset(primes))
     if n == 2:
         return _rank2_from_invariants([], det, (r, s), hasse)
-    # <e> + W with e = +-1: det W = e det, w(W) = w + (e, det W).  The peel
-    # is forced: (1, x) is trivial, and a negative peel only negates det, so
-    # the Hasse set moves by S(-1, -det) and S(-1, det) in turn (Serre, A
-    # Course in Arithmetic, III.1.1); each is evaluated once.  The positive
-    # peels come first.
-    negated = {}    # det.n -> (-det, S(-1, -det))
-    plus = minus = 0
-    for _ in range(n - 3):
-        if r > 0:
-            r -= 1
-            plus += 1
-            # the empty set, found with no symbol but counted as a support
-            hasse ^= support_at(1, det.n, primes)
-        else:
-            s -= 1
-            minus += 1
-            if det.n not in negated:
-                negated[det.n] = (-det, support_at(-1, -det.n, primes))
-            det, step = negated[det.n]
-            hasse ^= step
-    core = _rank3_form(det.n, primes, (r, s), hasse)
+    # V = <1>^plus + <-1>^minus + W, positive entries first.  (1, x) is
+    # trivial, so w(V) = w(W) + w(<-1>^minus) + ((-1)^minus, det W) with
+    # det W = (-1)^minus det: one support, and only for an odd minus
+    plus = min(r, n - 3)
+    minus = n - 3 - plus
+    for _ in range(plus):
+        # the empty set, found with no symbol but counted as a support
+        hasse ^= support_at(1, det.n, primes)
+    if minus % 2:
+        hasse ^= support_at(-1, -det.n, primes)
+        det = -det
+    hasse ^= _minus_ones_hasse(minus)
+    core = _rank3_form(det.n, primes, (r - plus, s - minus), hasse)
     if n == 3:
         return core
     return QuadraticForm(
@@ -661,8 +652,8 @@ def split_complement(v: QuadraticForm, u: QuadraticForm) -> SplitResult:
 
 
 def hyperbolic_bit(t: int, place) -> int:
-    """Hasse bit of a sum of t hyperbolic planes at a place."""
-    return 1 if place in (2, INF) and t % 4 in (2, 3) else 0
+    """Hasse bit of a sum of t hyperbolic planes at a place: <-1>^t's."""
+    return int(place in _minus_ones_hasse(t))
 
 
 def is_locally_hyperbolic(f: QuadraticForm, place) -> bool:
@@ -671,8 +662,13 @@ def is_locally_hyperbolic(f: QuadraticForm, place) -> bool:
 
 
 def _locally_hyperbolic_inv(fi: FormInvariants, place) -> bool:
-    return fi.dim % 2 == 0 and _locally_isomorphic_inv(
-        fi, hyperbolic_invariants(fi.dim // 2), place)
+    if fi.dim % 2:
+        return False
+    hi = hyperbolic_invariants(fi.dim // 2)
+    if place == INF:
+        return fi.signature == hi.signature
+    return (is_square_at(fi.det * hi.det, place)
+            and fi.hasse_bit(place) == hi.hasse_bit(place))
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +695,7 @@ def _locally_isotropic_inv(fi: FormInvariants, place) -> bool:
         return fi.hasse_bit(place) == hilbert_symbol(-1, -fi.det.n, place)
     if n == 4:
         return (not is_square_at(fi.det, place)
-                or fi.hasse_bit(place) == hilbert_symbol(-1, -1, place))
+                or (place in fi.hasse) == (place in _MINUS_ONES))
     return True
 
 
@@ -896,20 +892,19 @@ class WittClassQ(Record):
                            "torsion", "kernel")
 
 
-def _peel_hyperbolic(fi: FormInvariants) -> FormInvariants:
-    det = -fi.det
-    r, s = fi.signature
-    hasse = frozenset(fi.hasse ^ support_at(-1, det.n, det.primes()))
-    return FormInvariants(fi.dim - 2, det, (r - 1, s - 1), hasse)
-
-
 def witt_reduce(f: QuadraticForm) -> WittClassQ:
     fi = invariants(f)
     disc = fi.disc()
     sig = fi.signature[0] - fi.signature[1]
-    kernel = fi
+    kernel, step = fi, None
     while kernel.dim > 1 and _local_obstruction(kernel) is None:
-        kernel = _peel_hyperbolic(kernel)
+        # peeling <1, -1> negates det and moves the Hasse set by S(-1, -det)
+        # of the det before, which alternates by S(-1, -1) plane by plane
+        step = (support_at(-1, -fi.det.n, fi.det.primes()) if step is None
+                else step ^ _MINUS_ONES)
+        r, s = kernel.signature
+        kernel = FormInvariants(kernel.dim - 2, -kernel.det, (r - 1, s - 1),
+                                kernel.hasse ^ step)
     kern = kernel if kernel.dim > 0 else None
     return WittClassQ(
         dim_parity=fi.dim % 2,
