@@ -185,10 +185,9 @@ def hyperbolic_sum(t: int) -> QuadraticForm:
     return QuadraticForm.make([1, -1] * t)
 
 
-@memo("qforms.hyperbolic_invariants", 256)
 def hyperbolic_invariants(t: int) -> FormInvariants:
     """The invariants of a sum of t hyperbolic planes, written down: they
-    equal `invariants(hyperbolic_sum(t))`.  Memoized."""
+    equal `invariants(hyperbolic_sum(t))`."""
     if t < 1:
         raise ValueError("need at least one plane")
     return FormInvariants(2 * t, SquareClass((-1) ** t), (t, t),
@@ -398,9 +397,6 @@ def form_from_invariants(inv: FormInvariants) -> QuadraticForm:
     # det W = (-1)^minus det: one support, and only for an odd minus
     plus = min(r, n - 3)
     minus = n - 3 - plus
-    for _ in range(plus):
-        # the empty set, found with no symbol but counted as a support
-        hasse ^= support_at(1, det.n, primes)
     if minus % 2:
         hasse ^= support_at(-1, -det.n, primes)
         det = -det

@@ -89,7 +89,7 @@ def test_grid_pass_costs():
 
 def _pool_entry_142():
     """Operation 142 of the `forms` pool, whose construction
-    tests/test_counts.py pins at 39 supports."""
+    tests/test_counts.py pins at 36 supports."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
@@ -126,7 +126,7 @@ def test_construction_pins_hold_after_a_grid_pass():
     before = COUNTS["support_at"]
     g = form_from_invariants(case_142)
     assert g.diagonal[:6] == (1, 1, 1, -1, -1, -7910)
-    assert COUNTS["support_at"] - before == 39
+    assert COUNTS["support_at"] - before == 36
     before = COUNTS["support_at"]
     g = form_from_invariants(wide)
     assert COUNTS["support_at"] - before <= 29

@@ -117,7 +117,7 @@ def test_round_trip_142_support_count():
     g = form_from_invariants(fi)
     assert g.diagonal[:6] == (1, 1, 1, -1, -1, -7910)
     assert invariants(g) == fi
-    assert _since(before)["support_at"] == 39
+    assert _since(before)["support_at"] == 36
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ def _memo_sites():
 def test_every_memo_is_registered_and_cleared():
     labels, stray = _memo_sites()
     assert not stray
-    assert len(labels) == len(set(labels)) == 13
+    assert len(labels) == len(set(labels)) == 12
     assert sorted(labels) == sorted(memos())
     # each module binds the cache wrapper itself, which adds no frame
     wrapper = type(functools.lru_cache(1)(len))

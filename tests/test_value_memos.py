@@ -1,10 +1,11 @@
 """The memos of a warm grid pass: `numfields.field_invariants` and
-`numfields.in_SE` keyed by a field's class and values, and
-`qforms.hyperbolic_invariants`; and `qforms.form_to_json`, which keeps
-nothing and renders each form's own diagonal.  Fields of different classes
-never share an entry, equal fresh descriptors do, errors are raised on
-every call, and what a caller gets to mutate is built fresh.  The two field
-memos are read by their labels in `exact.memos()`."""
+`numfields.in_SE` keyed by a field's class and values.  Beside them, two
+functions that keep nothing: `qforms.hyperbolic_invariants` writes the
+invariants of t planes down, and `qforms.form_to_json` renders each form's
+own diagonal.  Fields of different classes never share an entry, equal
+fresh descriptors do, errors are raised on every call, and what a caller
+gets to mutate is built fresh.  The two field memos are read by their
+labels in `exact.memos()`."""
 
 from fractions import Fraction
 
@@ -130,7 +131,6 @@ def test_rational_str(x, text):
 def test_memoized_hyperbolic_invariants_are_those_of_the_sum():
     for t in range(1, 13):
         assert hyperbolic_invariants(t) == invariants(hyperbolic_sum(t))
-        assert hyperbolic_invariants(t) is hyperbolic_invariants(t)
     for _ in range(2):
         with pytest.raises(ValueError, match="at least one plane"):
             hyperbolic_invariants(0)
