@@ -442,23 +442,6 @@ def _class_key(c: SquareClass) -> tuple:
     return c.n, frozenset(c.primes()) if primes is None else primes
 
 
-def _first_complement(vi, det_u: SquareClass, md: int, extra_primes=(),
-                      want=None):
-    """The (complement invariants, transfer invariants) pair that adds up to
-    V with the smallest complement Hasse set, ties broken lexicographically,
-    or None when no Hasse choice is admissible.
-
-    At each candidate prime the complement bit is forced by a rank-1 or
-    rank-2 local constraint on either side, or by `want` (a map from
-    candidate primes to the Hasse bit the transfer side must carry), or else
-    free; the parity of the set is then fixed with the smallest free prime.
-    The candidate primes and the Hasse base do not depend on md; they come
-    from `_complement_base`.
-    """
-    return _choose_complement(vi, _class_key(det_u), md, tuple(extra_primes),
-                              tuple(sorted((want or {}).items())))
-
-
 @memo("transfer.complement_base", 1024)
 def _complement_base(vi, ukey, extra_primes):
     """What a complement choice reads but does not take from the rank md:
@@ -466,7 +449,7 @@ def _complement_base(vi, ukey, extra_primes):
     that the complement's Hasse set moves to the transfer side's (Serre, A
     Course in Arithmetic, III.1.1), the candidate primes, -det_c and -det_u.
     Memoized on the key of `_choose_complement` without md and `want`: a
-    cold grid pass makes 449 choices and 340 cm plans from 125 entries."""
+    cold grid pass makes 449 choices and 340 cm splits from 125 entries."""
     det_u = SquareClass(*ukey)
     det_c = vi.det * det_u
     base = vi.hasse ^ support_at(det_u.n, det_c.n,
@@ -477,13 +460,18 @@ def _complement_base(vi, ukey, extra_primes):
 
 @memo("transfer.choose_complement", 4096)
 def _choose_complement(vi, ukey, md, extra_primes, want_items):
-    """`_first_complement` on a hashable key: V's invariants, which a grid
-    pass takes from the `invariants` memo, the key of det_u, which each row
-    builds afresh, and `want` as sorted (prime, bit) pairs.  Memoized: the
-    returned pair is frozen, and a grid pass asks the same question of each
-    ambient again and again.  A miss does only its rank's own work, the
-    forced bits, the parity fix and the two checked records, on the shared
-    entry of `_complement_base`."""
+    """The (complement invariants, transfer invariants) pair that adds up to
+    V, given as its invariants, with the smallest complement Hasse set, ties
+    broken lexicographically, or None when no Hasse choice is admissible.
+
+    At each candidate prime the complement bit is forced by a rank-1 or
+    rank-2 local constraint on either side, or by `want_items` (sorted
+    (prime, bit) pairs: the Hasse bit the transfer side must carry at a
+    candidate prime), or else free; the parity of the set is then fixed
+    with the smallest free prime.  The candidate primes and the Hasse base
+    do not depend on md; they come from `_complement_base`.  Memoized on
+    the `_class_key` of det_u: the returned pair is frozen, and a grid pass
+    asks the same question of each ambient again and again."""
     det_u, det_c, base, pool, minus_c, minus_u = _complement_base(
         vi, ukey, extra_primes)
     dim_c, _, sig_c = _complement_target(vi, det_u, md)
@@ -532,7 +520,7 @@ def _split_rm(vi, finv, m, md):
     # rank >= 3 transfer side is constrained only by parity and the real
     # place, which additivity settles
     t = SquareClass(1 if md % 2 == 0 else -1)
-    found = _first_complement(vi, disc_m * t, md)
+    found = _choose_complement(vi, _class_key(disc_m * t), md, (), ())
     if found is None:
         raise RuntimeError("rm split without an admissible complement (bug)")
     route, extra = "odd-degree-transfer", {"embedding_signature": [2, m - 2]}
@@ -543,22 +531,20 @@ def _split_rm(vi, finv, m, md):
         finv, m, route, *found, form_from_invariants(found[0]), extra), None)
 
 
-@memo("transfer.cm_split_plan", 4096)
-def _cm_split_plan(vi, kind, values, md):
-    """What a cm split asks of the complement choice.  It depends only on
-    the ambient's invariants, the field's class and values (as its `_get`
-    gives them, so that they hash in C) and md, and is memoized; the
-    choice itself is not memoized here, so that every split still asks
-    `_choose_complement`.  The candidate primes come from the entry of
-    `_complement_base` that the choice right after it reads.
+@memo("transfer.cm_split", 4096)
+def _cm_split(vi, kind, values, md):
+    """The decision of a cm split.  It depends only on the ambient's
+    invariants, the field's class and values (as its `_get` gives them, so
+    that they hash in C) and md, and is memoized, so a warm row asks
+    neither `in_SE` nor `_choose_complement`.
 
     The transfer side must be hyperbolic at every split prime where its
     Hasse set could be nontrivial.  Unknown primes are first taken as split;
     if that fails where the asserted ones alone pass, the verdict waits on
-    the unknown primes.  Returns the key of the forced determinant det_u,
-    the field's discriminant primes, the `want` items with the unknown
-    primes taken as split and with the asserted ones alone, the unknown
-    primes, det_u as text, and whether det(V) det_u is the class -1."""
+    the unknown primes.  Returns a tagged tuple: (complement invariants,
+    transfer invariants, the forced det_u as text, whether det(V) det_u is
+    the class -1) when a complement exists, else (None, the unknown primes
+    that block it), with () when asserted primes block it."""
     E = desc_from_values(kind, values)
     finv = field_invariants(E)
     det_u = cm_twist_class(finv) if md // finv.degree % 2 else SquareClass(1)
@@ -575,27 +561,30 @@ def _cm_split_plan(vi, kind, values, md):
                 unknowns.append(p)
             else:
                 want_in.append(pair)
-    return (ukey, disc_primes, tuple(want), tuple(want_in),
-            tuple(unknowns), rational_str(det_u.n), det_c.n == -1)
+    found = _choose_complement(vi, ukey, md, disc_primes, tuple(want))
+    if found is not None:
+        return (*found, rational_str(det_u.n), det_c.n == -1)
+    if unknowns and _choose_complement(vi, ukey, md, disc_primes,
+                                       tuple(want_in)) is not None:
+        return None, tuple(unknowns)
+    return None, ()
 
 
 def _split_cm(vi, E, finv, m, md, codim):
-    ukey, disc_primes, want, want_in, unknowns, forced, minus_one = \
-        _cm_split_plan(vi, E.__class__, E._get(E), md)
-    found = _choose_complement(vi, ukey, md, disc_primes, want)
-    if found is None:
-        if unknowns and _choose_complement(vi, ukey, md, disc_primes,
-                                           want_in) is not None:
-            return undecided("split-set-unknown", list(unknowns))
+    found = _cm_split(vi, E.__class__, E._get(E), md)
+    if found[0] is None:
+        if found[1]:
+            return undecided("split-set-unknown", list(found[1]))
         return infeasible("(iii)", "no complement leaves the transfer side "
                                    "hyperbolic at the asserted split primes")
+    ci, ui, forced, minus_one = found
     extra = {"forced_determinant": forced}
     if codim == 2:
         extra["complement_count"] = ("unique-hyperbolic" if minus_one
                                      else "infinite-family")
     return TransferVerdict("feasible", (
-        finv, m, "split-prime-hyperbolic-pattern", *found,
-        form_from_invariants(found[0]), extra), None)
+        finv, m, "split-prime-hyperbolic-pattern", ci, ui,
+        form_from_invariants(ci), extra), None)
 
 
 def _split_certificate(finv, m, route, ci, ui, complement, extra) -> dict:

@@ -2,13 +2,13 @@
 
 Neither the Hasse base w(V) + supp(det_u, det_c) nor the candidate primes
 depend on the rank md, so one memo entry per (ambient invariants, det_u,
-extra primes) serves every rank's `_choose_complement` miss and the
-`_cm_split_plan` that asks before it.  A cold grid pass makes 449 choices
-and 340 plans from 125 entries (`tests/test_counts.py` counts them).  Each
-choice and plan is checked against verbatim copies of the bodies that
-computed the base per miss, the cold operation counts are bounded below what
-those bodies spent, and the grid script, run as a one-shot process, still
-prints the golden bytes.
+extra primes) serves every rank's `_choose_complement` miss and the cm split
+decision `_cm_split` that asks before it.  A cold grid pass makes 449
+choices and 340 decisions from 125 entries (`tests/test_counts.py` counts
+them, and `tests/test_memo_traffic.py` bounds the operations of that pass).
+Each choice and decision is checked against verbatim copies of the bodies
+that computed the base per miss, and the grid script, run as a one-shot
+process, still prints the golden bytes.
 """
 
 import hashlib
@@ -21,8 +21,7 @@ import pytest
 
 from traceforms import cli, transfer
 from traceforms.exact import (
-    COUNTS, INF, SquareClass, clear_memos, is_square_at, memos, rational_str,
-    support_at,
+    INF, SquareClass, clear_memos, is_square_at, rational_str, support_at,
 )
 from traceforms.numfields import (
     OUT, UNKNOWN, desc_from_values, field_invariants, in_SE,
@@ -32,7 +31,7 @@ from traceforms.qforms import (
     validate_invariants,
 )
 from traceforms.transfer import (
-    _choose_complement, _class_key, _cm_split_plan, _complement_target,
+    _choose_complement, _class_key, _cm_split, _complement_target,
     _hasse_candidates, cm_twist_class,
 )
 
@@ -40,13 +39,6 @@ ROOT = Path(__file__).resolve().parent.parent
 GRID_FAMILIES = "k3,kummer:2,kummer:3,og6,hilbk3:2,hilbk3:3,og10"
 GRID_MD_BOUND = 23
 GRID_MD5 = "67f0f49dfc95d5a8ee9860499dc8f6c7"
-
-#: at most, on one cold pass: 2,067 and 1,077 while each choice evaluated
-#: its own Hasse base and each plan built its own candidate pool
-BOUNDS = {"hilbert_symbol": 1600, "support_at": 800}
-#: exactly, on one cold pass: two per choice, and the constructions' checks
-CHECKS = 1179
-CONSTRUCTIONS = 201
 
 
 def _grid_pass():
@@ -121,8 +113,21 @@ def _parent_cm_split_plan(vi, kind, values, md):
             tuple(unknowns), rational_str(det_u.n), det_c.n == -1)
 
 
+def _parent_decision(vi, kind, values, md):
+    """What `_split_cm` took from the plan and the choices it asked."""
+    ukey, disc_primes, want, want_in, unknowns, forced, minus_one = \
+        _parent_cm_split_plan(vi, kind, values, md)
+    found = _parent_choose_complement(vi, ukey, md, disc_primes, want)
+    if found is not None:
+        return (*found, forced, minus_one)
+    if unknowns and _parent_choose_complement(vi, ukey, md, disc_primes,
+                                              want_in) is not None:
+        return None, unknowns
+    return None, ()
+
+
 # ---------------------------------------------------------------------------
-# the choices and plans of a cold pass
+# the choices and decisions of a cold pass
 
 
 def _recording(monkeypatch, name, seen):
@@ -138,28 +143,16 @@ def _recording(monkeypatch, name, seen):
 
 def test_choices_and_plans_equal_the_parent_bodies(monkeypatch):
     clear_memos()
-    choices, plans = {}, {}
+    choices, decisions = {}, {}
     _recording(monkeypatch, "_choose_complement", choices)
-    _recording(monkeypatch, "_cm_split_plan", plans)
+    _recording(monkeypatch, "_cm_split", decisions)
     _grid_pass()
     monkeypatch.undo()
-    assert (len(choices), len(plans)) == (449, 340)
+    assert (len(choices), len(decisions)) == (449, 340)
     for args in choices:
         assert _choose_complement(*args) == _parent_choose_complement(*args)
-    for args in plans:
-        assert _cm_split_plan(*args) == _parent_cm_split_plan(*args)
-
-
-def test_cold_pass_counts():
-    clear_memos()
-    before = dict(COUNTS)
-    _grid_pass()
-    got = {name: COUNTS[name] - before[name] for name in COUNTS}
-    assert all(0 < got[name] <= bound for name, bound in BOUNDS.items()), got
-    assert got["validate_invariants"] == CHECKS
-    assert got["construction"] == CONSTRUCTIONS
-    info = memos()["qforms.form_from_invariants"].cache_info()
-    assert info.misses == CONSTRUCTIONS
+    for args in decisions:
+        assert _cm_split(*args) == _parent_decision(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ leaves every count as it is.  The counts do not depend on the machine.
 Each bound took over a pin that counted through a module binding or a
 private name, and is equal to it or tighter.  The cold grid pass and the
 forms pool are counted through the same surface where their savings are
-tested: `tests/test_cold_grid_counts.py`, `tests/test_complement_base.py`,
-`tests/test_local_arithmetic.py` and `tests/test_scan_proofs.py`.  So are
+tested: `tests/test_memo_traffic.py`, `tests/test_local_arithmetic.py` and
+`tests/test_scan_proofs.py`.  So are
 the pins that once replaced a binding or read a private memo, each where
 its behaviour is tested: `tests/test_prime_exponents.py`,
 `tests/test_rule_owners.py`, `tests/test_cell_costs.py`,
@@ -71,20 +71,22 @@ def _workloads():
 
 def test_cold_pass_shares_125_entries():
     # the rank-free part of a complement choice: 449 choices and 340 cm
-    # plans read 125 entries
+    # split decisions read 125 entries
     clear_memos()
     _grid_pass()
     info = _info("transfer.complement_base")
     assert (info.misses, info.hits, info.currsize) == (125, 664, 125)
     assert _info("transfer.choose_complement").misses == 449
-    assert _info("transfer.cm_split_plan").misses == 340
+    assert _info("transfer.cm_split").misses == 340
 
 
 def test_second_grid_pass_chooses_no_complement():
     # warm the other memos first, so that the count is the same when this
-    # test runs alone: a cold construction checks what it builds
+    # test runs alone: a cold construction checks what it builds.  A warm
+    # cm decision asks no complement choice, so its memo is cleared too
     _grid_pass()
-    for label in ("transfer.choose_complement", "transfer.complement_base"):
+    for label in ("transfer.choose_complement", "transfer.complement_base",
+                  "transfer.cm_split"):
         memos()[label].cache_clear()
     before = dict(COUNTS)
     _grid_pass()

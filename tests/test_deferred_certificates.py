@@ -33,7 +33,7 @@ GRID_MD_BOUND = 23
 MODULES = (exact, qforms, numfields, transfer, k3hk, cli)
 
 #: the distinct invariant tuples a grid pass constructs a form for, as in
-#: `tests/test_cold_grid_counts.py`
+#: `tests/test_memo_traffic.py`
 CONSTRUCTIONS = 201
 
 #: feasible splits of every shape: plain, forced line, hyperbolic plane

@@ -29,9 +29,14 @@ from traceforms.qforms import (
     FormInvariants,
     InvariantContradiction,
     QuadraticForm,
+    _MINUS_CLASS,
+    _MINUS_ONE,
+    _ONE,
+    _PLUS_CLASS,
     _UNIT_ENTRIES,
     _ascending_cores,
     _aux_primes,
+    _minus_ones_hasse,
     _represented_entry,
     form_from_invariants,
     invariants,
@@ -175,14 +180,29 @@ def _counted(f, *args):
     return f(*args), COUNTS["support_at"] - before
 
 
-def _parent_form(monkeypatch, inv):
+def _parent_form(inv):
     """`form_from_invariants` with the copies in place of the two steps,
-    past its memo."""
-    with monkeypatch.context() as m:
-        m.setattr(qforms, "_rank3_form", _parent_rank3_form)
-        m.setattr(qforms, "_rank2_from_invariants",
-                  _parent_rank2_from_invariants)
-        return form_from_invariants.__wrapped__(inv)
+    past its memo: a verbatim copy of its peel, then the rank-3 copy."""
+    validate_invariants(inv)
+    n, det, (r, s), hasse = inv.dim, inv.det, inv.signature, inv.hasse
+    if n == 1:
+        return QuadraticForm.make([det.n], [det])
+    primes = det.primes()
+    det = SquareClass(det.n, frozenset(primes))
+    if n == 2:
+        return _parent_rank2_from_invariants([], det, (r, s), hasse)
+    plus = min(r, n - 3)
+    minus = n - 3 - plus
+    if minus % 2:
+        hasse ^= support_at(-1, -det.n, primes)
+        det = -det
+    hasse ^= _minus_ones_hasse(minus)
+    core = _parent_rank3_form(det.n, primes, (r - plus, s - minus), hasse)
+    if n == 3:
+        return core
+    return QuadraticForm(
+        (_ONE,) * plus + (_MINUS_ONE,) * minus + core.diagonal,
+        (_PLUS_CLASS,) * plus + (_MINUS_CLASS,) * minus + core.known_classes)
 
 
 def _entries_and_classes(f):
@@ -246,24 +266,23 @@ def test_steps_take_the_entries_of_the_copies(inv):
 
     clear_memos()
     with pytest.MonkeyPatch.context() as m:
-        with m.context() as inner:
-            inner.setattr(qforms, "_rank2_from_invariants", recording)
-            new, new_calls = _counted(form_from_invariants, inv)
-        clear_memos()
-        old, old_calls = _counted(_parent_form, m, inv)
-        assert _entries_and_classes(new) == _entries_and_classes(old)
-        assert invariants(new) == inv
-        if inv.dim == 2:
-            assert new_calls == old_calls
-        else:
-            assert new_calls <= old_calls
-        # the rank-2 step alone evaluates exactly the supports of the walk
-        (head, det, sig, hasse), = handed
-        new, new_calls = _counted(rank2, list(head), det, sig, hasse)
-        old, old_calls = _counted(_parent_rank2_from_invariants, list(head),
-                                  det, sig, hasse)
-        assert _entries_and_classes(new) == _entries_and_classes(old)
+        m.setattr(qforms, "_rank2_from_invariants", recording)
+        new, new_calls = _counted(form_from_invariants, inv)
+    clear_memos()
+    old, old_calls = _counted(_parent_form, inv)
+    assert _entries_and_classes(new) == _entries_and_classes(old)
+    assert invariants(new) == inv
+    if inv.dim == 2:
         assert new_calls == old_calls
+    else:
+        assert new_calls <= old_calls
+    # the rank-2 step alone evaluates exactly the supports of the walk
+    (head, det, sig, hasse), = handed
+    new, new_calls = _counted(rank2, list(head), det, sig, hasse)
+    old, old_calls = _counted(_parent_rank2_from_invariants, list(head),
+                              det, sig, hasse)
+    assert _entries_and_classes(new) == _entries_and_classes(old)
+    assert new_calls == old_calls
 
 
 # ---------------------------------------------------------------------------
@@ -342,4 +361,4 @@ def test_rank3_family_reads_no_core(monkeypatch):
         if k <= 8:
             # the copy's scan walks all 2^k cores for each auxiliary prime
             # below 200 before it takes the represented entry
-            assert f.diagonal == _parent_form(monkeypatch, inv).diagonal
+            assert f.diagonal == _parent_form(inv).diagonal

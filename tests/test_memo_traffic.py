@@ -7,8 +7,9 @@ workload starts it: a cold grid pass and then a warm one, one pass of the
 query (a fresh interpreter each).  A memo that no run hits only costs its
 key and its entries, so it goes.
 
-The cold pass is pinned here too, on the count surface: its supports and
-Hilbert symbols at most, its checks, constructions and rank-3 cores exactly.
+The cold pass is pinned here too, and only here, on the count surface: its
+supports and Hilbert symbols at most, its checks, constructions and rank-3
+cores exactly.
 The positive peels of `qforms.form_from_invariants` evaluate no support,
 since S(1, x) is empty.
 """

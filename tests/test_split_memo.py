@@ -1,7 +1,7 @@
 """The memoized complement choice of the splitting engine,
 `transfer._choose_complement`: warm answers equal cold ones over the whole
-grid, a `want` map is keyed by its items whatever their order, and verdicts
-are still built fresh on every call.  What a second grid pass spends is
+grid, equal asks share one entry, and verdicts are still built fresh on
+every call.  What a second grid pass spends is
 counted in `tests/test_counts.py`."""
 
 import json
@@ -14,7 +14,8 @@ from traceforms.k3hk import ambient, hk_realizable
 from traceforms.numfields import ImagQuadratic, RealQuadratic
 from traceforms.qforms import FormInvariants, invariants
 from traceforms.transfer import (
-    _first_complement,
+    _choose_complement,
+    _class_key,
     split_transfer_feasible,
     verdict_to_json,
 )
@@ -55,9 +56,13 @@ def test_warm_verdicts_equal_cold_ones_over_the_grid():
 
 def test_want_orders_share_one_entry():
     vi = invariants(ambient("k3").rational_form)
+    # `want` travels as sorted (prime, bit) pairs, the order in which a cm
+    # split builds it from the sorted candidate primes
     clear_memos()
-    first = _first_complement(vi, SquareClass(1), 4, (3,), {3: 1, 5: 1})
-    second = _first_complement(vi, SquareClass(1), 4, [3], {5: 1, 3: 1})
+    first = _choose_complement(vi, _class_key(SquareClass(1)), 4, (3,),
+                               ((3, 1), (5, 1)))
+    second = _choose_complement(vi, _class_key(SquareClass(1)), 4, (3,),
+                                tuple(sorted({5: 1, 3: 1}.items())))
     info = memos()["transfer.choose_complement"].cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
     assert first is second

@@ -28,7 +28,7 @@ from traceforms.qforms import (
     validate_invariants,
 )
 from traceforms.transfer import (
-    QuadFieldElement, _complement_target, _first_complement,
+    QuadFieldElement, _choose_complement, _class_key, _complement_target,
     _hasse_candidates, bad_set, check_mode, cm_transfer_feasible,
     cm_twist_class,
     condition_C_profile, predicted_invariants,
@@ -462,7 +462,7 @@ def _product(ps):
 @st.composite
 def split_inputs(draw):
     """(ambient invariants, det_u, md, extra primes, want) with `want` a map
-    over the candidate primes, as every caller passes it."""
+    over the candidate primes, which the choice takes as sorted items."""
     diag = draw(st.lists(_signed_products(2), min_size=3, max_size=12))
     vi = invariants(QuadraticForm.make(diag))
     s = vi.signature[1]
@@ -481,7 +481,8 @@ def split_inputs(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_first_complement_matches_the_subset_walk(args):
     vi, det_u, md, extra, want = args
-    assert (_first_complement(vi, det_u, md, extra, want)
+    assert (_choose_complement(vi, _class_key(det_u), md, extra,
+                               tuple(sorted(want.items())))
             == _walk_first(vi, det_u, md, extra, want))
 
 
@@ -506,7 +507,7 @@ def rm_split_inputs(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_rm_shaped_splits_always_have_a_complement(args):
     vi, det_u, md = args
-    found = _first_complement(vi, det_u, md)
+    found = _choose_complement(vi, _class_key(det_u), md, (), ())
     assert found is not None
     ci, ui = found
     assert ui.det == det_u and ui.signature == (2, md - 2)

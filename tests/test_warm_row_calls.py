@@ -2,12 +2,13 @@
 `sys.setprofile`, with every memo of the package cleared first.
 
 A warm row does only what it must: one complement lookup, one fresh
-certificate, verdict and report.  The split-prime statuses of a cm row come
-from the memo `transfer.cm_split_plan`, keyed by values that hash in C, so a
-warm pass asks `in_SE` nothing; the catalog's minimal polynomials hold ints,
+certificate, verdict and report.  The decision of a cm row, its split-prime
+statuses and its complement, comes from the memo `transfer.cm_split`, keyed
+by values that hash in C, so a warm pass asks `in_SE` nothing and a warm cm
+row asks no complement choice; the catalog's minimal polynomials hold ints,
 so no `Fraction` is compared or hashed on a lookup.  A cold pass shortcuts
 the support of (1, x), which is empty, without a Hilbert symbol; its symbol
-count is bounded in `tests/test_counts.py`.
+count is bounded in `tests/test_memo_traffic.py`.
 """
 
 import itertools
@@ -23,17 +24,22 @@ from traceforms.numfields import (
     in_SE,
 )
 from traceforms.qforms import hyperbolic_bit, invariants
-from traceforms.transfer import _class_key, _hasse_candidates, cm_twist_class
+from traceforms.transfer import (
+    _choose_complement, _class_key, _hasse_candidates, cm_twist_class,
+)
 
 GRID_FAMILIES = "k3,kummer:2,kummer:3,og6,hilbk3:2,hilbk3:3,og10"
 GRID_MD_BOUND = 23
-#: the memo of the split-prime statuses, reached by its label
-PLANS = memos()["transfer.cm_split_plan"]
+#: the memo of the cm split decisions, reached by its label
+PLANS = memos()["transfer.cm_split"]
+#: the memo of the complement choices, reached by its label
+CHOICES = memos()["transfer.choose_complement"]
 
 #: at most, on one warm pass of 1015 rows: 44,785 when every cm row
 #: recomputed its split-prime statuses, memo keys held fresh records and
-#: every certificate rendered its invariants afresh; 29,143 after
-WARM_CALLS_BOUND = 30_000
+#: every certificate rendered its invariants afresh; 18,320 while each cm row
+#: asked the complement choice past its memoized plan, 17,002 after
+WARM_CALLS_BOUND = 17_500
 #: at most, on one cold pass: 99,130 before the support of (1, x) was
 #: shortcut and the statuses memoized; 97,731 after
 COLD_CALLS_BOUND = 99_130
@@ -71,7 +77,12 @@ def _profiled_pass() -> Counter:
 def test_cold_and_warm_passes_count_few_calls():
     clear_memos()
     cold = _profiled_pass()
+    plans, choices = PLANS.cache_info(), CHOICES.cache_info()
     warm = _profiled_pass()
+    # each of the 340 cm rows hits its decision, and only the 298 rm rows
+    # that reach a split ask the complement choice; neither memo misses
+    assert PLANS.cache_info() == plans._replace(hits=plans.hits + 340)
+    assert CHOICES.cache_info() == choices._replace(hits=choices.hits + 298)
     assert sum(cold.values()) <= COLD_CALLS_BOUND
     assert sum(warm.values()) <= WARM_CALLS_BOUND
     assert warm[in_SE.__code__] == 0
@@ -81,8 +92,9 @@ def test_cold_and_warm_passes_count_few_calls():
 
 
 def _direct_plan(vi, E, md):
-    """What the plan memo keeps, computed in place: the statuses of the
-    candidate primes and the `want` pairs built from them."""
+    """What the decision memo keeps, computed in place: the statuses of the
+    candidate primes, the `want` pairs built from them, and the complement
+    they choose, or the unknown primes that block one."""
     finv = field_invariants(E)
     det_u = (cm_twist_class(finv) if md // finv.degree % 2
              else SquareClass(1))
@@ -94,9 +106,15 @@ def _direct_plan(vi, E, md):
             for p, st in statuses.items() if st in (IN, UNKNOWN)}
     want_in = {p: bit for p, bit in want.items() if statuses[p] == IN}
     unknowns = tuple(p for p, st in statuses.items() if st == UNKNOWN)
-    return (_class_key(det_u), disc_primes, tuple(sorted(want.items())),
-            tuple(sorted(want_in.items())), unknowns,
-            exact.rational_str(det_u.n), det_c.n == -1)
+    ukey = _class_key(det_u)
+    found = _choose_complement(vi, ukey, md, disc_primes,
+                               tuple(sorted(want.items())))
+    if found is not None:
+        return (*found, exact.rational_str(det_u.n), det_c.n == -1)
+    if unknowns and _choose_complement(vi, ukey, md, disc_primes,
+                                       tuple(sorted(want_in.items()))):
+        return None, unknowns
+    return None, ()
 
 
 def _cm_fields():
