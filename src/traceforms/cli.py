@@ -17,13 +17,13 @@ from pathlib import Path
 # form layers load here; whatever needs poly, numfields, transfer or k3hk
 # imports the names it uses inside the function.
 from .exact import (
-    DEFAULT_FACTOR_BUDGET, FactorizationBudgetError, SchemaError,
-    json_array, json_int, json_minpoly, json_object, json_str,
+    DEFAULT_FACTOR_BUDGET, FactorizationBudgetError, SchemaError, json_array,
+    json_int, json_minpoly, json_object, json_str, rational_from, rational_str,
 )
 from .qforms import (
     WITNESS_BUDGET, QuadraticForm, form_from_json, form_to_json, invariants,
-    invariants_to_json, is_isomorphic, place_str, rational_from,
-    rational_str, represents_zero, split_complement,
+    invariants_to_json, is_isomorphic, place_str, represents_zero,
+    split_complement,
 )
 
 EXIT_OK = 0

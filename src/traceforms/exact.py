@@ -670,19 +670,3 @@ def is_square_at(c: SquareClass, place) -> bool:
     when all its local characters vanish."""
     return not any(local_characters(c.n, place))
 
-
-# the polynomial layer lives in `traceforms.poly`; its names read through here
-_POLY_NAMES = frozenset((
-    "Poly", "poly_gcd", "squarefree_part", "sturm_chain", "_variations",
-    "_sturm_query", "root_bound", "_split_point", "isolate_real_roots",
-    "_isolate_squarefree", "count_real_roots", "signs_at_real_roots",
-    "norm_via_resultant", "_resultant"))
-
-
-def __getattr__(name: str):
-    """A name of `traceforms.poly`, imported at its first read (PEP 562);
-    any other name, dunders included, raises without importing anything."""
-    if name in _POLY_NAMES:
-        from . import poly
-        return getattr(poly, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,6 +14,7 @@ from functools import partial
 
 from .exact import (
     Record, SchemaError, SquareClass, json_int, json_object, json_str, memo,
+    rational_str,
 )
 from .numfields import (
     Cyclotomic,
@@ -31,7 +32,6 @@ from .qforms import (
     form_from_json,
     invariants_to_json,
     place_str,
-    rational_str,
 )
 from .transfer import (
     TransferVerdict,

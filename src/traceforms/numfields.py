@@ -79,16 +79,23 @@ class GeneralTotallyReal(Record):
 class GeneralCM(Record):
     """CM field described through its maximal totally real subfield plus the
     data this library cannot derive on its own: the discriminant square class
-    and any known split-prime memberships."""
+    and any known split-prime memberships, each prime named once."""
 
     __slots__ = _fields = ("real_minpoly", "disc_class", "se_assertions")
 
     def __init__(self, real_minpoly: tuple, disc_class: int,
                  se_assertions: tuple = ()):     # ((p, bool), ...)
+        se = tuple(tuple(a) for a in se_assertions)
+        seen = set()
+        for p, _ in se:
+            if not (isinstance(p, int) and is_prime(p)):
+                raise DescriptorError(f"se asserts a non-prime {p!r}")
+            if p in seen:
+                raise DescriptorError(f"se asserts a prime twice: {p}")
+            seen.add(p)
         object.__setattr__(self, "real_minpoly", tuple(real_minpoly))
         object.__setattr__(self, "disc_class", disc_class)
-        object.__setattr__(self, "se_assertions",
-                           tuple(tuple(a) for a in se_assertions))
+        object.__setattr__(self, "se_assertions", se)
 
     def poly(self) -> Poly:
         return Poly.make(self.real_minpoly)
@@ -358,7 +365,9 @@ def verify_lambda_plus_witness(E, m: int, target: SquareClass,
 
 
 def _se_table(pairs, what: str) -> tuple:
-    """A split-set table: a JSON array of [prime, boolean] pairs."""
+    """A split-set table: a JSON array of [prime, boolean] pairs.  Only
+    their shape is read here; `GeneralCM` checks that each names a
+    distinct prime."""
     table = []
     for pair in pairs:
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2

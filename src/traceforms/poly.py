@@ -1,8 +1,7 @@
 """Polynomials over Q with exact `Fraction` coefficients: gcds, squarefree
 parts, Sturm chains, real-root isolation, the signs of one polynomial at the
 roots of another (Sturm-Tarski) and resultant norms.  Only a field given by
-a minimal polynomial needs this layer, so no form query loads it; `exact`
-still answers for its names, importing this module at the first read.
+a minimal polynomial needs this layer, so no form query loads it.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from .exact import (
     SquareClass,
     is_square_at,
     memo,
+    rational_str,
     squarefree_class,
     support_at,
 )
@@ -49,7 +50,6 @@ from .qforms import (
     _locally_hyperbolic_inv,
     form_to_json,
     invariants_to_json,
-    rational_str,
 )
 
 

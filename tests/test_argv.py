@@ -12,7 +12,6 @@
 """
 
 import contextlib
-import importlib.util
 import io
 import json
 import os
@@ -22,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from traceforms.cli import COMMANDS, EXIT_OK, EXIT_SCHEMA, main
+from conftest import load_file, run_cli
+from traceforms.cli import COMMANDS, EXIT_OK, EXIT_SCHEMA
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "run_realizability_grids.py"
@@ -32,14 +32,6 @@ IDS = [f"{i}-{q['argv'][0]}" for i, q in enumerate(QUERIES)]
 FIELD = json.dumps({"kind": "real_quadratic", "d": 2})
 FORM = json.dumps({"diagonal": [1, -1]})
 HEAVY = ("argparse", "gettext", "locale")
-
-
-def _run(argv):
-    """(exit code, stdout) of `cli.main(argv)` in this process."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(list(argv))
-    return code, out.getvalue()
 
 
 def _joined(argv):
@@ -59,7 +51,7 @@ def test_flag_equals_value_reads_as_flag_value(query):
     argv = query["argv"]
     joined = _joined(argv)
     assert joined != argv and len(joined) == (len(argv) + 1) // 2
-    assert _run(joined) == _run(argv)
+    assert run_cli(joined) == run_cli(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +91,7 @@ BAD_ARGV = {
 @pytest.mark.parametrize("argv", BAD_ARGV.values(), ids=BAD_ARGV)
 def test_bad_argv_is_a_schema_error(argv):
     try:
-        code, out = _run(argv)
+        code, out = run_cli(argv)
     except SystemExit as err:   # what argparse did
         pytest.fail(f"main raised SystemExit({err.code})")
     assert code == EXIT_SCHEMA
@@ -111,7 +103,7 @@ def test_bad_argv_is_a_schema_error(argv):
 
 def test_argv_errors_name_what_is_wrong():
     def error(argv):
-        return json.loads(_run(argv)[1])["error"]
+        return json.loads(run_cli(argv)[1])["error"]
     assert "'--fo'" in error(BAD_ARGV["abbreviated flag"])
     assert "--form given twice" in error(BAD_ARGV["repeated flag"])
     assert "--m needs a value" in error(BAD_ARGV["value-less flag at the end"])
@@ -122,8 +114,8 @@ def test_argv_errors_name_what_is_wrong():
 
 
 def test_a_value_may_start_with_one_dash():
-    assert _run(["represents-zero", "--form", FORM, "--height", "-3"]) == \
-        _run(["represents-zero", "--form", FORM, "--height=-3"])
+    assert run_cli(["represents-zero", "--form", FORM, "--height", "-3"]) == \
+        run_cli(["represents-zero", "--form", FORM, "--height=-3"])
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +124,7 @@ def test_a_value_may_start_with_one_dash():
 
 @pytest.mark.parametrize("flag", ["--help", "-h"])
 def test_tf_help_names_every_command(flag):
-    code, out = _run([flag])
+    code, out = run_cli([flag])
     assert code == EXIT_OK and out.startswith("usage: tf")
     for name, (_, text, _) in COMMANDS.items():
         assert f"  {name} " in out and text in out
@@ -140,7 +132,7 @@ def test_tf_help_names_every_command(flag):
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_command_help_names_every_flag(command):
-    code, out = _run([command, "--help"])
+    code, out = run_cli([command, "--help"])
     assert code == EXIT_OK and out.startswith(f"usage: tf {command} ")
     assert COMMANDS[command][1] in out
     for flag in COMMANDS[command][2]:
@@ -148,7 +140,7 @@ def test_command_help_names_every_flag(command):
 
 
 def test_help_after_flags_is_still_help():
-    assert _run(["k3", "--m", "3", "-h"]) == _run(["k3", "--help"])
+    assert run_cli(["k3", "--m", "3", "-h"]) == run_cli(["k3", "--help"])
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +178,7 @@ def test_golden_query_loads_no_argument_parser(query):
     run = "from traceforms.cli import main\nmain(sys.argv[1:])"
     modules, out = _heavy_modules(run, *query["argv"])
     assert modules == set()
-    assert out == _run(query["argv"])[1]
+    assert out == run_cli(query["argv"])[1]
 
 
 def test_grid_script_loads_no_argument_parser():
@@ -209,14 +201,6 @@ def test_no_source_imports_argparse():
 # the grid script reads its flags by the same reader
 
 
-def _script():
-    spec = importlib.util.spec_from_file_location("run_realizability_grids",
-                                                  SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 GRID_BAD_ARGV = {
     "unknown flag": ["--colour", "red"],
     "abbreviated flag": ["--fam", "k3"],
@@ -232,14 +216,14 @@ def test_grid_script_bad_flag_is_a_schema_error(argv):
     from traceforms.cli import exit_code
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = exit_code(_script().main, argv)
+        code = exit_code(load_file(SCRIPT).main, argv)
     assert code == EXIT_SCHEMA
     doc = json.loads(out.getvalue())
     assert (doc["status"], doc["kind"]) == ("error", "schema")
 
 
 def test_grid_script_help_names_every_flag():
-    module = _script()
+    module = load_file(SCRIPT)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert module.main(["--help"]) == 0
@@ -271,7 +255,7 @@ def _degree_4(rho):
 
 @pytest.mark.parametrize("rho", [-7, 0, 1, 3, 4, 5, 30])
 def test_degree_4_refuses_a_rank_that_is_not_22_minus_4m(rho):
-    code, out = _run(_degree_4(rho))
+    code, out = run_cli(_degree_4(rho))
     assert code == EXIT_SCHEMA
     doc = json.loads(out)
     assert doc["kind"] == "schema" and "rho must be 22 - 4m" in doc["error"]
@@ -279,7 +263,7 @@ def test_degree_4_refuses_a_rank_that_is_not_22_minus_4m(rho):
 
 @pytest.mark.parametrize("rho", [2, 6, 10, 14, 18])
 def test_degree_4_answers_every_rank_22_minus_4m(rho):
-    code, out = _run(_degree_4(rho))
+    code, out = run_cli(_degree_4(rho))
     assert code == EXIT_OK
     assert json.loads(out)["verdict"] == ("yes" if rho >= 6 else "no")
 
@@ -296,7 +280,7 @@ def _small_degree(degree):
 @pytest.mark.parametrize("degree", [-4, 0, 1, 3, 5, 6, 8, 12, 22])
 def test_small_degree_refuses_a_degree_that_does_not_divide_20(degree):
     # a rank-2 algebraic part leaves md = 20 to a CM field, of even degree
-    code, out = _run(_small_degree(degree))
+    code, out = run_cli(_small_degree(degree))
     assert code == EXIT_SCHEMA
     doc = json.loads(out)
     assert doc["kind"] == "schema"
@@ -319,5 +303,5 @@ SMALL_DEGREE_ANSWERS = {
 
 @pytest.mark.parametrize("degree", sorted(SMALL_DEGREE_ANSWERS))
 def test_small_degree_answers_every_even_divisor_of_20(degree):
-    assert _run(_small_degree(degree)) == (EXIT_OK,
-                                           SMALL_DEGREE_ANSWERS[degree])
+    assert run_cli(_small_degree(degree)) == (EXIT_OK,
+                                              SMALL_DEGREE_ANSWERS[degree])

@@ -16,6 +16,7 @@ bindings of `exact` and `numfields` (`_factorize_calls`).
 """
 
 from fractions import Fraction
+from math import prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,15 +41,8 @@ from traceforms.transfer import (
 _PRIMES = (2, 3, 5, 7, 11, 13, 1009, 1000003)
 
 
-def _product(primes):
-    out = 1
-    for p in primes:
-        out *= p
-    return out
-
-
 _nonzero = st.builds(
-    lambda sign, num, den: sign * Fraction(_product(num), _product(den)),
+    lambda sign, num, den: sign * Fraction(prod(num), prod(den)),
     st.sampled_from((1, -1)),
     st.lists(st.sampled_from(_PRIMES), max_size=5),
     st.lists(st.sampled_from(_PRIMES), max_size=3))
@@ -103,7 +97,7 @@ def test_forms_compare_without_their_classes():
 # two primes in (1e9, 2e9) in one determinant
 
 _big_prime = st.integers(10**9, 2 * 10**9 - 10**5).map(nextprime)
-_small_entry = st.builds(lambda sign, primes: sign * _product(primes),
+_small_entry = st.builds(lambda sign, primes: sign * prod(primes),
                          st.sampled_from((1, -1)),
                          st.lists(st.sampled_from((2, 3, 5, 7)), max_size=2))
 

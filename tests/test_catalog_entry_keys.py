@@ -4,7 +4,6 @@ misspelled key, an entry that is not an object and bytes that are not UTF-8
 are each malformed input (exit 2) with a schema error, from `tf tabulate`
 and from the grid script alike."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -13,21 +12,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import load_file
 from traceforms.cli import (
     EXIT_OK, EXIT_SCHEMA, HIGHER_ENTRY_KEYS, catalog_fields, exit_code,
     load_catalog, main,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def _grid_script():
-    spec = importlib.util.spec_from_file_location(
-        "run_realizability_grids",
-        ROOT / "scripts" / "run_realizability_grids.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
 
 
 def _refused(capsys, path):
@@ -37,7 +28,7 @@ def _refused(capsys, path):
         == EXIT_SCHEMA
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "error" and doc["kind"] == "schema"
-    assert exit_code(_grid_script().main,
+    assert exit_code(load_file("scripts/run_realizability_grids.py").main,
                      ["--mode", "rm", "--catalog", str(path)]) == EXIT_SCHEMA
     assert json.loads(capsys.readouterr().out) == doc
     return doc["error"]

@@ -6,12 +6,10 @@ import json
 
 import pytest
 
+from conftest import GRID_FAMILIES, GRID_MD_BOUND
 from traceforms import cli
 from traceforms.k3hk import hk_realizable, hk_reports, report_to_json
 from traceforms.numfields import Cyclotomic, ImagQuadratic, RealQuadratic
-
-GRID_FAMILIES = "k3,kummer:2,kummer:3,og6,hilbk3:2,hilbk3:3,og10"
-GRID_MD_BOUND = 23
 
 
 def _cells():

@@ -12,9 +12,10 @@ from traceforms.cli import (
     load_catalog, main, parse_families, render_table, tabulate_rows,
     verdict_json,
 )
-from traceforms.exact import INF, Poly, hilbert_symbol
+from traceforms.exact import INF, hilbert_symbol
 from traceforms.k3hk import picard_compatible
 from traceforms.numfields import GeneralTotallyReal, RealQuadratic
+from traceforms.poly import Poly
 from traceforms.qforms import QuadraticForm
 from traceforms.transfer import QuadFieldElement, rm_transfer_feasible
 

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from traceforms import cli, transfer
+from conftest import grid_pass
+from traceforms import transfer
 from traceforms.exact import (
     INF, SquareClass, clear_memos, is_square_at, rational_str, support_at,
 )
@@ -36,16 +37,7 @@ from traceforms.transfer import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
-GRID_FAMILIES = "k3,kummer:2,kummer:3,og6,hilbk3:2,hilbk3:3,og10"
-GRID_MD_BOUND = 23
 GRID_MD5 = "67f0f49dfc95d5a8ee9860499dc8f6c7"
-
-
-def _grid_pass():
-    for mode in ("rm", "cm"):
-        cli.tabulate_rows(mode, cli.parse_families(GRID_FAMILIES),
-                          cli.catalog_fields(cli.load_catalog(), mode),
-                          GRID_MD_BOUND)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +138,7 @@ def test_choices_and_plans_equal_the_parent_bodies(monkeypatch):
     choices, decisions = {}, {}
     _recording(monkeypatch, "_choose_complement", choices)
     _recording(monkeypatch, "_cm_split", decisions)
-    _grid_pass()
+    grid_pass()
     monkeypatch.undo()
     assert (len(choices), len(decisions)) == (449, 340)
     for args in choices:

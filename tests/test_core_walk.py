@@ -11,11 +11,11 @@ built under a count bound.  Supports are read from
 `exact.COUNTS["support_at"]`, which counts the copies' supports too.
 """
 
-import random
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import wide_rank4
 from traceforms import qforms
 from traceforms.exact import (
     COUNTS, INF, SquareClass, clear_memos, primes_below, support_at,
@@ -171,27 +171,13 @@ def test_f2_skip_takes_the_scan_entry(monkeypatch):
 # the gate: a determinant with 24 primes
 
 
-def _wide_rank4(k):
-    """<e_1, ..., e_4> with k distinct primes below 400, drawn with
-    random.Random(7), dealt round the four entries, and random signs."""
-    rng = random.Random(7)
-    primes = rng.sample(primes_below(400), k)
-    entries = []
-    for i in range(4):
-        e = rng.choice((1, -1))
-        for p in primes[i::4]:
-            e *= p
-        entries.append(e)
-    return entries
-
-
 def test_rank4_with_24_determinant_primes(monkeypatch):
     # listing the 2^25 rank-2 cores takes hours; the construction pops none
     # of them (0): the rank-3 step takes core 1, which needs no pop, and
     # the rank-2 step eliminates over F2 without reading a core.
     # 29 supports: 1 peel, 1 rank-3 candidate, the masks of -1 and of the
     # 25 base primes, and the final check (the entry has q = 1)
-    fi = invariants(QuadraticForm.make(_wide_rank4(24)))
+    fi = invariants(QuadraticForm.make(wide_rank4(24)))
     assert len(fi.det.primes()) == 24
     clear_memos()
     before = COUNTS["support_at"]

@@ -22,30 +22,21 @@ keeps every test on the surface.
 
 import ast
 import functools
-import importlib.util
 from pathlib import Path
 
 import pytest
 
+from conftest import grid_pass, load_file
 from traceforms import cli, exact, k3hk, numfields, qforms, transfer
 from traceforms.exact import (
-    COUNTS, FactorizationBudgetError, Poly, clear_memos, factorize, memos,
-    signs_at_real_roots,
+    COUNTS, FactorizationBudgetError, clear_memos, factorize, memos,
 )
+from traceforms.poly import Poly, signs_at_real_roots
 from traceforms.qforms import QuadraticForm, form_from_invariants, invariants
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "traceforms").glob("*.py"))
 MODULES = (exact, qforms, numfields, transfer, k3hk, cli)
-GRID_FAMILIES = "k3,kummer:2,kummer:3,og6,hilbk3:2,hilbk3:3,og10"
-GRID_MD_BOUND = 23
-
-
-def _grid_pass():
-    for mode in ("rm", "cm"):
-        cli.tabulate_rows(mode, cli.parse_families(GRID_FAMILIES),
-                          cli.catalog_fields(cli.load_catalog(), mode),
-                          GRID_MD_BOUND)
 
 
 def _since(before: dict) -> dict:
@@ -57,14 +48,6 @@ def _info(label):
     return memos()[label].cache_info()
 
 
-def _workloads():
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 # ---------------------------------------------------------------------------
 # the grid
 
@@ -73,7 +56,7 @@ def test_cold_pass_shares_125_entries():
     # the rank-free part of a complement choice: 449 choices and 340 cm
     # split decisions read 125 entries
     clear_memos()
-    _grid_pass()
+    grid_pass()
     info = _info("transfer.complement_base")
     assert (info.misses, info.hits, info.currsize) == (125, 664, 125)
     assert _info("transfer.choose_complement").misses == 449
@@ -84,19 +67,19 @@ def test_second_grid_pass_chooses_no_complement():
     # warm the other memos first, so that the count is the same when this
     # test runs alone: a cold construction checks what it builds.  A warm
     # cm decision asks no complement choice, so its memo is cleared too
-    _grid_pass()
+    grid_pass()
     for label in ("transfer.choose_complement", "transfer.complement_base",
                   "transfer.cm_split"):
         memos()[label].cache_clear()
     before = dict(COUNTS)
-    _grid_pass()
+    grid_pass()
     spent = _since(before)
     # 449 distinct choices among the 638 feasible rows, two checks each
     assert _info("transfer.choose_complement").misses == 449
     assert spent["hilbert_symbol"] > 0
     assert spent["validate_invariants"] == 2 * 449
     before = dict(COUNTS)
-    _grid_pass()
+    grid_pass()
     spent = _since(before)
     assert _info("transfer.choose_complement").misses == 449
     assert spent["hilbert_symbol"] == 0
@@ -111,7 +94,7 @@ def test_round_trip_142_support_count():
     # operation 142 of the pool builds <1, 1, 1, -1, -1, -7910, a * det>;
     # scored candidate by candidate, its construction evaluated 3,218
     # supports
-    entries, query, _ = _workloads().forms_pool()[142]
+    entries, query, _ = load_file("perfbench/workloads.py").forms_pool()[142]
     assert query == "round_trip"
     fi = invariants(QuadraticForm.make(entries))
     clear_memos()
@@ -182,7 +165,7 @@ def test_every_memo_is_registered_and_cleared():
     bound = {id(v) for module in MODULES for v in vars(module).values()}
     assert all(type(m) is wrapper and id(m) in bound
                for m in memos().values())
-    _grid_pass()
+    grid_pass()
     assert all(_info(label).currsize > 0
                for label in ("qforms.form_from_invariants", "qforms.rank3_form",
                              "transfer.complement_base", "numfields.in_SE"))

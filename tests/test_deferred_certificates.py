@@ -19,6 +19,7 @@ import pickle
 import pytest
 
 from test_reports_golden import FAMILIES, REPORTS_SHA256
+from conftest import grid_pass
 from traceforms import cli, exact, k3hk, numfields, qforms, transfer
 from traceforms.cli import catalog_fields, jsonable, load_catalog
 from traceforms.exact import clear_memos, memos
@@ -28,8 +29,6 @@ from traceforms.k3hk import (
 from traceforms.numfields import Cyclotomic, ImagQuadratic, RealQuadratic
 from traceforms.transfer import split_transfer_feasible, verdict_to_json
 
-GRID_FAMILIES = "k3,kummer:2,kummer:3,og6,hilbk3:2,hilbk3:3,og10"
-GRID_MD_BOUND = 23
 MODULES = (exact, qforms, numfields, transfer, k3hk, cli)
 
 #: the distinct invariant tuples a grid pass constructs a form for, as in
@@ -71,10 +70,7 @@ def test_a_grid_pass_renders_no_certificate(monkeypatch):
     clear_memos()
     renders = {name: _count_through_bindings(monkeypatch, qforms, name)
                for name in ("invariants_to_json", "form_to_json")}
-    for mode in ("rm", "cm"):
-        cli.tabulate_rows(mode, cli.parse_families(GRID_FAMILIES),
-                          cli.catalog_fields(cli.load_catalog(), mode),
-                          GRID_MD_BOUND)
+    grid_pass()
     assert {name: calls[0] for name, calls in renders.items()} == \
         {"invariants_to_json": 0, "form_to_json": 0}
     constructions = memos()["qforms.form_from_invariants"].cache_info()

@@ -3,7 +3,6 @@
 document and exit 2, instead of reading the built-in catalog.  No path, or
 None, still reads the built-in one."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -12,23 +11,16 @@ from pathlib import Path
 
 import pytest
 
+from conftest import load_file
 from traceforms.cli import (
-    EXIT_SCHEMA, SchemaError, default_catalog_path, exit_code, load_catalog,
-    main,
+    EXIT_SCHEMA, default_catalog_path, exit_code, load_catalog, main,
 )
+from traceforms.exact import SchemaError
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "run_realizability_grids.py"
 ERROR = {"status": "error", "kind": "schema",
          "error": "catalog: the path is empty"}
-
-
-def _script():
-    spec = importlib.util.spec_from_file_location("run_realizability_grids",
-                                                  SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_load_catalog_refuses_an_empty_path():
@@ -46,7 +38,7 @@ def test_tabulate_and_the_grid_script_exit_2(capsys, argv):
     assert main(["tabulate", "--mode", "cm", "--md-bound", "2",
                  "--format", "csv", *argv]) == EXIT_SCHEMA
     assert json.loads(capsys.readouterr().out) == ERROR
-    assert exit_code(_script().main, argv) == EXIT_SCHEMA
+    assert exit_code(load_file(SCRIPT).main, argv) == EXIT_SCHEMA
     assert json.loads(capsys.readouterr().out) == ERROR
 
 

@@ -17,20 +17,22 @@ from hypothesis import given, settings, strategies as st
 from traceforms.exact import (
     INF,
     FactorizationBudgetError,
-    Poly,
     Rational,
     SquareClass,
-    count_real_roots,
     factorize,
     hilbert_support,
     hilbert_symbol,
     is_prime,
     is_square_at,
-    isolate_real_roots,
     legendre,
+    squarefree_class,
+)
+from traceforms.poly import (
+    Poly,
+    count_real_roots,
+    isolate_real_roots,
     norm_via_resultant,
     signs_at_real_roots,
-    squarefree_class,
     squarefree_part,
 )
 

@@ -19,6 +19,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import entries_and_classes
 from traceforms.exact import (
     INF, SquareClass, clear_memos, local_characters, primes_below,
     support_at,
@@ -108,10 +109,6 @@ def admissible_tuples(draw):
     return inv
 
 
-def _entries_and_classes(f):
-    return f.diagonal, [(c.n, c.known_primes) for c in f.known_classes]
-
-
 @given(admissible_tuples())
 @settings(max_examples=150, derandomize=True, deadline=None)
 def test_forced_peel_builds_the_step_by_step_form(inv):
@@ -122,7 +119,7 @@ def test_forced_peel_builds_the_step_by_step_form(inv):
     except RuntimeError as err:
         assert "rank-3 construction search exhausted" in str(err)
     else:
-        assert _entries_and_classes(new) == _entries_and_classes(old)
+        assert entries_and_classes(new) == entries_and_classes(old)
     # as `QuadraticForm.make` would store them
     assert all(type(e) is Fraction for e in new.diagonal)
     assert invariants(new) == inv

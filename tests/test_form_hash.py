@@ -5,27 +5,16 @@ integral entry as its numerator and keeps the hash of the diagonal, without
 a call of `Fraction.__hash__`, which is written in Python.  A non-integral
 entry is hashed as the `Fraction` it is."""
 
-import importlib.util
 import sys
 from fractions import Fraction
-from pathlib import Path
 
+from conftest import load_file
 from traceforms.exact import FactorizationBudgetError
 from traceforms.qforms import QuadraticForm
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _workloads():
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 def test_forms_pass_calls_no_fraction_hash():
-    wl = _workloads()
+    wl = load_file("perfbench/workloads.py")
     pool = wl.forms_pool()
     target = Fraction.__hash__.__code__
     calls = 0

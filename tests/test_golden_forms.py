@@ -16,14 +16,13 @@ answered then.
 """
 
 import hashlib
-import importlib.util
 import json
 from functools import lru_cache
 from pathlib import Path
 
-from conftest import reference_invariants
-from traceforms.exact import INF, FactorizationBudgetError
-from traceforms.qforms import QuadraticForm, rational_str
+from conftest import load_file, reference_invariants
+from traceforms.exact import INF, FactorizationBudgetError, rational_str
+from traceforms.qforms import QuadraticForm
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "perfbench" / "golden" / "forms.json"
@@ -66,14 +65,6 @@ RECOVERED = {
 }
 
 
-def _workloads():
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _diagonal(f):
     return [rational_str(e) for e in f.diagonal]
 
@@ -98,7 +89,7 @@ def _digest(records):
 def _walk():
     """Every operation of the pool, run once:
     [(entries, query, k, verdict, built, failed)]."""
-    wl = _workloads()
+    wl = load_file("perfbench/workloads.py")
     out = []
     for entries, query, k in wl.forms_pool():
         f = QuadraticForm.make(entries)

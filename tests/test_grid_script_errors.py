@@ -2,7 +2,6 @@
 `tf tabulate`: the JSON error document on stdout and exit code 2, not a
 traceback.  Both answer through `cli.exit_code`."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -11,18 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import load_file
 from traceforms.cli import EXIT_SCHEMA, exit_code, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "run_realizability_grids.py"
-
-
-def _script():
-    spec = importlib.util.spec_from_file_location("run_realizability_grids",
-                                                  SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _argv(case, tmp_path):
@@ -39,7 +31,7 @@ CASES = ["repeated family", "catalog without cm"]
 @pytest.mark.parametrize("case", CASES)
 def test_grid_script_main_answers_like_tabulate(capsys, tmp_path, case):
     argv = _argv(case, tmp_path)
-    assert exit_code(_script().main, argv) == EXIT_SCHEMA
+    assert exit_code(load_file(SCRIPT).main, argv) == EXIT_SCHEMA
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "error" and doc["kind"] == "schema"
     assert main(["tabulate", "--mode", "cm", *argv]) == EXIT_SCHEMA

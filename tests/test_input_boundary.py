@@ -12,10 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from traceforms.cli import (
-    EXIT_CRITERION, EXIT_SCHEMA, SchemaError, main, read,
-)
-from traceforms.exact import FactorizationBudgetError
+from traceforms.cli import EXIT_CRITERION, EXIT_SCHEMA, main, read
+from traceforms.exact import FactorizationBudgetError, SchemaError
 from traceforms.k3hk import ambient, picard_compatible
 from traceforms.numfields import (
     Cyclotomic, GeneralCM, GeneralTotallyReal, ImagQuadratic, RealQuadratic,

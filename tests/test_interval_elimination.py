@@ -21,6 +21,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import entries_and_classes
 from traceforms import qforms
 from traceforms.exact import (
     COUNTS, INF, SquareClass, clear_memos, is_prime, primes_below, support_at,
@@ -205,10 +206,6 @@ def _parent_form(inv):
         (_PLUS_CLASS,) * plus + (_MINUS_CLASS,) * minus + core.known_classes)
 
 
-def _entries_and_classes(f):
-    return f.diagonal, [(c.n, c.known_primes) for c in f.known_classes]
-
-
 # ---------------------------------------------------------------------------
 # the steps against the copies
 
@@ -270,7 +267,7 @@ def test_steps_take_the_entries_of_the_copies(inv):
         new, new_calls = _counted(form_from_invariants, inv)
     clear_memos()
     old, old_calls = _counted(_parent_form, inv)
-    assert _entries_and_classes(new) == _entries_and_classes(old)
+    assert entries_and_classes(new) == entries_and_classes(old)
     assert invariants(new) == inv
     if inv.dim == 2:
         assert new_calls == old_calls
@@ -281,7 +278,7 @@ def test_steps_take_the_entries_of_the_copies(inv):
     new, new_calls = _counted(rank2, list(head), det, sig, hasse)
     old, old_calls = _counted(_parent_rank2_from_invariants, list(head),
                               det, sig, hasse)
-    assert _entries_and_classes(new) == _entries_and_classes(old)
+    assert entries_and_classes(new) == entries_and_classes(old)
     assert new_calls == old_calls
 
 

@@ -10,15 +10,14 @@ prime bases up to 41, a proof below psi_13; psi_12, the least strong
 pseudoprime to the twelve bases up to 37, is composite.
 """
 
-import importlib.util
 from fractions import Fraction
 from math import prod
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import factorint, isprime, nextprime, prevprime
 
+from conftest import load_file
 from traceforms import exact
 from traceforms.cli import EXIT_BUDGET, main
 from traceforms.exact import (
@@ -38,7 +37,6 @@ from traceforms.qforms import (
     invariants,
 )
 
-ROOT = Path(__file__).resolve().parent.parent
 
 PSI_12 = 318665857834031151167461
 PSI_13 = 3317044064679887385961981
@@ -439,21 +437,13 @@ def test_witness_scan_cut_inside_every_mirrored_half(entries, height):
 # count pins
 
 
-def _workloads():
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_forms_pool_hilbert_symbol_count_with_local_characters():
     # cold memos: with a symbol per prefix pair and place, `invariants` took
     # one pass of the pool to 10463 evaluations; summed from the local
     # characters it takes none, and 3934 remain in the constructions and
     # the local isotropy tests
     clear_memos()
-    wl = _workloads()
+    wl = load_file("perfbench/workloads.py")
     before = COUNTS["hilbert_symbol"]
     for entries, query, k in wl.forms_pool():
         wl.forms_query(query, QuadraticForm.make(entries), k)

@@ -8,7 +8,8 @@ import json
 import pytest
 
 from traceforms.cli import EXIT_SCHEMA, main
-from traceforms.qforms import form_from_json, rational_from
+from traceforms.exact import rational_from
+from traceforms.qforms import form_from_json
 
 FIELD = '{"kind": "real_quadratic", "d": 5}'
 GOOD = '{"diagonal": [1, -1, 1, -1]}'

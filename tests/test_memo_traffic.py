@@ -16,13 +16,13 @@ since S(1, x) is empty.
 
 import contextlib
 import importlib
-import importlib.util
 import io
 import json
 import pkgutil
 from pathlib import Path
 
 import traceforms
+from conftest import grid_pass, load_file
 from traceforms import cli
 from traceforms.exact import COUNTS, clear_memos, memos
 from traceforms.qforms import QuadraticForm
@@ -34,8 +34,6 @@ for _module in pkgutil.iter_modules(traceforms.__path__):
 ROOT = Path(__file__).resolve().parent.parent
 QUERIES = json.loads((ROOT / "perfbench" / "golden" / "cli.json")
                      .read_text())["queries"]
-GRID_FAMILIES = "k3,kummer:2,kummer:3,og6,hilbk3:2,hilbk3:3,og10"
-GRID_MD_BOUND = 23
 
 #: at most, on one cold grid pass
 BOUNDS = {"hilbert_symbol": 918, "support_at": 363}
@@ -44,23 +42,8 @@ EXACT = {"validate_invariants": 1179, "construction": 201}
 RANK3_CORES = 37
 
 
-def _workloads():
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _grid_pass():
-    for mode in ("rm", "cm"):
-        cli.tabulate_rows(mode, cli.parse_families(GRID_FAMILIES),
-                          cli.catalog_fields(cli.load_catalog(), mode),
-                          GRID_MD_BOUND)
-
-
 def _forms_pass():
-    wl = _workloads()
+    wl = load_file("perfbench/workloads.py")
     for entries, query, k in wl.forms_pool():
         wl.forms_query(query, QuadraticForm.make(entries), k)
 
@@ -74,9 +57,9 @@ def _traffic():
     before the next run clears the memos."""
     runs = {}
     clear_memos()
-    _grid_pass()
+    grid_pass()
     runs["cold grid"] = _hits()
-    _grid_pass()
+    grid_pass()
     warm = _hits()
     runs["warm grid"] = {label: warm[label] - runs["cold grid"][label]
                          for label in warm}
@@ -103,7 +86,7 @@ def test_every_memo_hits_on_the_benchmark_traffic():
 def test_cold_grid_pass_counts():
     clear_memos()
     before = dict(COUNTS)
-    _grid_pass()
+    grid_pass()
     got = {name: COUNTS[name] - before[name] for name in COUNTS}
     assert all(0 < got[name] <= bound for name, bound in BOUNDS.items()), got
     assert {name: got[name] for name in EXACT} == EXACT

@@ -17,16 +17,15 @@ that may be empty: the `se` table of a descriptor, and a catalog section or
 entry list.  Those are valid inputs with fewer assertions or fields.
 """
 
-import contextlib
 import copy
-import io
 import json
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from traceforms.cli import EXIT_SCHEMA, main
+from conftest import elliptic_argv, run_cli
+from traceforms.cli import EXIT_SCHEMA
 
 REPLACEMENTS = [None, True, 1.5, {}, [], "x"]
 
@@ -34,10 +33,6 @@ REPLACEMENTS = [None, True, 1.5, {}, [], "x"]
 def _k3(mode, m):
     return lambda field: ["k3", "--field", json.dumps(field), "--m", str(m),
                           "--mode", mode]
-
-
-def _elliptic(context):
-    return ["elliptic", "--context", json.dumps(context)]
 
 
 def _form_invariants(form):
@@ -74,16 +69,16 @@ CASES = [
      {(): ("diagonal",)}, ()),
     ("gram", {"gram": [[1, 1], [1, 3]]}, _form_invariants,
      {(): ("gram",)}, ()),
-    ("small-degree", {"case": "small-degree", "degree": 2}, _elliptic,
+    ("small-degree", {"case": "small-degree", "degree": 2}, elliptic_argv,
      {(): ("case", "degree")}, ()),
     ("degree-20", {"case": "degree-20",
-                   "field": {"kind": "cyclotomic", "n": 44}}, _elliptic,
+                   "field": {"kind": "cyclotomic", "n": 44}}, elliptic_argv,
      {(): ("case", "field"), ("field",): ("kind", "n")}, ()),
     ("degree-4", {"case": "degree-4", "field": {"kind": "cyclotomic", "n": 5},
-                  "rho": 2}, _elliptic,
+                  "rho": 2}, elliptic_argv,
      {(): ("case", "field", "rho"), ("field",): ("kind", "n")}, ()),
     ("picard-form", {"case": "picard-form", "form": {"diagonal": [1, -1]}},
-     _elliptic, {(): ("case", "form"), ("form",): ("diagonal",)}, ()),
+     elliptic_argv, {(): ("case", "form"), ("form",): ("diagonal",)}, ()),
 ] + [
     (f"catalog-{mode}", CATALOG, mode, {
         (): ("totally_real", "cm"),
@@ -134,22 +129,15 @@ def _mutations(valid, required, may_be_empty):
             yield f"{path} = {new!r}", mutated, False
 
 
-def _run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    return code, out.getvalue()
-
-
 def _answer(value, argv_of, tmp):
     """The exit code and stdout of `tf` on `value`; a catalog is written to
     a file under `tmp` and tabulated."""
     if isinstance(argv_of, str):
         path = Path(tmp) / "catalog.json"
         path.write_text(json.dumps(value))
-        return _run(["tabulate", "--mode", argv_of, "--md-bound", "6",
-                     "--format", "csv", "--catalog", str(path)])
-    return _run(argv_of(value))
+        return run_cli(["tabulate", "--mode", argv_of, "--md-bound", "6",
+                        "--format", "csv", "--catalog", str(path)])
+    return run_cli(argv_of(value))
 
 
 @pytest.mark.parametrize("name, valid, argv_of, required, may_be_empty",

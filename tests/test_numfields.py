@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from traceforms.exact import Poly, SquareClass, hilbert_support, squarefree_class
+from traceforms.exact import SquareClass, hilbert_support, squarefree_class
 from traceforms.numfields import (
     IN,
     OUT,
@@ -26,6 +26,7 @@ from traceforms.numfields import (
     lambda_plus_quadratic,
     verify_lambda_plus_witness,
 )
+from traceforms.poly import Poly
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +117,16 @@ def test_non_squarefree_minimal_polynomial_is_named():
             field_invariants(GeneralCM(real_minpoly=coeffs, disc_class=5))
     with pytest.raises(DescriptorError, match="not totally real"):
         field_invariants(GeneralTotallyReal(minpoly=(-2, 0, 0, 1)))
+
+
+def test_general_cm_names_each_split_prime_once():
+    # `in_SE` read the first entry, so the order of the entries decided
+    for table, message in (([(4, True)], "non-prime 4"),
+                           ([(3, True), (3, False)], "prime twice: 3")):
+        with pytest.raises(DescriptorError, match=message):
+            GeneralCM((-2, 0, 1), -1, table)
+    assert GeneralCM((-2, 0, 1), -1, [(3, True), (5, False)]) \
+        .se_assertions == ((3, True), (5, False))
 
 
 def test_general_totally_real_quintic_sextic():

@@ -19,13 +19,15 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import GRID_FAMILIES, GRID_MD_BOUND
 from traceforms import cli
-from traceforms.exact import Poly, SquareClass
+from traceforms.exact import SquareClass
 from traceforms.k3hk import ambient, hk_realizable, hk_reports, picard_compatible
 from traceforms.numfields import (
     GeneralCM, GeneralTotallyReal, ImagQuadratic, RealQuadratic,
     field_invariants, lambda_plus_quadratic,
 )
+from traceforms.poly import Poly
 from traceforms.qforms import (
     FormInvariants, QuadraticForm, hyperbolic_sum, invariants,
 )
@@ -205,20 +207,18 @@ def _parent_row_criterion(v) -> str:
     return obs.get("condition") or obs.get("reason") or "unknown"
 
 
-GRID_FAMILIES = "k3,kummer:2,kummer:3,og6,hilbk3:2,hilbk3:3,og10"
-
-
 def test_grid_criterion_column_reads_the_verdict():
     cat = cli.load_catalog()
     families = cli.parse_families(GRID_FAMILIES)
     tally = Counter()
     for mode in ("rm", "cm"):
         fields = cli.catalog_fields(cat, mode)
-        rows = cli.tabulate_rows(mode, families, fields, 23)
+        rows = cli.tabulate_rows(mode, families, fields, GRID_MD_BOUND)
         verdicts = []
         for _, fam, n in sorted(families, key=lambda t: t[0]):
             for _, desc, degree in fields:
-                ms = range(3 if mode == "rm" else 1, 23 // degree + 1)
+                ms = range(3 if mode == "rm" else 1,
+                           GRID_MD_BOUND // degree + 1)
                 verdicts += [rep.verdict
                              for rep in hk_reports(fam, n, desc, mode, ms)]
         assert len(rows) == len(verdicts)

@@ -1,5 +1,5 @@
 """Each transfer rule has one copy: the signs of every totally real field
-come from `exact.signs_at_real_roots`, and one helper decides whether a
+come from `poly.signs_at_real_roots`, and one helper decides whether a
 transfer side's class is a totally positive norm class.  The library
 outputs that this moved are pinned here.
 """

@@ -26,6 +26,7 @@ field that exists it cannot split.
 import json
 import random
 
+from conftest import GRID_FAMILIES, GRID_MD_BOUND
 from traceforms import cli
 from traceforms.exact import SquareClass
 from traceforms.k3hk import ambient, hk_reports, picard_compatible
@@ -51,8 +52,6 @@ from traceforms.transfer import (
     verdict_to_json,
 )
 
-GRID_FAMILIES = "k3,kummer:2,kummer:3,og6,hilbk3:2,hilbk3:3,og10"
-GRID_MD_BOUND = 23
 
 #: the primes that the entries of a random Picard form are made of
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)

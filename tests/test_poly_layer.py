@@ -3,10 +3,9 @@ field given by a minimal polynomial loads it.
 
 Each cold check runs in a fresh interpreter, as in
 `tests/test_cli_imports.py`, which reports the `traceforms` modules it
-loaded on stderr.  The names that moved out of `exact` are still read
-through it: its module-level `__getattr__` (PEP 562) imports `poly` for a
-moved name and raises for any other, dunders included, without importing
-anything.
+loaded on stderr.  The names that moved out of `exact` are read from `poly`
+only: `exact` neither defines nor answers for them, and a lookup of any
+other name it lacks, dunders included, raises without importing `poly`.
 """
 
 import ast
@@ -18,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import parse_file
 from traceforms import exact, poly
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,13 +88,14 @@ def test_six_golden_form_queries():
 
 
 # ---------------------------------------------------------------------------
-# the names read through `exact`
+# the moved names are not read through `exact`
 
 
 @pytest.mark.parametrize("name", MOVED)
 def test_a_moved_name_read_through_exact_is_the_poly_object(name):
-    assert getattr(exact, name) is getattr(poly, name)
-    assert name not in vars(exact)
+    # named for the alias that `exact` once kept; the name has one route now
+    assert not hasattr(exact, name)
+    assert hasattr(poly, name)
 
 
 def test_dunder_lookups_on_exact_do_not_load_poly():
@@ -120,11 +121,6 @@ def test_an_unknown_name_raises_without_loading_poly():
     assert "traceforms.poly" not in modules
 
 
-def _tree(name):
-    path = SRC / name
-    return ast.parse(path.read_text(), filename=str(path))
-
-
 def _defined(tree):
     out = set()
     for stmt in tree.body:
@@ -137,13 +133,13 @@ def _defined(tree):
 
 
 def test_exact_defines_no_moved_name_and_poly_defines_them_all():
-    assert not _defined(_tree("exact.py")) & set(MOVED)
-    assert set(MOVED) <= _defined(_tree("poly.py"))
+    assert not _defined(parse_file(SRC / "exact.py")) & set(MOVED)
+    assert set(MOVED) <= _defined(parse_file(SRC / "poly.py"))
 
 
 def test_poly_imports_only_exact_and_the_standard_library():
     modules = set()
-    for node in ast.walk(_tree("poly.py")):
+    for node in ast.walk(parse_file(SRC / "poly.py")):
         if isinstance(node, ast.Import):
             modules |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom):

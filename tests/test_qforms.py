@@ -4,7 +4,7 @@ structure, isotropy, complements, and the Witt group."""
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -443,14 +443,7 @@ def test_witt_addition_consistent_with_direct_sum():
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
-def _product(primes):
-    out = 1
-    for p in primes:
-        out *= p
-    return out
-
-
-_factors = st.lists(st.sampled_from(SMALL_PRIMES), max_size=4).map(_product)
+_factors = st.lists(st.sampled_from(SMALL_PRIMES), max_size=4).map(prod)
 _entries = st.builds(lambda sign, num, den: sign * Fraction(num, den),
                      st.sampled_from((1, -1)), _factors, _factors)
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import elliptic_argv
 from traceforms.cli import EXIT_BUDGET, EXIT_OK, EXIT_SCHEMA, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -72,10 +73,6 @@ def _k3(field, mode="rm", m=3):
     return ["k3", "--field", json.dumps(field), "--m", str(m), "--mode", mode]
 
 
-def _elliptic(context):
-    return ["elliptic", "--context", json.dumps(context)]
-
-
 GENERAL_CM = {"kind": "general_cm", "minpoly": [-2, 0, 1], "disc": 5}
 SEXTIC = [-1, 3, 6, -4, -5, 1, 1]
 
@@ -119,16 +116,20 @@ RULES = [
     ("disc float", _k3(dict(GENERAL_CM, disc=5.5), "cm", 4), EXIT_SCHEMA),
     ("se prime float", _k3(dict(GENERAL_CM, se=[[3.7, True]]), "cm", 4),
      EXIT_SCHEMA),
+    ("se non-prime", _k3(dict(GENERAL_CM, se=[[4, True]]), "cm", 4),
+     EXIT_SCHEMA),
+    ("se prime twice", _k3(dict(GENERAL_CM, se=[[3, True], [3, False]]),
+                           "cm", 4), EXIT_SCHEMA),
     ("se flag string", _k3(dict(GENERAL_CM, se=[[3, "false"]]), "cm", 4),
      EXIT_SCHEMA),
     ("se flag boolean", _k3(dict(GENERAL_CM, se=[[3, False]]), "cm", 4),
      EXIT_OK),
-    ("degree as a string", _elliptic({"case": "small-degree",
-                                      "degree": "2"}), EXIT_OK),
-    ("degree float", _elliptic({"case": "small-degree", "degree": 2.9}),
+    ("degree as a string", elliptic_argv({"case": "small-degree",
+                                          "degree": "2"}), EXIT_OK),
+    ("degree float", elliptic_argv({"case": "small-degree", "degree": 2.9}),
      EXIT_SCHEMA),
-    ("rho float", _elliptic({"case": "degree-4", "rho": 5.9,
-                             "field": {"kind": "cyclotomic", "n": 5}}),
+    ("rho float", elliptic_argv({"case": "degree-4", "rho": 5.9,
+                                 "field": {"kind": "cyclotomic", "n": 5}}),
      EXIT_SCHEMA),
     ("negative height", ["represents-zero", "--height", "-3", "--form",
                          '{"diagonal": [1, 1, 1]}'], EXIT_SCHEMA),
@@ -144,7 +145,7 @@ RULES = [
                              json.dumps({"diagonal": [W, -1]}), "--field",
                              '{"kind": "imag_quadratic", "D": 1}', "--m", "10",
                              "--mode", "cm"], EXIT_BUDGET),
-    ("budget: elliptic context", _elliptic(
+    ("budget: elliptic context", elliptic_argv(
         {"case": "picard-form", "form": {"diagonal": [W, -1]}}), EXIT_BUDGET),
 ]
 

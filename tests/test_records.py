@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from traceforms.exact import INF, Poly, SquareClass
+from traceforms.exact import INF, SquareClass
 from traceforms.k3hk import (
     AmbientSpace,
     FamousExample,
@@ -31,6 +31,7 @@ from traceforms.numfields import (
     RealQuadratic,
     field_invariants,
 )
+from traceforms.poly import Poly
 from traceforms.qforms import (
     FormInvariants,
     IsotropyVerdict,

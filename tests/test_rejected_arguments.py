@@ -7,7 +7,6 @@ character at a time; a negative md bound, which printed an empty grid; and
 a descriptor key its kind does not read, which was ignored.  The cm split
 takes no complement to aim at, and the one it forces is pinned."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -16,14 +15,17 @@ from pathlib import Path
 
 import pytest
 
+from conftest import elliptic_argv, load_file
 from traceforms.cli import (
-    EXIT_OK, EXIT_SCHEMA, SchemaError, exit_code, main, parse_families,
+    EXIT_OK, EXIT_SCHEMA, exit_code, main, parse_families,
 )
+from traceforms.exact import SchemaError
 from traceforms.numfields import ImagQuadratic
 from traceforms.qforms import QuadraticForm
 from traceforms.transfer import split_transfer_feasible
 
 ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "run_realizability_grids.py"
 
 
 def test_cm_split_forces_its_complement_line():
@@ -58,11 +60,7 @@ def test_tabulate_rejects_a_repeated_family(capsys, families):
 
 
 def test_grid_script_rejects_a_repeated_family(capsys):
-    path = ROOT / "scripts" / "run_realizability_grids.py"
-    spec = importlib.util.spec_from_file_location("run_realizability_grids",
-                                                  path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_file(SCRIPT)
     with pytest.raises(SchemaError, match="repeats an earlier family"):
         script.main(["--families", "k3,kummer:2,k3", "--format", "csv"])
     assert capsys.readouterr().out == ""
@@ -79,10 +77,6 @@ def _cm_query(**field):
 
 def _k3_query(field):
     return ["k3", "--field", json.dumps(field), "--m", "3", "--mode", "rm"]
-
-
-def _elliptic_query(context):
-    return ["elliptic", "--context", json.dumps(context)]
 
 
 MALFORMED = [
@@ -108,15 +102,18 @@ MALFORMED = [
     (_cm_query(se=[[3]]), "got [3]"),
     (_cm_query(se=3), "'int' object is not iterable"),
     # 2.9 was truncated to the decided degree 2, and rho 5.9 to 5
-    (_elliptic_query({"case": "small-degree", "degree": 2.9}),
+    (elliptic_argv({"case": "small-degree", "degree": 2.9}),
      "degree must be an integer, got 2.9"),
-    (_elliptic_query({"case": "degree-4", "rho": 5.9,
-                      "field": {"kind": "cyclotomic", "n": 5}}),
+    (elliptic_argv({"case": "degree-4", "rho": 5.9,
+                    "field": {"kind": "cyclotomic", "n": 5}}),
      "rho must be an integer, got 5.9"),
     # a negative height ran no triple scan and answered
     (["represents-zero", "--height", "-3", "--form",
       json.dumps({"diagonal": [1, 1, 1]})],
      "height: must be nonnegative, got -3"),
+    # an se table that named 4, or 3 twice, answered from its first entry
+    (_cm_query(se=[[4, True]]), "se asserts a non-prime 4"),
+    (_cm_query(se=[[3, True], [3, False]]), "se asserts a prime twice: 3"),
 ]
 
 
@@ -219,10 +216,7 @@ def test_catalog_entry_of_the_wrong_type_exits_2(capsys, tmp_path, mode,
         == EXIT_SCHEMA
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "schema" and error in doc["error"]
-    spec = importlib.util.spec_from_file_location(
-        "run_realizability_grids", ROOT / "scripts" / "run_realizability_grids.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_file(SCRIPT)
     assert exit_code(script.main, ["--mode", mode, "--catalog", str(path)]) \
         == EXIT_SCHEMA
     assert json.loads(capsys.readouterr().out) == doc
@@ -241,14 +235,6 @@ def test_catalog_of_integers_still_tabulates(capsys, tmp_path):
     assert rows["[5]"] == rows["['5']"] and "Q(sqrt 5)" in rows["[5]"]
 
 
-def _grid_script():
-    spec = importlib.util.spec_from_file_location(
-        "run_realizability_grids", ROOT / "scripts" / "run_realizability_grids.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
 @pytest.mark.parametrize("bound", ["-1", "-5"])
 def test_negative_md_bound_exits_2(capsys, bound):
     # it printed an empty table and exited 0
@@ -257,7 +243,8 @@ def test_negative_md_bound_exits_2(capsys, bound):
                  "--md-bound", bound]) == EXIT_SCHEMA
     assert json.loads(capsys.readouterr().out) == {
         "status": "error", "kind": "schema", "error": error}
-    assert exit_code(_grid_script().main, ["--md-bound", bound]) == EXIT_SCHEMA
+    assert exit_code(load_file(SCRIPT).main, ["--md-bound", bound]) \
+        == EXIT_SCHEMA
     assert json.loads(capsys.readouterr().out)["error"] == error
 
 
@@ -265,7 +252,7 @@ def test_negative_md_bound_exits_2_from_the_command_line():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_realizability_grids.py"),
+        [sys.executable, str(SCRIPT),
          "--md-bound", "-5"], env=env, capture_output=True, text=True,
         timeout=120)
     assert proc.returncode == EXIT_SCHEMA

@@ -7,11 +7,10 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from traceforms.exact import (
-    FactorizationBudgetError,
+from traceforms.exact import FactorizationBudgetError, factorize
+from traceforms.poly import (
     Poly,
     count_real_roots,
-    factorize,
     isolate_real_roots,
     signs_at_real_roots,
 )

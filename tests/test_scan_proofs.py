@@ -11,14 +11,13 @@ read differences of `exact.COUNTS`.  The support count of one construction
 is in `tests/test_counts.py`.
 """
 
-import importlib.util
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
 from sympy import nextprime
 
+from conftest import entries_and_classes, load_file
 from traceforms import qforms
 from traceforms.exact import (
     COUNTS, INF, SquareClass, clear_memos, is_square_at, primes_below,
@@ -37,8 +36,6 @@ from traceforms.qforms import (
     invariants,
     validate_invariants,
 )
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -128,17 +125,13 @@ def rank2_tuples(draw):
     return inv
 
 
-def _entries_and_classes(f):
-    return f.diagonal, [(c.n, c.known_primes) for c in f.known_classes]
-
-
 @given(rank2_tuples())
 @settings(max_examples=120, derandomize=True, deadline=None)
 def test_rank2_scoring_matches_candidate_search(inv):
     new = _rank2_from_invariants([], inv.det, inv.signature, inv.hasse)
     old = _parent_rank2_from_invariants([], inv.det, inv.signature,
                                         inv.hasse)
-    assert _entries_and_classes(new) == _entries_and_classes(old)
+    assert entries_and_classes(new) == entries_and_classes(old)
     assert invariants(new) == inv
 
 
@@ -280,19 +273,11 @@ def test_bare_twin_of_a_constructed_form_is_scanned():
 # count pins
 
 
-def _workloads():
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_forms_pool_hilbert_symbol_count():
     # cold memos: one pass of the pool made 51416 symbol evaluations when
     # every rank-2 candidate evaluated its own support
     clear_memos()
-    wl = _workloads()
+    wl = load_file("perfbench/workloads.py")
     before = COUNTS["hilbert_symbol"]
     for entries, query, k in wl.forms_pool():
         wl.forms_query(query, QuadraticForm.make(entries), k)

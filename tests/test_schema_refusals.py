@@ -9,7 +9,8 @@ import json
 
 import pytest
 
-from traceforms.cli import EXIT_SCHEMA, SchemaError, main, render_table
+from traceforms.cli import EXIT_SCHEMA, main, render_table
+from traceforms.exact import SchemaError
 
 REAL = '{"kind": "real_quadratic", "d": 5}'
 CYCLOTOMIC = '{"kind": "cyclotomic", "n": 5}'

@@ -9,19 +9,15 @@ import json
 
 import pytest
 
+from conftest import elliptic_argv, run_cli_json
 from traceforms.cli import EXIT_CRITERION, EXIT_OK, EXIT_SCHEMA, main
 from traceforms.k3hk import ELLIPTIC_CASES
 
 
-def _run(capsys, argv):
-    code = main(argv)
-    return code, json.loads(capsys.readouterr().out)
-
-
-def _tabulate(tmp_path, capsys, catalog, mode="rm"):
+def _tabulate(tmp_path, catalog, mode="rm"):
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(catalog))
-    return _run(capsys, ["tabulate", "--mode", mode, "--families", "k3",
+    return run_cli_json(["tabulate", "--mode", mode, "--families", "k3",
                          "--catalog", str(path)])
 
 
@@ -30,28 +26,27 @@ def _tabulate(tmp_path, capsys, catalog, mode="rm"):
     ({"totally_real": {}, "cm": "quadratic"}, "cm"),
     ({"totally_real": None, "cm": {}}, "totally_real"),
 ])
-def test_catalog_section_must_be_an_object(tmp_path, capsys, catalog,
-                                           section):
+def test_catalog_section_must_be_an_object(tmp_path, catalog, section):
     for mode in ("rm", "cm"):
-        code, doc = _tabulate(tmp_path, capsys, catalog, mode)
+        code, doc = _tabulate(tmp_path, catalog, mode)
         assert code == EXIT_SCHEMA
         assert doc["kind"] == "schema"
         assert doc["error"] == f"catalog: section {section} must be an object"
 
 
 @pytest.mark.parametrize("catalog", [[1], 5, "totally_real cm", {"cm": {}}])
-def test_catalog_without_both_sections(tmp_path, capsys, catalog):
-    code, doc = _tabulate(tmp_path, capsys, catalog)
+def test_catalog_without_both_sections(tmp_path, catalog):
+    code, doc = _tabulate(tmp_path, catalog)
     assert code == EXIT_SCHEMA
     assert doc["error"] == "catalog: need totally_real and cm sections"
 
 
 @pytest.mark.parametrize("entries", [5, "25", {"d": 2}])
-def test_catalog_entry_list_must_be_an_array(tmp_path, capsys, entries):
+def test_catalog_entry_list_must_be_an_array(tmp_path, entries):
     # a string was read one character at a time: "25" as the fields d = 2
     # and d = 5
     catalog = {"totally_real": {"quadratic": entries}, "cm": {}}
-    code, doc = _tabulate(tmp_path, capsys, catalog)
+    code, doc = _tabulate(tmp_path, catalog)
     assert code == EXIT_SCHEMA
     assert doc["error"] == "catalog: totally_real.quadratic must be an array"
 
@@ -73,17 +68,17 @@ def test_well_formed_small_catalog_answers(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("context", ["[1]", "5", '"small-degree"', "null"])
-def test_context_must_be_an_object(capsys, context):
-    code, doc = _run(capsys, ["elliptic", "--context", context])
+def test_context_must_be_an_object(context):
+    code, doc = run_cli_json(["elliptic", "--context", context])
     assert code == EXIT_SCHEMA
     assert doc["error"] == "context: must be an object with 'case'"
 
 
 @pytest.mark.parametrize("case", ["bogus", None, 4, ["small-degree"],
                                   "kondo-44"])
-def test_context_case_must_be_known(capsys, case):
+def test_context_case_must_be_known(case):
     context = {"degree": 2} if case is None else {"case": case, "degree": 2}
-    code, doc = _run(capsys, ["elliptic", "--context", json.dumps(context)])
+    code, doc = run_cli_json(elliptic_argv(context))
     assert code == EXIT_SCHEMA
     assert doc["kind"] == "schema"
     assert doc["error"] == ("context: case must be one of small-degree, "
@@ -95,26 +90,26 @@ def test_known_cases_are_the_verdicts():
                               "picard-form")
 
 
-def test_verdict_errors_stay_criterion_errors(capsys):
+def test_verdict_errors_stay_criterion_errors():
     # a real quadratic field is not CM of degree 4: the verdict's own
     # ValueError
     context = {"case": "degree-4", "rho": 2,
                "field": {"kind": "real_quadratic", "d": 5}}
-    code, doc = _run(capsys, ["elliptic", "--context", json.dumps(context)])
+    code, doc = run_cli_json(elliptic_argv(context))
     assert code == EXIT_CRITERION
     assert doc["error"] == "degree-4 case needs a CM field of degree 4"
     context = {"case": "picard-form", "form": {"diagonal": [1, 2, 3]}}
-    code, doc = _run(capsys, ["elliptic", "--context", json.dumps(context)])
+    code, doc = run_cli_json(elliptic_argv(context))
     assert code == EXIT_CRITERION
     assert doc["error"] == "picard-form case expects a rank-2 form"
 
 
-def test_known_case_still_answers(capsys):
-    code, doc = _run(capsys, ["elliptic", "--context",
+def test_known_case_still_answers():
+    code, doc = run_cli_json(["elliptic", "--context",
                               '{"case": "small-degree", "degree": 10}'])
     assert code == EXIT_OK
     assert doc["verdict"] == "yes"
-    code, doc = _run(capsys, ["elliptic", "--context",
+    code, doc = run_cli_json(["elliptic", "--context",
                               '{"case": "small-degree"}'])
     assert code == EXIT_SCHEMA
     assert doc["error"] == "context: 'degree'"

@@ -15,27 +15,19 @@ schema`), each of which got through before:
 
 The library readers stay idempotent on a value already read."""
 
-import contextlib
-import io
 import json
 
 import pytest
 
-from traceforms.cli import EXIT_OK, EXIT_SCHEMA, main
+from conftest import run_cli_json
+from traceforms.cli import EXIT_OK, EXIT_SCHEMA
 from traceforms.k3hk import elliptic_context, elliptic_fibration_verdict
 from traceforms.numfields import Cyclotomic, desc_from_json
 from traceforms.qforms import QuadraticForm, form_from_json
 
 
-def _run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    return code, json.loads(out.getvalue())
-
-
 def _schema_error(argv):
-    code, doc = _run(argv)
+    code, doc = run_cli_json(argv)
     assert (code, doc["status"], doc["kind"]) == (EXIT_SCHEMA, "error",
                                                   "schema"), doc
     return doc["error"]
@@ -66,7 +58,7 @@ def test_d1_a_string_name_still_labels_its_rows(tmp_path):
     catalog = {"totally_real": {"higher": [{"name": "q5",
                                             "minpoly": [-5, 0, 1]}]},
                "cm": {}}
-    code, doc = _run(_tabulate(tmp_path, catalog))
+    code, doc = run_cli_json(_tabulate(tmp_path, catalog))
     assert code == EXIT_OK
     assert {row["field"] for row in doc["rows"]} == {"q5"}
 
@@ -96,7 +88,7 @@ def test_d3_hk_reads_its_family_as_tabulate_does(flags, error):
 
 
 def test_d3_a_family_that_fits_still_answers():
-    code, doc = _run(HK + ["--family", "kummer", "--n", "2"])
+    code, doc = run_cli_json(HK + ["--family", "kummer", "--n", "2"])
     assert code == EXIT_OK and doc["status"] == "feasible"
 
 
@@ -116,7 +108,7 @@ def test_d5_a_catalog_takes_only_its_four_keys(tmp_path, key):
     assert _schema_error(_tabulate(tmp_path, catalog)) == \
         f"catalog: unknown key {key!r}"
     del catalog[key]
-    assert _run(_tabulate(tmp_path, catalog))[0] == EXIT_OK
+    assert run_cli_json(_tabulate(tmp_path, catalog))[0] == EXIT_OK
 
 
 @pytest.mark.parametrize("key, value, error", [
@@ -145,7 +137,7 @@ def test_d6_the_other_se_errors_keep_their_text():
     assert _schema_error(_k3_cm(se=3)) == (
         "field: malformed general_cm descriptor: 'int' object is not "
         "iterable")
-    assert _run(_k3_cm(se=[]))[1]["status"] == "needs_witness"
+    assert run_cli_json(_k3_cm(se=[]))[1]["status"] == "needs_witness"
 
 
 def test_an_empty_minpoly_is_no_polynomial():

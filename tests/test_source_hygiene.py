@@ -4,8 +4,9 @@ No `assert` statement: invariant guards must survive `python -O`, so they
 raise explicitly.  No imported name that its module never references
 (`from __future__ import annotations` is exempt).  No private top-level
 definition that the library never refers to.  No `exact.Record` subclass
-writes its own `__init__`, `__eq__` or `__hash__` outside a named list.  The checks report through
-`pytest.fail`, so they also run under `python -O`.
+writes its own `__init__`, `__eq__` or `__hash__` outside a named list.
+Every name is read from the module that defines it.  The checks report
+through `pytest.fail`, so they also run under `python -O`.
 """
 
 import ast
@@ -13,17 +14,15 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    (Path(__file__).resolve().parent.parent / "src" / "traceforms").glob("*.py"))
+from conftest import parse_file
 
-
-def _tree(path: Path) -> ast.AST:
-    return ast.parse(path.read_text(), filename=str(path))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "traceforms").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_assert_statements(path):
-    lines = [node.lineno for node in ast.walk(_tree(path))
+    lines = [node.lineno for node in ast.walk(parse_file(path))
              if isinstance(node, ast.Assert)]
     if lines:
         pytest.fail(f"{path.name}: assert statements at lines {lines}")
@@ -31,7 +30,7 @@ def test_no_assert_statements(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    tree = _tree(path)
+    tree = parse_file(path)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -62,7 +61,7 @@ def _references(stmt: ast.AST) -> set:
 def test_private_definitions_have_a_caller():
     defs, refs = [], []
     for path in SOURCES:
-        for stmt in _tree(path).body:
+        for stmt in parse_file(path).body:
             refs.append((stmt, _references(stmt)))
             if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef))
@@ -91,7 +90,7 @@ def test_records_write_their_own_dunders_only_where_listed():
     found = {name: set() for name in OWN_DUNDERS}
     records = 0
     for path in SOURCES:
-        for stmt in _tree(path).body:
+        for stmt in parse_file(path).body:
             if not (isinstance(stmt, ast.ClassDef)
                     and any(isinstance(b, ast.Name) and b.id == "Record"
                             for b in stmt.bases)):
@@ -147,7 +146,7 @@ def _relabels(handler: ast.ExceptHandler) -> bool:
 
 
 def test_cli_relabels_reader_errors_only_inside_read():
-    tree = _tree(_source("cli.py"))
+    tree = parse_file(_source("cli.py"))
     gates = [f for f in tree.body
              if isinstance(f, ast.FunctionDef) and f.name == "read"]
     if len(gates) != 1:
@@ -166,7 +165,7 @@ def test_no_second_rational_reader():
     would also take a JSON float."""
     found = []
     for path in SOURCES:
-        for node in ast.walk(_tree(path)):
+        for node in ast.walk(parse_file(path)):
             if (isinstance(node, ast.Call)
                     and getattr(node.func, "id", None) == "Fraction"
                     and node.args and isinstance(node.args[0], ast.Call)
@@ -182,7 +181,7 @@ CRITERIA = ("cm_transfer_feasible", "rm_transfer_feasible",
 
 
 def test_criteria_take_their_field_kind_check_from_check_mode():
-    funcs = {f.name: f for f in _tree(_source("transfer.py")).body
+    funcs = {f.name: f for f in parse_file(_source("transfer.py")).body
              if isinstance(f, ast.FunctionDef) and f.name in CRITERIA}
     if set(funcs) != set(CRITERIA):
         pytest.fail(f"criteria not found: {sorted(set(CRITERIA) - set(funcs))}")
@@ -195,3 +194,77 @@ def test_criteria_take_their_field_kind_check_from_check_mode():
                    and getattr(n.func, "id", None) == "check_mode"
                    for n in nodes):
             pytest.fail(f"{name} does not call check_mode")
+
+
+# ---------------------------------------------------------------------------
+# one route per name
+
+
+def _owners() -> dict:
+    """Each name bound at the top level of a `traceforms` module, mapped to
+    the modules that bind it other than by an import."""
+    owners = {}
+    for path in SOURCES:
+        for stmt in parse_file(path).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                owners.setdefault(name, set()).add(path.stem)
+    return owners
+
+
+def _routes(path: Path, modules: set):
+    """(line, module, name) for each `from traceforms.X import name` (or
+    `from .X import name` inside the package) and each `X.name` read through
+    a module bound by `from traceforms import X` or `import traceforms.X as
+    Y`."""
+    tree = parse_file(path)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = ("traceforms." * node.level + (node.module or "")) \
+                .strip(".").split(".")
+            if parts[0] != "traceforms":
+                continue
+            if len(parts) == 1:
+                bound.update((a.asname or a.name, a.name) for a in node.names
+                             if a.name in modules)
+            elif parts[1] in modules:
+                yield from ((node.lineno, parts[1], a.name)
+                            for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                parts = a.name.split(".")
+                if a.asname and parts[0] == "traceforms" and len(parts) == 2:
+                    bound[a.asname] = parts[1]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            yield node.lineno, bound[node.value.id], node.attr
+
+
+def test_every_name_is_read_from_its_defining_module():
+    owners = _owners()
+    shared = sorted(name for name, mods in owners.items() if len(mods) > 1)
+    if shared:
+        pytest.fail(f"names defined in more than one module: {shared}")
+    modules = {path.stem for path in SOURCES}
+    files = [*SOURCES, *sorted((ROOT / "scripts").glob("*.py")),
+             *sorted((ROOT / "tests").glob("*.py"))]
+    # a name that no module defines (`qforms.heappop`, say) is exempt
+    stray = [f"{path.relative_to(ROOT)}:{line} {module}.{name} "
+             f"(defined in {owner})"
+             for path in files
+             for line, module, name in _routes(path, modules)
+             for owner in owners.get(name, ()) if owner != module]
+    if stray:
+        pytest.fail("names read through a module that does not define them: "
+                    + ", ".join(stray))

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from conftest import GRID_FAMILIES, GRID_MD_BOUND
 from traceforms import cli
 from traceforms.exact import SquareClass, clear_memos, memos
 from traceforms.k3hk import ambient, hk_realizable
@@ -19,9 +20,6 @@ from traceforms.transfer import (
     split_transfer_feasible,
     verdict_to_json,
 )
-
-GRID_FAMILIES = "k3,kummer:2,kummer:3,og6,hilbk3:2,hilbk3:3,og10"
-GRID_MD_BOUND = 23
 
 
 def _grid_cells():

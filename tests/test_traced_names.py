@@ -5,23 +5,13 @@ and `getattr`s each one when `--trace 1` installs it, so a deleted or
 renamed target would only fail a traced benchmark run.  This test fails
 first."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import load_file
 
 
-def _tracer():
-    path = ROOT / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-TARGETS = [(module, name) for module, name, *_ in _tracer().TARGETS]
+TARGETS = [(module, name)
+           for module, name, *_ in load_file("perfbench/tracer.py").TARGETS]
 
 
 @pytest.mark.parametrize("module, name", TARGETS, ids=[

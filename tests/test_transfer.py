@@ -10,18 +10,19 @@ norm searches).
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from traceforms.exact import (
-    INF, Poly, SquareClass, hilbert_support, is_square_at, squarefree_class,
+    INF, SquareClass, hilbert_support, is_square_at, squarefree_class,
 )
 from traceforms.numfields import (
     IN, Cyclotomic, GeneralCM, GeneralTotallyReal, ImagQuadratic,
     RealQuadratic, field_invariants, in_SE,
 )
+from traceforms.poly import Poly
 from traceforms.qforms import (
     FormInvariants, InvariantContradiction, QuadraticForm, hyperbolic_bit,
     hyperbolic_sum, invariants, invariants_from_json, is_locally_hyperbolic,
@@ -447,16 +448,9 @@ SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 def _signed_products(max_factors):
     return st.builds(
-        lambda sign, ps: sign * _product(ps),
+        lambda sign, ps: sign * prod(ps),
         st.sampled_from((1, -1)),
         st.lists(st.sampled_from(SMALL_PRIMES), max_size=max_factors))
-
-
-def _product(ps):
-    out = 1
-    for p in ps:
-        out *= p
-    return out
 
 
 @st.composite

@@ -3,11 +3,15 @@ outside its function's contract, with a message that names the fault.
 
 The explicit transfers refuse a field of the wrong kind, an empty form and a
 zero entry; `rm_transfer_feasible` a dimension that is no multiple of the
-degree; `split_transfer_feasible` a rank below 1, an ambient with no room
-left and one with fewer than two positive squares;
-`validate_cm_rank2_complement` a zero entry; and `condition_C_profile` an
-empty form, a zero rational entry, a field without real-embedding data and a
-general totally real entry that is not a polynomial."""
+degree, a rank below 3 and a signature other than (2, md - 2);
+`cm_transfer_feasible` a dimension that is no multiple of the degree;
+`cm_twist_class` a field that is not CM; `predicted_invariants` a rank below
+1 and a totally real field without the norm class of det W;
+`split_transfer_feasible` a rank below 1, an ambient with no room left and
+one with fewer than two positive squares; `validate_cm_rank2_complement` a
+zero entry; and `condition_C_profile` an empty form, a zero rational entry,
+a field without real-embedding data and a general totally real entry that is
+not a polynomial."""
 
 from fractions import Fraction
 
@@ -15,11 +19,15 @@ import pytest
 
 from traceforms.numfields import (
     Cyclotomic, GeneralTotallyReal, ImagQuadratic, RealQuadratic,
+    field_invariants,
 )
 from traceforms.qforms import QuadraticForm, hyperbolic_sum
 from traceforms.transfer import (
     QuadFieldElement,
+    cm_transfer_feasible,
+    cm_twist_class,
     condition_C_profile,
+    predicted_invariants,
     rm_transfer_feasible,
     split_transfer_feasible,
     transfer_hermitian_imagquad,
@@ -44,6 +52,21 @@ CUBIC = GeneralTotallyReal((-1, -3, 0, 1))     # x^3 - 3x - 1
     (lambda: rm_transfer_feasible(
         RealQuadratic(5), QuadraticForm.make([1, 1, -1, -1, -1])),
      "dimension 5 is not a multiple of the degree 2"),
+    (lambda: rm_transfer_feasible(
+        RealQuadratic(5), QuadraticForm.make([1, 1, -1, -1])),
+     "need rank at least 3 over the field"),
+    (lambda: rm_transfer_feasible(
+        RealQuadratic(5), QuadraticForm.make([1, 1, 1, -1, -1, -1])),
+     r"signature must be \(2, 4\)"),
+    (lambda: cm_transfer_feasible(
+        ImagQuadratic(1), QuadraticForm.make([1, 1, -1])),
+     "dimension 3 is not a positive multiple of the field degree 2"),
+    (lambda: cm_twist_class(field_invariants(RealQuadratic(5))),
+     "the CM twist class needs a CM field"),
+    (lambda: predicted_invariants(RealQuadratic(5), 0),
+     "rank must be positive"),
+    (lambda: predicted_invariants(RealQuadratic(5), 3),
+     "needs the norm class of det W"),
     (lambda: split_transfer_feasible(hyperbolic_sum(4), RealQuadratic(5), 0,
                                      "rm"),
      "rank must be positive"),
@@ -64,7 +87,8 @@ CUBIC = GeneralTotallyReal((-1, -3, 0, 1))     # x^3 - 3x - 1
      "general totally real entries are polynomials"),
 ], ids=[
     "real-field", "real-empty", "real-zero", "imag-field", "imag-empty",
-    "imag-zero", "rm-degree", "split-rank", "split-room", "split-positive",
+    "imag-zero", "rm-degree", "rm-rank", "rm-signature", "cm-degree",
+    "twist-field", "predict-rank", "predict-norm", "split-rank", "split-room", "split-positive",
     "rank2-zero", "profile-empty", "profile-zero", "profile-kind",
     "profile-poly",
 ])

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import parse_file
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "traceforms").glob("*.py"))
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -69,13 +71,9 @@ def uncalled(sources, others=()) -> set:
                        for other, names in loads)}
 
 
-def _parse(path: Path) -> ast.Module:
-    return ast.parse(path.read_text(), filename=str(path))
-
-
 def test_uncalled_public_functions_are_the_listed_ones():
-    found = uncalled([(p.stem, _parse(p)) for p in SOURCES],
-                     map(_parse, SCRIPTS))
+    found = uncalled([(p.stem, parse_file(p)) for p in SOURCES],
+                     map(parse_file, SCRIPTS))
     if found != UNCALLED:
         pytest.fail(f"not listed: {sorted(found - UNCALLED)}; "
                     f"listed but called: {sorted(UNCALLED - found)}")

@@ -8,13 +8,9 @@ import json
 
 import pytest
 
-from traceforms.cli import EXIT_OK, EXIT_SCHEMA, load_catalog, main
+from conftest import elliptic_argv, run_cli_json
+from traceforms.cli import EXIT_OK, EXIT_SCHEMA, load_catalog
 from traceforms.k3hk import ELLIPTIC_CASES, ELLIPTIC_KEYS
-
-
-def _run(capsys, argv):
-    code = main(argv)
-    return code, json.loads(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("mode", ["rm", "cm"])
@@ -26,10 +22,10 @@ def _run(capsys, argv):
     ({"totally_real": {"Higher": []}, "cm": {}},
      "catalog: section totally_real: unknown key 'Higher'"),
 ])
-def test_unknown_section_key_exits_2(tmp_path, capsys, mode, catalog, error):
+def test_unknown_section_key_exits_2(tmp_path, mode, catalog, error):
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(catalog))
-    code, doc = _run(capsys, ["tabulate", "--mode", mode, "--catalog",
+    code, doc = run_cli_json(["tabulate", "--mode", mode, "--catalog",
                               str(path)])
     assert code == EXIT_SCHEMA
     assert doc == {"status": "error", "kind": "schema", "error": error}
@@ -52,14 +48,14 @@ CYCLOTOMIC_44 = {"kind": "cyclotomic", "n": 44}
     ({"case": "picard-form", "form": {"diagonal": [1, -1]}, "field": 1},
      "'field'"),
 ])
-def test_unknown_context_key_exits_2(capsys, context, key):
-    code, doc = _run(capsys, ["elliptic", "--context", json.dumps(context)])
+def test_unknown_context_key_exits_2(context, key):
+    code, doc = run_cli_json(elliptic_argv(context))
     assert code == EXIT_SCHEMA
     assert doc == {"status": "error", "kind": "schema",
                    "error": "context: unknown key " + key}
 
 
-def test_every_case_answers_with_its_own_keys(capsys):
+def test_every_case_answers_with_its_own_keys():
     assert ELLIPTIC_CASES == tuple(ELLIPTIC_KEYS)
     contexts = [
         {"case": "small-degree", "degree": 2},
@@ -70,7 +66,6 @@ def test_every_case_answers_with_its_own_keys(capsys):
     ]
     for context in contexts:
         assert set(context) == {"case", *ELLIPTIC_KEYS[context["case"]]}
-        code, doc = _run(capsys, ["elliptic", "--context",
-                                  json.dumps(context)])
+        code, doc = run_cli_json(elliptic_argv(context))
         assert code == EXIT_OK
         assert doc["verdict"] in ("yes", "no")

@@ -9,6 +9,7 @@ refutation of a rank below 3 is written once, so the rm split,
 import ast
 from pathlib import Path
 
+from conftest import parse_file
 from traceforms import cli
 from traceforms.k3hk import hk_realizable, picard_compatible
 from traceforms.numfields import ImagQuadratic, RealQuadratic
@@ -18,10 +19,6 @@ from traceforms.transfer import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "traceforms"
-
-
-def _tree(name):
-    return ast.parse((SRC / name).read_text())
 
 
 def test_rank_below_three_is_one_refutation():
@@ -64,7 +61,7 @@ def test_criterion_outside_the_grid():
 def test_only_the_constructors_build_refutations():
     built = set()
     for name in ("transfer.py", "k3hk.py", "cli.py"):
-        for fn in ast.walk(_tree(name)):
+        for fn in ast.walk(parse_file(SRC / name)):
             if not isinstance(fn, ast.FunctionDef):
                 continue
             for node in ast.walk(fn):
@@ -79,7 +76,7 @@ def test_only_the_constructors_build_refutations():
 
 def test_no_obstruction_literal_outside_transfer():
     for name in ("k3hk.py", "cli.py"):
-        for node in ast.walk(_tree(name)):
+        for node in ast.walk(parse_file(SRC / name)):
             if isinstance(node, ast.Dict):
                 keys = {k.value for k in node.keys
                         if isinstance(k, ast.Constant)}

@@ -11,11 +11,9 @@ builds, and comparing those costs dunder calls that a run of the grid
 script does not make.
 """
 
-from traceforms import cli
+from conftest import grid_cell_pass
 from traceforms.exact import Record, clear_memos, memos
 
-GRID_FAMILIES = "k3,kummer:2,kummer:3,og6,hilbk3:2,hilbk3:3,og10"
-GRID_MD_BOUND = 23
 
 #: 3,938 at the time of writing, down from 5,170 earlier and from 11,994
 #: when the field memos were keyed by the descriptor and each complement
@@ -23,19 +21,9 @@ GRID_MD_BOUND = 23
 DUNDER_CALLS_BOUND = 5500
 
 
-def _grid_pass():
-    cat = cli.load_catalog()
-    fields = {mode: cli.catalog_fields(cat, mode) for mode in ("rm", "cm")}
-    families = cli.parse_families(GRID_FAMILIES)
-    for mode in ("rm", "cm"):
-        for family in families:
-            for field in fields[mode]:
-                cli.tabulate_rows(mode, [family], [field], GRID_MD_BOUND)
-
-
 def test_warm_grid_pass_makes_few_record_dunder_calls(monkeypatch):
     clear_memos()
-    _grid_pass()
+    grid_cell_pass()
     calls = [0]
     eq, hash_ = Record.__eq__, Record.__hash__
 
@@ -51,7 +39,7 @@ def test_warm_grid_pass_makes_few_record_dunder_calls(monkeypatch):
     monkeypatch.setattr(Record, "__hash__", counting_hash)
     fields = memos()["numfields.field_invariants"]
     before = fields.cache_info()
-    _grid_pass()
+    grid_cell_pass()
     after = fields.cache_info()
     monkeypatch.undo()
     assert 0 < calls[0] <= DUNDER_CALLS_BOUND

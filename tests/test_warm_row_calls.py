@@ -16,7 +16,8 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from traceforms import cli, exact
+from conftest import grid_cell_pass
+from traceforms import exact
 from traceforms.exact import SquareClass, clear_memos, memos
 from traceforms.k3hk import ambient
 from traceforms.numfields import (
@@ -28,8 +29,6 @@ from traceforms.transfer import (
     _choose_complement, _class_key, _hasse_candidates, cm_twist_class,
 )
 
-GRID_FAMILIES = "k3,kummer:2,kummer:3,og6,hilbk3:2,hilbk3:3,og10"
-GRID_MD_BOUND = 23
 #: the memo of the cm split decisions, reached by its label
 PLANS = memos()["transfer.cm_split"]
 #: the memo of the complement choices, reached by its label
@@ -41,21 +40,9 @@ CHOICES = memos()["transfer.choose_complement"]
 #: asked the complement choice past its memoized plan, 17,002 after
 WARM_CALLS_BOUND = 17_500
 #: at most, on one cold pass: 99,130 before the support of (1, x) was
-#: shortcut and the statuses memoized; 97,731 after
-COLD_CALLS_BOUND = 99_130
-
-
-def _grid_pass():
-    """One pass as the `grid` benchmark workload makes it: fresh
-    descriptors from the catalog, then one cell (mode, family, field) at a
-    time."""
-    cat = cli.load_catalog()
-    fields = {mode: cli.catalog_fields(cat, mode) for mode in ("rm", "cm")}
-    families = cli.parse_families(GRID_FAMILIES)
-    for mode in ("rm", "cm"):
-        for family in families:
-            for field in fields[mode]:
-                cli.tabulate_rows(mode, [family], [field], GRID_MD_BOUND)
+#: shortcut and the statuses memoized; 97,731 after; 52,055 while each cm
+#: row asked the complement choice past its memoized plan, 51,757 after
+COLD_CALLS_BOUND = 52_500
 
 
 def _profiled_pass() -> Counter:
@@ -68,7 +55,7 @@ def _profiled_pass() -> Counter:
 
     sys.setprofile(profile)
     try:
-        _grid_pass()
+        grid_cell_pass()
     finally:
         sys.setprofile(None)
     return calls
